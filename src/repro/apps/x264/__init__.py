@@ -11,6 +11,7 @@ from repro.apps.x264.frames import Video, synthesize_video
 from repro.apps.x264.motion import (
     SUBME_PROFILES,
     MotionEstimate,
+    ReferencePlanes,
     SubmeProfile,
     estimate_motion,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "synthesize_video",
     "estimate_motion",
     "MotionEstimate",
+    "ReferencePlanes",
     "SubmeProfile",
     "SUBME_PROFILES",
     "BLOCK",

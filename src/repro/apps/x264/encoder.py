@@ -5,9 +5,10 @@ prediction; inter frames motion-compensate each 8x8 block from up to
 ``ref`` reconstructed reference frames found by the knob-controlled
 motion search, transform-code the residual, count entropy bits, and
 reconstruct the frame into the reference list so coding error propagates
-exactly as in a closed-loop encoder.  PSNR is measured against the source
-(the job of the paper's H.264 reference decoder) and bitrate is the total
-entropy-size estimate.
+exactly as in a closed-loop encoder.  Each reconstructed frame is
+interpolated into its quarter-pel planes once, when it joins the list.
+PSNR is measured against the source (the job of the paper's H.264
+reference decoder) and bitrate is the total entropy-size estimate.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.x264.motion import estimate_motion
+from repro.apps.x264.motion import ReferencePlanes, estimate_motion
 from repro.apps.x264.transform import BLOCK, encode_block, golomb_bits
 
 __all__ = ["FrameStats", "Encoder", "psnr"]
@@ -73,7 +74,7 @@ class Encoder:
         if qstep <= 0:
             raise ValueError(f"qstep must be positive, got {qstep!r}")
         self.qstep = qstep
-        self._references: deque[np.ndarray] = deque(maxlen=max_references)
+        self._references: deque[ReferencePlanes] = deque(maxlen=max_references)
 
     @property
     def reference_count(self) -> int:
@@ -132,7 +133,7 @@ class Encoder:
                     block_y : block_y + BLOCK, block_x : block_x + BLOCK
                 ] = np.clip(prediction + decoded_residual, 0.0, 255.0)
 
-        self._references.appendleft(reconstructed)
+        self._references.appendleft(ReferencePlanes(reconstructed))
         return FrameStats(
             psnr_db=psnr(frame, reconstructed),
             bits=total_bits,

@@ -9,8 +9,20 @@ The three x264 dynamic knobs live here:
   refinement cost metric from SAD to the more faithful (and costlier)
   Hadamard SATD.
 
+Reference frames are interpolated once: :class:`ReferencePlanes` holds a
+reconstructed frame with its 15 fractional quarter-pel planes, built when
+the encoder adds the frame to its reference list (as x264 runs its
+half-pel filter once per frame).  Motion vectors are always multiples of
+a quarter pel, so every candidate the search scores is a slice of one
+plane, bit-identical to bilinearly sampling the frame at that position.
+The greedy sub-pel walk also remembers each position it has scored for
+a block and reference, and looks a revisit up instead of re-scoring it.
+
 Every candidate evaluation is counted as work (``block pixels`` units per
 SAD, double for SATD), which is what makes the knobs performance knobs.
+Work is the modelled encoder's cost, so it is charged per evaluation,
+looked up or not: the planes and the memo make the simulation faster
+but leave the knobs' modelled cost range (Figure 5b, ~4.5x) unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +34,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.apps.x264.transform import BLOCK
 
-__all__ = ["SubmeProfile", "SUBME_PROFILES", "MotionEstimate", "estimate_motion"]
+__all__ = [
+    "SubmeProfile",
+    "SUBME_PROFILES",
+    "MotionEstimate",
+    "ReferencePlanes",
+    "estimate_motion",
+]
 
 
 @dataclass(frozen=True)
@@ -75,7 +93,7 @@ class MotionEstimate:
 
 
 def _sad(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(np.abs(a - b)))
+    return float(np.abs(a - b).sum())
 
 
 _HADAMARD = np.array(
@@ -96,11 +114,15 @@ _HADAMARD = np.array(
 def _satd(a: np.ndarray, b: np.ndarray) -> float:
     difference = a - b
     transformed = _HADAMARD @ difference @ _HADAMARD.T
-    return float(np.sum(np.abs(transformed)) / 8.0)
+    return float(np.abs(transformed).sum() / 8.0)
 
 
 def _sample_patch(frame: np.ndarray, y: float, x: float, size: int) -> np.ndarray:
-    """Bilinearly sample a ``size x size`` patch at fractional (y, x)."""
+    """Bilinearly sample a ``size x size`` patch at fractional (y, x).
+
+    The reference definition that :meth:`ReferencePlanes.patch` must
+    reproduce bit for bit; the search itself reads the planes.
+    """
     height, width = frame.shape
     y = float(np.clip(y, 0.0, height - size))
     x = float(np.clip(x, 0.0, width - size))
@@ -120,6 +142,58 @@ def _sample_patch(frame: np.ndarray, y: float, x: float, size: int) -> np.ndarra
         + fy * (1 - fx) * p10
         + fy * fx * p11
     )
+
+
+_QUARTERS = (0.0, 0.25, 0.5, 0.75)
+
+
+class ReferencePlanes:
+    """A reference frame interpolated at every quarter-pel phase.
+
+    Plane ``(fy, fx)`` holds, at ``(r, c)``, the bilinear sample of the
+    frame at ``(r + fy, c + fx)``, computed with :func:`_sample_patch`'s
+    exact expression and term order, so each element is the same IEEE
+    result.  The shifted copies replicate the last row and column; a
+    replicated value only reaches a patch with weight 0, because a patch
+    that covers the last row is clipped to ``fy == 0`` (and one that
+    covers the last column to ``fx == 0``).
+
+    Args:
+        frame: The reconstructed reference frame.
+    """
+
+    __slots__ = ("frame", "_max_y", "_max_x", "_planes")
+
+    def __init__(self, frame: np.ndarray) -> None:
+        height, width = frame.shape
+        self.frame = frame
+        self._max_y = height - BLOCK
+        self._max_x = width - BLOCK
+        p01 = np.concatenate((frame[:, 1:], frame[:, -1:]), axis=1)
+        p10 = np.concatenate((frame[1:], frame[-1:]), axis=0)
+        p11 = np.concatenate((p01[1:], p01[-1:]), axis=0)
+        self._planes: dict[tuple[float, float], np.ndarray] = {}
+        for fy in _QUARTERS:
+            for fx in _QUARTERS:
+                self._planes[fy, fx] = (
+                    frame
+                    if fy == 0.0 and fx == 0.0
+                    else (1 - fy) * (1 - fx) * frame
+                    + (1 - fy) * fx * p01
+                    + fy * (1 - fx) * p10
+                    + fy * fx * p11
+                )
+
+    def patch(self, y: float, x: float) -> np.ndarray:
+        """The block-sized patch at quarter-pel (y, x), clipped to the frame.
+
+        Equal, element for element, to ``_sample_patch(frame, y, x, BLOCK)``.
+        """
+        y = min(max(y, 0.0), self._max_y)
+        x = min(max(x, 0.0), self._max_x)
+        y0, x0 = int(y), int(x)
+        plane = self._planes[y - y0, x - x0]
+        return plane[y0 : y0 + BLOCK, x0 : x0 + BLOCK]
 
 
 def _integer_search(
@@ -152,7 +226,7 @@ def _integer_search(
 
 def _refine(
     block: np.ndarray,
-    reference: np.ndarray,
+    reference: ReferencePlanes,
     block_y: int,
     block_x: int,
     mv_y: float,
@@ -161,16 +235,28 @@ def _refine(
     step: float,
     iterations: int,
     use_satd: bool,
+    scored: dict[tuple[float, float, bool], float],
 ) -> tuple[float, float, float, float]:
-    """Iterative 8-neighbour sub-pel refinement at the given step size."""
+    """Iterative 8-neighbour sub-pel refinement at the given step size.
+
+    ``scored`` maps each (y, x, metric) already evaluated for this block
+    and reference to its cost; a revisit is looked up rather than
+    re-scored, but still charged as one evaluation.
+    """
     metric = _satd if use_satd else _sad
-    work = 0.0
     work_per_eval = block.size * (2.0 if use_satd else 1.0)
+
+    def evaluate(y: float, x: float) -> float:
+        key = (y, x, use_satd)
+        candidate_cost = scored.get(key)
+        if candidate_cost is None:
+            candidate_cost = scored[key] = metric(block, reference.patch(y, x))
+        return candidate_cost
+
+    work = 0.0
     if use_satd:
         # Re-evaluate the incumbent under the refinement metric.
-        cost = metric(
-            block, _sample_patch(reference, block_y + mv_y, block_x + mv_x, block.shape[0])
-        )
+        cost = evaluate(block_y + mv_y, block_x + mv_x)
         work += work_per_eval
     for _ in range(iterations):
         improved = False
@@ -178,13 +264,7 @@ def _refine(
             for dx in (-step, 0.0, step):
                 if dy == 0.0 and dx == 0.0:
                     continue
-                candidate = _sample_patch(
-                    reference,
-                    block_y + mv_y + dy,
-                    block_x + mv_x + dx,
-                    block.shape[0],
-                )
-                candidate_cost = metric(block, candidate)
+                candidate_cost = evaluate(block_y + mv_y + dy, block_x + mv_x + dx)
                 work += work_per_eval
                 if candidate_cost < cost:
                     cost = candidate_cost
@@ -198,7 +278,7 @@ def _refine(
 
 def estimate_motion(
     block: np.ndarray,
-    references: list[np.ndarray],
+    references: list[ReferencePlanes],
     block_y: int,
     block_x: int,
     merange: int,
@@ -209,7 +289,7 @@ def estimate_motion(
 
     Args:
         block: The 8x8 source block.
-        references: Reconstructed reference frames, most recent first.
+        references: Interpolated reference frames, most recent first.
         block_y: Block's top row in the frame.
         block_x: Block's left column.
         merange: Integer search radius (knob).
@@ -229,9 +309,10 @@ def estimate_motion(
     total_work = 0.0
     for ref_index, reference in enumerate(references[:ref_count]):
         mv_y, mv_x, cost, work = _integer_search(
-            block, reference, block_y, block_x, merange
+            block, reference.frame, block_y, block_x, merange
         )
         total_work += work
+        scored: dict[tuple[float, float, bool], float] = {}
         if profile.half_pel_iterations:
             mv_y, mv_x, cost, extra = _refine(
                 block, reference, block_y, block_x,
@@ -239,6 +320,7 @@ def estimate_motion(
                 step=0.5,
                 iterations=profile.half_pel_iterations,
                 use_satd=profile.use_satd,
+                scored=scored,
             )
             total_work += extra
         if profile.quarter_pel_iterations:
@@ -248,19 +330,17 @@ def estimate_motion(
                 step=0.25,
                 iterations=profile.quarter_pel_iterations,
                 use_satd=profile.use_satd,
+                scored=scored,
             )
             total_work += extra
         if best is None or cost < best.cost:
-            prediction = _sample_patch(
-                reference, block_y + mv_y, block_x + mv_x, block.shape[0]
-            )
             best = MotionEstimate(
                 mv_y=float(mv_y),
                 mv_x=float(mv_x),
                 ref_index=ref_index,
                 cost=cost,
                 work=0.0,
-                prediction=np.asarray(prediction, dtype=np.float64),
+                prediction=reference.patch(block_y + mv_y, block_x + mv_x),
             )
     assert best is not None
     return MotionEstimate(

@@ -10,6 +10,8 @@ reference frames contain true coding error.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.fft import dctn, idctn
 
@@ -70,8 +72,10 @@ def golomb_bits(value: int) -> int:
     Signed mapping: 0 -> 0, 1 -> 1, -1 -> 2, 2 -> 3, ... then the
     unsigned Exp-Golomb length ``2 * floor(log2(v + 1)) + 1``.
     """
+    value = operator.index(value)
     mapped = 2 * value - 1 if value > 0 else -2 * value
-    return 2 * int(np.floor(np.log2(mapped + 1))) + 1
+    # floor(log2(mapped + 1)) exactly, for ints of any size.
+    return 2 * (mapped + 1).bit_length() - 1
 
 
 def block_bits(levels: np.ndarray) -> int:

@@ -8,6 +8,7 @@ from repro.apps.base import run_job
 from repro.apps.x264 import (
     BLOCK,
     Encoder,
+    ReferencePlanes,
     SUBME_PROFILES,
     X264App,
     ZIGZAG,
@@ -44,6 +45,12 @@ class TestTransform:
         assert golomb_bits(-1) == 3
         assert golomb_bits(2) == 5
 
+    def test_golomb_bits_exact_for_large_magnitudes(self):
+        # mapped + 1 = 2**53 - 1 has floor(log2) 52, but a float log2
+        # rounds it up to 53.0.
+        assert golomb_bits(-(2**52 - 1)) == 105
+        assert golomb_bits(2**52) == 107
+
     def test_flat_block_costs_few_bits(self):
         flat = np.zeros((BLOCK, BLOCK), dtype=np.int32)
         textured = np.arange(64, dtype=np.int32).reshape(8, 8) - 32
@@ -74,6 +81,10 @@ class TestTransform:
             encode_block(np.zeros((8, 8)), qstep=0.0)
 
 
+def planes(*frames):
+    return [ReferencePlanes(frame) for frame in frames]
+
+
 class TestMotionEstimation:
     def make_pair(self, shift):
         rng = np.random.default_rng(5)
@@ -85,7 +96,7 @@ class TestMotionEstimation:
         frame, reference = self.make_pair((2, -3))
         block = frame[8:16, 8:16]
         estimate = estimate_motion(
-            block, [reference], 8, 8, merange=4, subme=1, ref_count=1
+            block, planes(reference), 8, 8, merange=4, subme=1, ref_count=1
         )
         assert (estimate.mv_y, estimate.mv_x) == (-2, 3)
         assert estimate.cost == pytest.approx(0.0)
@@ -94,10 +105,10 @@ class TestMotionEstimation:
         frame, reference = self.make_pair((6, 0))
         block = frame[8:16, 8:16]
         found = estimate_motion(
-            block, [reference], 8, 8, merange=8, subme=1, ref_count=1
+            block, planes(reference), 8, 8, merange=8, subme=1, ref_count=1
         )
         missed = estimate_motion(
-            block, [reference], 8, 8, merange=2, subme=1, ref_count=1
+            block, planes(reference), 8, 8, merange=2, subme=1, ref_count=1
         )
         assert found.cost < missed.cost
 
@@ -108,10 +119,10 @@ class TestMotionEstimation:
         shifted = 0.5 * (reference[:, :-1] + reference[:, 1:])
         block = shifted[8:16, 8:16]
         integer = estimate_motion(
-            block, [reference], 8, 8, merange=4, subme=1, ref_count=1
+            block, planes(reference), 8, 8, merange=4, subme=1, ref_count=1
         )
         refined = estimate_motion(
-            block, [reference], 8, 8, merange=4, subme=3, ref_count=1
+            block, planes(reference), 8, 8, merange=4, subme=3, ref_count=1
         )
         assert refined.cost < integer.cost
 
@@ -120,7 +131,7 @@ class TestMotionEstimation:
         block = frame[8:16, 8:16]
         works = [
             estimate_motion(
-                block, [reference], 8, 8, merange=4, subme=s, ref_count=1
+                block, planes(reference), 8, 8, merange=4, subme=s, ref_count=1
             ).work
             for s in (1, 3, 5, 7)
         ]
@@ -130,16 +141,16 @@ class TestMotionEstimation:
         frame, reference = self.make_pair((1, 1))
         block = frame[8:16, 8:16]
         refs = [reference, np.roll(reference, 1, axis=0)]
-        small = estimate_motion(block, refs, 8, 8, merange=2, subme=1, ref_count=1)
-        large = estimate_motion(block, refs, 8, 8, merange=8, subme=1, ref_count=2)
+        small = estimate_motion(block, planes(*refs), 8, 8, merange=2, subme=1, ref_count=1)
+        large = estimate_motion(block, planes(*refs), 8, 8, merange=8, subme=1, ref_count=2)
         assert large.work > 2.0 * small.work
 
     def test_more_references_never_hurt_cost(self):
         frame, reference = self.make_pair((2, 2))
         other = np.roll(reference, (4, 4), axis=(0, 1))
         block = frame[8:16, 8:16]
-        one = estimate_motion(block, [other, reference], 8, 8, 4, 1, ref_count=1)
-        two = estimate_motion(block, [other, reference], 8, 8, 4, 1, ref_count=2)
+        one = estimate_motion(block, planes(other, reference), 8, 8, 4, 1, ref_count=1)
+        two = estimate_motion(block, planes(other, reference), 8, 8, 4, 1, ref_count=2)
         assert two.cost <= one.cost
 
     def test_subme_profiles_are_monotone_in_effort(self):
@@ -153,11 +164,11 @@ class TestMotionEstimation:
         block = np.zeros((8, 8))
         reference = np.zeros((32, 32))
         with pytest.raises(ValueError):
-            estimate_motion(block, [reference], 0, 0, merange=0, subme=1, ref_count=1)
+            estimate_motion(block, planes(reference), 0, 0, merange=0, subme=1, ref_count=1)
         with pytest.raises(ValueError):
-            estimate_motion(block, [reference], 0, 0, merange=2, subme=9, ref_count=1)
+            estimate_motion(block, planes(reference), 0, 0, merange=2, subme=9, ref_count=1)
         with pytest.raises(ValueError):
-            estimate_motion(block, [reference], 0, 0, merange=2, subme=1, ref_count=0)
+            estimate_motion(block, planes(reference), 0, 0, merange=2, subme=1, ref_count=0)
         with pytest.raises(ValueError):
             estimate_motion(block, [], 0, 0, merange=2, subme=1, ref_count=1)
 

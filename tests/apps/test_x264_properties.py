@@ -12,7 +12,7 @@ from repro.apps.x264 import (
     golomb_bits,
     inverse_transform,
 )
-from repro.apps.x264.motion import _HADAMARD, _sample_patch
+from repro.apps.x264.motion import _HADAMARD, ReferencePlanes, _sample_patch
 
 
 def blocks():
@@ -59,6 +59,13 @@ class TestGolombProperties:
     def test_sign_symmetric_within_one_level(self, value):
         assert abs(golomb_bits(value) - golomb_bits(-value)) <= 2
 
+    @given(value=st.integers(min_value=-(2**80), max_value=2**80))
+    def test_length_matches_codeword_definition(self, value):
+        """Length 2k + 1 where 2**k <= mapped + 1 < 2**(k + 1), at any size."""
+        mapped = 2 * value - 1 if value > 0 else -2 * value
+        k = (golomb_bits(value) - 1) // 2
+        assert 2**k <= mapped + 1 < 2 ** (k + 1)
+
     @given(value=st.integers(min_value=0, max_value=10_000))
     def test_monotone_in_magnitude(self, value):
         assert golomb_bits(value + 1) >= golomb_bits(value)
@@ -100,3 +107,33 @@ class TestSamplePatch:
         assert patch.shape == (8, 8)
         assert frame.min() - 1e-9 <= patch.min()
         assert patch.max() <= frame.max() + 1e-9
+
+
+class TestReferencePlanes:
+    @given(
+        height=st.integers(min_value=8, max_value=21),
+        width=st.integers(min_value=8, max_value=21),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_every_quarter_pel_patch_is_bitwise_the_sampled_patch(
+        self, height, width, seed
+    ):
+        """All quarter-pel positions, from two pels before the top-left
+        edge to two past the last row and column (clipped)."""
+        frame = np.random.default_rng(seed).uniform(
+            -300.0, 300.0, size=(height, width)
+        )
+        planes = ReferencePlanes(frame)
+        for qy in range(-8, 4 * (height - 8) + 9):
+            for qx in range(-8, 4 * (width - 8) + 9):
+                y, x = qy / 4, qx / 4
+                assert np.array_equal(
+                    planes.patch(y, x), _sample_patch(frame, y, x, 8)
+                ), (y, x)
+
+    def test_integer_positions_are_views_of_the_frame(self):
+        frame = np.random.default_rng(4).uniform(0, 255, size=(16, 24))
+        patch = ReferencePlanes(frame).patch(3, 16.0)
+        assert np.shares_memory(patch, frame)
+        assert np.array_equal(patch, frame[3:11, 16:24])
