@@ -177,7 +177,7 @@ def publish(buffer, seq: int, records: Iterable[bytes]) -> int:
     """Write ``records`` then the header into ``buffer``; return count.
 
     The payload and the header's ``count`` word land before the ``seq``
-    word: a reader polling for ``seq`` therefore never observes a
+    word: a reader that checks ``seq`` therefore never observes a
     half-published barrier.  Returns the record count written.
     """
     offset = HEADER.size

@@ -16,7 +16,8 @@ bare ``KeyError`` from deep inside the engine.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from repro.core.runtime import RuntimeSnapshot
 from repro.datacenter.billing import TenantBill

@@ -15,9 +15,10 @@ snapshots over Pipes, and ships O(changes) typed deltas (the
 
 1. every worker encodes the :class:`~repro.datacenter.controlplane.
    actions.TenantView` records of its resident tenants *that changed
-   since it last published* into its upstream segment, then stamps the
-   segment header's barrier ordinal — the ready flag the coordinator
-   polls (no pipe message at all on the upstream half);
+   since it last published* into its upstream segment, stamps the
+   segment header's barrier ordinal, and sends a tiny ``("ready",
+   seq)`` frame on its Pipe — the coordinator blocks on that frame,
+   never polls, then reads the header once;
 2. the parent — the only process that runs the
    :class:`~repro.datacenter.controlplane.actions.ControlPolicy` —
    keeps every worker's last-published views resident, overlays the
@@ -71,11 +72,14 @@ Lifecycle: the parent creates the ``reproshard_*`` segments before
 forking and owns their teardown — close + unlink in a ``finally`` that
 also covers every worker-death :class:`EngineError` path, so crashed
 runs leak nothing into ``/dev/shm`` (pinned by the shard tests).
-Workers only close their inherited mappings.  Worker supervision
-covers both transports: pipe reads and shared-memory ready-flag waits
-share :data:`_WORKER_BARRIER_TIMEOUT_SECONDS`, and a worker that dies
-or wedges mid-segment-write raises an :class:`EngineError` naming the
-worker, its machines, and the barrier.
+Workers only close their inherited mappings, and each closes the
+coordinator's ends of every Pipe it inherited, so closing those ends
+at teardown reaches a worker blocked in ``recv`` as EOF.  Supervision
+is one blocking wait: every frame — ready flags included — is awaited
+on the Pipe and the worker's process sentinel together, under
+:data:`_WORKER_BARRIER_TIMEOUT_SECONDS`, and a worker that dies,
+raises, or wedges mid-segment-write raises an :class:`EngineError`
+naming the worker, its machines, and the barrier.
 
 The backend requires the ``fork`` start method (workers inherit the
 armed engine — closures, generators and all — without pickling); the
@@ -89,6 +93,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 import traceback
@@ -129,15 +134,12 @@ __all__ = [
 
 _WORKER_BARRIER_TIMEOUT_SECONDS = 120.0
 """How long the coordinator waits for a worker's barrier message or
-shared-memory ready flag before declaring it hung.  Generous —
-barriers are milliseconds apart in practice — and read at call time,
-so tests shrink it."""
+ready flag before declaring it hung.  Generous — barriers are
+milliseconds apart in practice — and read at call time, so tests
+shrink it."""
 
 SEGMENT_PREFIX = "reproshard"
 """Shared-memory segment name prefix; the leak tests glob for it."""
-
-_FLAG_POLL_SECONDS = 0.0002
-"""Coordinator sleep between shared-memory ready-flag polls."""
 
 
 def fork_available() -> bool:
@@ -235,6 +237,7 @@ def _worker_main(
     tick_times: Sequence[float],
     final_time: float,
     conn,
+    inherited: Sequence[Any],
     upstream,
     downstream,
     protocol: str,
@@ -242,8 +245,12 @@ def _worker_main(
 ) -> None:
     """Advance one shard to completion, exchanging deltas at barriers.
 
-    ``protocol`` selects the upstream payload — ``"views"`` (tenant-
-    view deltas) or ``"demand"`` (per-machine demand scores).
+    ``inherited`` are the coordinator's Pipe ends this fork copied —
+    its own and every earlier sibling's — closed first thing so the
+    coordinator's close at teardown is the last one and reaches a
+    worker blocked in ``recv`` as EOF.  ``protocol`` selects the
+    upstream payload — ``"views"`` (tenant-view deltas) or
+    ``"demand"`` (per-machine demand scores).
     ``ship_checkpoints`` sends full tenant + machine checkpoints over
     the pipe every barrier (journal mode); otherwise a checkpointing
     worker captures tenant checkpoints locally and ships only the
@@ -251,6 +258,8 @@ def _worker_main(
     """
     from repro.datacenter.engine import _EventPump
 
+    for end in inherited:
+        end.close()
     try:
         # Workers never journal: the coordinator owns the journal (and
         # the inherited file handle must not be double-written).
@@ -291,9 +300,8 @@ def _worker_main(
                 }
             if ship_checkpoints:
                 # Journal mode: the coordinator's barrier record needs
-                # the full checkpoint, so it rides the pipe (sent
-                # before the flag so the coordinator's pipe read never
-                # races the flag wait).
+                # the full checkpoint, so it rides the pipe, ahead of
+                # this barrier's ready frame.
                 conn.send(
                     (
                         "cps",
@@ -329,6 +337,7 @@ def _worker_main(
                         last_sent[bindex] = record
                         records.append(record)
             _publish_upstream(upstream, seq, records)
+            conn.send(("ready", seq))
 
             message = conn.recv()
             if message[0] == "die":
@@ -576,6 +585,7 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                     tick_times,
                     final_time,
                     child_conn,
+                    [*connections, parent_conn],
                     upstreams[worker_index],
                     downstreams[worker_index],
                     protocol,
@@ -595,37 +605,47 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                 f"at barrier t={barrier_time:g}"
             )
 
-        def receive(worker_index, conn, process, expected: str, barrier_time):
-            # Supervise at the barrier protocol level: a worker that
-            # fail-stops or wedges is detected here and named, instead
-            # of the coordinator blocking forever on a dead pipe.
-            where = worker_label(worker_index, barrier_time)
-            deadline = time.monotonic() + _WORKER_BARRIER_TIMEOUT_SECONDS
-            while not conn.poll(min(1.0, _WORKER_BARRIER_TIMEOUT_SECONDS)):
-                if not process.is_alive():
-                    raise EngineError(
-                        f"{where} died without reporting "
-                        f"(exit code {process.exitcode!r})"
-                    )
-                if time.monotonic() >= deadline:
-                    raise EngineError(
-                        f"{where} hung: no {expected!r} message within "
-                        f"{_WORKER_BARRIER_TIMEOUT_SECONDS:g}s "
-                        f"(pid {process.pid})"
-                    )
+        def receive(
+            worker_index,
+            expected: str,
+            barrier_time,
+            awaited=None,
+            lost="without reporting",
+        ):
+            # Supervise at the barrier protocol level: block in the
+            # kernel until the worker's frame arrives, its pipe hits EOF
+            # or its process exits, or the timeout runs out — a worker
+            # that fail-stops or wedges is named, never waited on
+            # forever, and a waiting coordinator burns no CPU.
+            conn = connections[worker_index]
+            process = processes[worker_index]
+            timeout = _WORKER_BARRIER_TIMEOUT_SECONDS
+            if not multiprocessing.connection.wait(
+                [conn, process.sentinel], timeout
+            ):
+                # Named hung: no grace period at teardown.
+                process.terminate()
+                raise EngineError(
+                    f"{worker_label(worker_index, barrier_time)} hung: no "
+                    f"{awaited or repr(expected) + ' message'} within "
+                    f"{timeout:g}s (pid {process.pid})"
+                )
             try:
                 message = conn.recv()
             except (EOFError, OSError):
-                # EOFError for a cleanly closed pipe; OSError (e.g.
-                # ECONNRESET) when the worker dies while the read is
-                # in flight — which of the two surfaces is a race.
+                # EOFError once the worker exits (it held the only
+                # other end); OSError (e.g. ECONNRESET) when it dies
+                # while a read is in flight — which surfaces is a race.
                 process.join(timeout=1.0)
                 raise EngineError(
-                    f"{where} died mid-message "
-                    f"(exit code {process.exitcode!r})"
+                    f"{worker_label(worker_index, barrier_time)} died "
+                    f"{lost} (exit code {process.exitcode!r})"
                 ) from None
             if message[0] == "error":
-                raise EngineError(f"{where} failed:\n{message[1]}")
+                raise EngineError(
+                    f"{worker_label(worker_index, barrier_time)} failed:\n"
+                    f"{message[1]}"
+                )
             if message[0] != expected:  # pragma: no cover - protocol guard
                 raise EngineError(
                     f"shard protocol error: expected {expected!r}, "
@@ -634,71 +654,32 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
             return message[1]
 
         def await_upstream(worker_index, seq, barrier_time):
-            # The shared-memory half of the supervisor: poll the
-            # upstream header until the worker stamps this barrier's
-            # ordinal.  Same timeout budget as pipe reads, so a worker
-            # wedged mid-segment-write is named, not waited on forever.
-            conn = connections[worker_index]
-            process = processes[worker_index]
-            buf = upstreams[worker_index].buf
-            timeout = _WORKER_BARRIER_TIMEOUT_SECONDS
-            deadline = time.monotonic() + timeout
-            while True:
-                got, count = deltas.read_header(buf)
-                if got == seq:
-                    return count
-                where = worker_label(worker_index, barrier_time)
-                if got > seq:  # pragma: no cover - protocol guard
-                    raise EngineError(
-                        f"shard protocol error: {where} published barrier "
-                        f"seq {got}, expected {seq}"
-                    )
-                if conn.poll(0):
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        # EOF: the worker died and its pipe collapsed —
-                        # fall through to the death report below.
-                        message = None
-                    if message is not None:
-                        if message[0] == "error":
-                            raise EngineError(
-                                f"{where} failed:\n{message[1]}"
-                            )
-                        raise EngineError(  # pragma: no cover - guard
-                            f"shard protocol error: {where} sent "
-                            f"{message[0]!r} while its ready flag was "
-                            "awaited"
-                        )
-                    process.join(timeout=1.0)
-                    got, count = deltas.read_header(buf)
-                    if got == seq:  # pragma: no cover - publish/exit race
-                        return count
-                    raise EngineError(
-                        f"{where} died without publishing its barrier "
-                        f"delta (exit code {process.exitcode!r})"
-                    )
-                if not process.is_alive():
-                    got, count = deltas.read_header(buf)
-                    if got == seq:
-                        return count
-                    raise EngineError(
-                        f"{where} died without publishing its barrier "
-                        f"delta (exit code {process.exitcode!r})"
-                    )
-                if time.monotonic() >= deadline:
-                    raise EngineError(
-                        f"{where} hung: no barrier-ready flag (seq {seq}) "
-                        f"within {timeout:g}s (pid {process.pid})"
-                    )
-                time.sleep(_FLAG_POLL_SECONDS)
+            # The worker sends ("ready", seq) right after stamping its
+            # upstream header, so the coordinator sleeps in receive()
+            # and reads the header once, never polling the segment.
+            receive(
+                worker_index,
+                "ready",
+                barrier_time,
+                awaited=f"barrier-ready flag (seq {seq})",
+                lost="without publishing its barrier delta",
+            )
+            got, count = deltas.read_header(upstreams[worker_index].buf)
+            if got != seq:  # pragma: no cover - protocol guard
+                raise EngineError(
+                    f"shard protocol error: "
+                    f"{worker_label(worker_index, barrier_time)} stamped "
+                    f"barrier seq {got}, expected {seq}"
+                )
+            return count
 
-        def dispatch(worker_index, conn, process, message, barrier_time):
+        def dispatch(worker_index, message, barrier_time):
             # The send half of the supervisor: a worker that died since
             # its last report surfaces here as a broken pipe, named the
             # same way receive() names it.
+            process = processes[worker_index]
             try:
-                conn.send(message)
+                connections[worker_index].send(message)
             except (BrokenPipeError, OSError):
                 process.join(timeout=1.0)
                 raise EngineError(
@@ -724,16 +705,14 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
         sent_caps: list[dict[int, bytes]] = [{} for _ in shards]
 
         def live_workers():
-            for worker_index, conn in enumerate(connections):
-                if alive_worker[worker_index]:
-                    yield worker_index, conn, processes[worker_index]
+            return [i for i, alive in enumerate(alive_worker) if alive]
 
         for seq, now in enumerate(tick_times, start=1):
             tenant_cps: dict[str, Any] = {}
             machine_cps: dict[int, Any] = dict(frozen_machine_cps)
-            for worker_index, conn, process in live_workers():
+            for worker_index in live_workers():
                 if journal_active:
-                    cps = receive(worker_index, conn, process, "cps", now)
+                    cps = receive(worker_index, "cps", now)
                     tenant_cps.update(cps[0])
                     machine_cps.update(cps[1])
                 waited = time.perf_counter()
@@ -887,9 +866,9 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                 )
             any_migrations = bool(plan.migrations)
             stats["apply_seconds"] += time.perf_counter() - applying
-            for worker_index, conn, process in live_workers():
+            for worker_index in live_workers():
                 if worker_index in dying_workers:
-                    dispatch(worker_index, conn, process, ("die",), now)
+                    dispatch(worker_index, ("die",), now)
                     continue
                 # Downstream deltas: only this shard's live machines
                 # whose applied watts changed since last publish.
@@ -918,8 +897,6 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                 stats["serialize_seconds"] += time.perf_counter() - encoding
                 dispatch(
                     worker_index,
-                    conn,
-                    process,
                     (
                         "plan",
                         emigrations_by_worker[worker_index],
@@ -930,23 +907,15 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                     now,
                 )
             for worker_index in dying_workers:
-                dead_cps, payload = receive(
-                    worker_index,
-                    connections[worker_index],
-                    processes[worker_index],
-                    "dead",
-                    now,
-                )
+                dead_cps, payload = receive(worker_index, "dead", now)
                 victim_cps.update(dead_cps)
                 payload_by_worker[worker_index] = payload
                 alive_worker[worker_index] = False
             if not journal_active:
-                for worker_index, conn, process in live_workers():
+                for worker_index in live_workers():
                     if want_by_worker[worker_index]:
                         victim_cps.update(
-                            receive(
-                                worker_index, conn, process, "victim_cps", now
-                            )
+                            receive(worker_index, "victim_cps", now)
                         )
             if failure_moves:
                 restores_by_worker: list[dict[str, Any]] = [
@@ -957,12 +926,10 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                         restores_by_worker[shard_of_machine[dest]][tenant] = (
                             victim_cps[tenant]
                         )
-                for worker_index, conn, process in live_workers():
+                for worker_index in live_workers():
                     if restores_by_worker[worker_index]:
                         dispatch(
                             worker_index,
-                            conn,
-                            process,
                             ("restore", restores_by_worker[worker_index]),
                             now,
                         )
@@ -970,10 +937,8 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
             migration_records: list[MigrationRecord] = []
             if any_migrations:
                 migrants_by_tenant: dict[str, Any] = {}
-                for worker_index, conn, process in live_workers():
-                    for migrant in receive(
-                        worker_index, conn, process, "migrants", now
-                    ):
+                for worker_index in live_workers():
+                    for migrant in receive(worker_index, "migrants", now):
                         migrants_by_tenant[migrant.tenant] = migrant
                 absorb_by_worker: list[list[Any]] = [[] for _ in shards]
                 for migration in plan.migrations:
@@ -994,11 +959,9 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                     engine.migration_history.append(record)
                     migration_records.append(record)
                     binding.machine_index = dest
-                for worker_index, conn, process in live_workers():
+                for worker_index in live_workers():
                     dispatch(
                         worker_index,
-                        conn,
-                        process,
                         ("absorb", absorb_by_worker[worker_index]),
                         now,
                     )
@@ -1011,18 +974,19 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                 retry_records,
             )
 
-        for worker_index, conn, process in live_workers():
+        for worker_index in live_workers():
             payload_by_worker[worker_index] = receive(
-                worker_index, conn, process, "done", final_time
+                worker_index, "done", final_time
             )
         payloads = [
             payload_by_worker[worker_index] for worker_index in range(len(shards))
         ]
     finally:
         # Teardown only: worker death/hang is detected and raised by
-        # receive()/await_upstream() above, so this just reaps.
-        # Closing the pipes first unblocks any worker still waiting at
-        # a barrier (its recv sees EOF and the process exits);
+        # receive() above, which already terminated any worker it
+        # named hung, so this just reaps.  Closing the pipes first
+        # unblocks any worker still waiting at a barrier (workers hold
+        # no copies of these ends, so its recv sees EOF and it exits);
         # terminate() is the last resort for a worker wedged outside
         # the protocol.  Segments are closed and unlinked here and
         # nowhere else — the parent owns the /dev/shm lifetime, so

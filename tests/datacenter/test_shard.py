@@ -280,6 +280,86 @@ class TestWorkerSupervision:
             engine.run()
         assert stray_segments() == []
 
+    def test_death_after_stamping_flag_is_named(self, monkeypatch):
+        from repro.datacenter import shard
+
+        real_publish = shard._publish_upstream
+
+        def stamp_then_die(segment, seq, records):
+            # Worker 1 stamps its third barrier's seq header, then
+            # fail-stops before its ready frame is sent: the header
+            # alone must not pass for a live worker.
+            count = real_publish(segment, seq, records)
+            if segment.name.endswith("_1_up") and seq == 3:
+                os._exit(3)
+            return count
+
+        monkeypatch.setattr(shard, "_publish_upstream", stamp_then_die)
+        engine = build_scenario("sharded", workers=2)
+        with pytest.raises(
+            EngineError,
+            match=r"shard worker 1 \(machines \[.*\]\) at barrier "
+            r"t=\S+ died .*\(exit code 3\)",
+        ):
+            engine.run()
+        assert stray_segments() == []
+
+    def test_error_in_barrier_step_is_named(self, monkeypatch):
+        from repro.datacenter import shard
+
+        real_publish = shard._publish_upstream
+
+        def failing_publish(segment, seq, records):
+            # Worker 1 raises inside its third barrier step: it must
+            # ship the traceback as an ``error`` frame in place of its
+            # ready frame.
+            if segment.name.endswith("_1_up") and seq == 3:
+                raise RuntimeError("injected barrier-step failure")
+            return real_publish(segment, seq, records)
+
+        monkeypatch.setattr(shard, "_publish_upstream", failing_publish)
+        engine = build_scenario("sharded", workers=2)
+        with pytest.raises(
+            EngineError,
+            match=r"(?s)shard worker 1 \(machines \[.*\]\) at barrier "
+            r"t=\S+ failed:\n.*RuntimeError: injected barrier-step failure",
+        ):
+            engine.run()
+        assert stray_segments() == []
+
+
+@needs_fork
+class TestBlockingBarrierWait:
+    """The coordinator blocks on ready frames instead of spinning."""
+
+    def test_each_upstream_header_is_read_once(self, monkeypatch):
+        from repro.datacenter import deltas, shard
+
+        parent = os.getpid()
+        reads = {"parent": 0}
+        real_read_header = deltas.read_header
+        real_publish = shard._publish_upstream
+
+        def counting_read_header(buffer):
+            # Forked workers inherit this wrapper; count only the
+            # coordinator's reads.
+            if os.getpid() == parent:
+                reads["parent"] += 1
+            return real_read_header(buffer)
+
+        def slow_publish(segment, seq, records):
+            # A straggler: a polling coordinator would re-read the
+            # header throughout this delay.
+            if segment.name.endswith("_1_up") and seq == 2:
+                time.sleep(0.3)
+            return real_publish(segment, seq, records)
+
+        monkeypatch.setattr(deltas, "read_header", counting_read_header)
+        monkeypatch.setattr(shard, "_publish_upstream", slow_publish)
+        engine = build_scenario("sharded", workers=2)
+        engine.run()
+        assert reads["parent"] == 2 * engine.barrier_stats["barriers"]
+
 
 @needs_fork
 class TestSegmentLifecycle:
