@@ -84,7 +84,10 @@ def joint_positions(
     stride = poses[:, 13]
 
     def offset(angle: float | np.ndarray, length: float) -> np.ndarray:
-        return np.stack([length * np.sin(angle), length * np.cos(angle)], axis=-1)
+        pair = np.empty(np.shape(angle) + (2,))
+        pair[..., 0] = length * np.sin(angle)
+        pair[..., 1] = length * np.cos(angle)
+        return pair
 
     joints = np.empty((n, len(JOINT_NAMES), 2))
     pelvis = np.stack([x, y], axis=-1)

@@ -35,7 +35,10 @@ class Camera:
         """Project scene points ``(..., 2)`` into this camera's image."""
         c, s = np.cos(self.angle), np.sin(self.angle)
         rotation = np.array([[c, -s], [s, c]])
-        projected = points @ rotation.T * self.scale
+        # One (M, 2) @ (2, 2) product rather than a stacked matmul per
+        # leading index: the same dot products, element for element.
+        flat = points.reshape(-1, 2) @ rotation.T
+        projected = flat.reshape(points.shape) * self.scale
         projected = projected + np.array([self.offset_x, self.offset_y])
         return projected
 

@@ -118,7 +118,7 @@ def price_swaption(
     grid = swaption.grid_points
     steps = swaption.maturity_steps
     vol = _volatility_profile(swaption, grid)
-    drift = _hjm_drift(vol)
+    drift_step = _hjm_drift(vol) * DELTA
     sqrt_dt = np.sqrt(DELTA)
 
     rng = np.random.default_rng(1_000_003 * swaption.identifier + seed_offset)
@@ -130,11 +130,17 @@ def price_swaption(
     curve = np.empty((trials, grid))
     curve[:] = swaption.initial_rate + swaption.curve_slope * np.arange(grid) * DELTA
     discount_log = np.zeros(trials)
+    # Per-step scratch, reused so the loop allocates nothing; each
+    # element is still (curve + drift * DELTA) + shock * sqrt(DELTA).
+    shock = np.empty_like(curve)
+    evolved = np.empty_like(curve)
 
     for step in range(steps):
         discount_log -= curve[:, 0] * DELTA
-        shock = shocks[:, step, :] @ vol  # (trials, grid)
-        evolved = curve + drift * DELTA + shock * sqrt_dt
+        np.matmul(shocks[:, step, :], vol, out=shock)  # (trials, grid)
+        shock *= sqrt_dt
+        np.add(curve, drift_step, out=evolved)
+        evolved += shock
         # Musiela shift: tomorrow's curve point k is today's k+1 evolved.
         curve[:, :-1] = evolved[:, 1:]
         curve[:, -1] = evolved[:, -1]

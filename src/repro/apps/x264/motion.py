@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.apps.x264.transform import BLOCK
 
@@ -211,7 +211,14 @@ def _integer_search(
     bottom = min(height, block_y + merange + size)
     right = min(width, block_x + merange + size)
     window = reference[top:bottom, left:right]
-    candidates = sliding_window_view(window, (size, size))
+    # Every size x size patch of the window, as a read-only view (what
+    # sliding_window_view builds, without its argument checking).
+    candidates = as_strided(
+        window,
+        shape=(bottom - top - size + 1, right - left - size + 1, size, size),
+        strides=window.strides * 2,
+        writeable=False,
+    )
     sads = np.sum(
         np.abs(candidates - block[None, None, :, :]), axis=(2, 3)
     )

@@ -987,8 +987,9 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
         # named hung, so this just reaps.  Closing the pipes first
         # unblocks any worker still waiting at a barrier (workers hold
         # no copies of these ends, so its recv sees EOF and it exits);
-        # terminate() is the last resort for a worker wedged outside
-        # the protocol.  Segments are closed and unlinked here and
+        # terminate(), then kill(), is the last resort for a worker
+        # wedged outside the protocol, so teardown never waits without
+        # a bound.  Segments are closed and unlinked here and
         # nowhere else — the parent owns the /dev/shm lifetime, so
         # even a run aborted by a worker-death EngineError leaves no
         # stray reproshard_* segments behind.
@@ -998,6 +999,9 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - wedged worker
                 process.terminate()
+                process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - ignores SIGTERM
+                process.kill()
                 process.join()
         for segment in segments:
             try:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 from repro.apps.base import run_job
 from repro.core.powerdial import measure_baseline_rate
-from repro.experiments.common import Scale, experiment_machine, format_table
+from repro.experiments.common import (
+    Scale,
+    experiment_machine,
+    fork_map,
+    format_table,
+)
 from repro.experiments.registry import built_system, get_spec
 from repro.hardware.cpu import XEON_E5530_PSTATES
 
@@ -81,8 +86,7 @@ def run_power_qos(name: str, scale: Scale = Scale.PAPER) -> PowerQosExperiment:
         run_job(app_factory(), baseline_config, job)[0] for job in jobs
     ]
 
-    points = []
-    for pstate in XEON_E5530_PSTATES:
+    def measure(pstate) -> PowerQosPoint:
         machine = experiment_machine(pstate.frequency_ghz)
         runtime = system.runtime(machine, target_rate=target)
         result = runtime.run(jobs)
@@ -95,14 +99,16 @@ def run_power_qos(name: str, scale: Scale = Scale.PAPER) -> PowerQosExperiment:
         skip = min(2 * runtime.actuator.quantum_beats, len(result.samples) // 3)
         steady = result.samples[skip:]
         steady_rate = (len(steady) - 1) / (steady[-1].time - steady[0].time)
-        points.append(
-            PowerQosPoint(
-                frequency_ghz=pstate.frequency_ghz,
-                mean_power=result.mean_power if result.mean_power else 0.0,
-                qos_loss=sum(losses) / len(losses),
-                normalized_performance=steady_rate / target,
-            )
+        return PowerQosPoint(
+            frequency_ghz=pstate.frequency_ghz,
+            mean_power=result.mean_power if result.mean_power else 0.0,
+            qos_loss=sum(losses) / len(losses),
+            normalized_performance=steady_rate / target,
         )
+
+    # Each P-state's run starts from a fresh machine and runtime, so the
+    # seven runs are independent and can use every CPU.
+    points = fork_map(measure, XEON_E5530_PSTATES)
     return PowerQosExperiment(name=name, points=points)
 
 

@@ -230,14 +230,16 @@ class TestEnergyModels:
 class TestOverhead:
     """E-S51 (Section 5.1)."""
 
-    def test_modeled_overhead_is_insignificant(self):
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_overhead("swaptions", Scale.TINY)
+
+    def test_modeled_overhead_is_insignificant(self, result):
         """The control system adds no virtual time on an uncapped run
         (a noise-induced knob nudge can only make it faster)."""
-        result = run_overhead("swaptions", Scale.TINY)
         assert result.modeled_overhead <= 1e-9
         assert result.modeled_overhead > -0.05
         assert not math.isnan(result.modeled_overhead)
 
-    def test_formatting(self):
-        result = run_overhead("swaptions", Scale.TINY)
+    def test_formatting(self, result):
         assert "overhead" in format_overhead([result])
