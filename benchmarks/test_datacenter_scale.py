@@ -8,9 +8,9 @@ Four artifacts:
 * ``datacenter_closed_form`` — the event-driven engine cross-validated
   against the §5.5 closed-form ``cluster.evaluate_system`` power model
   at matching utilization points;
-* ``datacenter_speedup`` — wall-clock of the engine backends (the PR 1
-  eager loop vs the lazy serial scheduler vs the sharded multiprocess
-  backend) at growing pool sizes, via the :mod:`repro.bench` harness.
+* ``datacenter_speedup`` — wall-clock of the engine backends (the lazy
+  serial scheduler vs the sharded multiprocess backend) at growing pool
+  sizes, via the :mod:`repro.bench` harness.
 """
 
 import pytest
@@ -190,15 +190,14 @@ class TestClosedFormValidation:
 
 
 class TestEngineScaling:
-    def test_lazy_scheduler_outscales_eager_loop(self, artifact):
-        """Regenerate the backend speedup table and pin the lazy win.
+    def test_backend_speedup_table(self, artifact):
+        """Regenerate the backend speedup table.
 
-        The eager loop pays O(machines) per event; at mostly-idle pools
-        the lazy scheduler's advantage must therefore grow with pool
-        size and be decisive at the largest pool.  Sharded wall-clock is
-        reported but not asserted: on a single-core host (CI containers)
-        forked workers time-slice, so only the projected multi-core
-        number is meaningful there.
+        Wall-clock is reported, not asserted: the serial scheduler's
+        O(events) cost is pinned by an exact step count in the fast
+        tier, and on a single-core host (CI containers) forked workers
+        time-slice, so only the projected multi-core sharded number is
+        meaningful there.
         """
         from repro.bench import (
             bench_datacenter,
@@ -211,8 +210,7 @@ class TestEngineScaling:
         )
         env = environment_header()
         text = (
-            "Engine backend speedups (serial-old/eager vs serial-new/lazy "
-            "vs sharded)\n"
+            "Engine backend speedups (serial vs sharded)\n"
             f"  host: {env['cpu_count']} cpu(s), python {env['python']}; "
             "projected = multi-core projection from worker CPU times\n"
             + format_backend_table(payload)
@@ -223,8 +221,4 @@ class TestEngineScaling:
             s for s in payload["scenarios"] if s["scenario"] == "open-64m"
         ]
         assert largest["machines"] == 64
-        serial = largest["backends"]["serial"]
-        assert serial["speedup_vs_eager"] > 1.3, (
-            "lazy scheduler should clearly beat the eager loop at 64 "
-            f"mostly-idle machines, got {serial['speedup_vs_eager']:.2f}x"
-        )
+        assert "serial" in largest["backends"]

@@ -5,9 +5,9 @@ at the repo root, regenerated by this package and uploaded per-PR by
 CI's smoke job:
 
 * ``BENCH_datacenter.json`` — the datacenter engine at several pool
-  sizes, timed through every backend (``eager`` = the PR 1 reference
-  loop, ``serial`` = the lazy scheduler, ``sharded-N`` = the
-  multiprocess backend), with events/second and speedups.
+  sizes, timed through every backend (``serial`` = the lazy
+  scheduler, ``sharded-N`` = the multiprocess backend), with
+  events/second and speedups.
 * ``BENCH_runtime.json`` — microbenchmarks of the PowerDial runtime's
   step path (full control loop, O(1) heartbeat-window statistics,
   actuation-plan caching).

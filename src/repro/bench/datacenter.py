@@ -1,10 +1,9 @@
-"""Engine-scaling benchmark: eager vs lazy-serial vs sharded backends.
+"""Engine-scaling benchmark: serial vs sharded backends.
 
 For each pool size the harness runs the same fully-seeded scenario
 through every backend and records wall-clock, events/second, and
-speedups.  ``eager`` is PR 1's advance-all-hosts-per-event loop (kept in
-the engine precisely to anchor this trajectory); ``serial`` is the lazy
-scheduler; ``sharded-N`` is the multiprocess backend with N workers.
+speedups.  ``serial`` is the lazy scheduler; ``sharded-N`` is the
+multiprocess backend with N workers.
 
 Sharded entries additionally record each worker's CPU seconds (barrier
 waits burn no CPU) and the coordinator's own CPU seconds.  On a
@@ -14,14 +13,12 @@ processes time-slice, so measured wall-clock cannot beat serial there;
 *slowest worker's* CPU time instead of the sum — estimates the
 multi-core wall-clock from the same run and is labeled as a projection
 in the JSON.  Every backend entry also carries its ``barrier_stats``
-breakdown (wire protocol, barrier count, payload bytes, and
-serialize/wait/apply seconds) so barrier-plane regressions show up in
-the JSON, not just in end-to-end seconds.
+breakdown (barrier count, payload bytes, and serialize/wait/apply
+seconds) so barrier-plane regressions show up in the JSON, not just in
+end-to-end seconds.
 
 The ``scale-1024m`` scenario is the standing large-pool run the shard
-delta barriers target; the eager backend is skipped above
-:data:`EAGER_MAX_MACHINES` machines because its O(events x machines)
-loop would dominate the bench for no trajectory signal.
+delta barriers target.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from repro.datacenter.shard import fork_available, usable_cpu_count
 __all__ = [
     "CONSERVATION_TOLERANCE",
     "DEFAULT_POOL_SIZES",
-    "EAGER_MAX_MACHINES",
     "SCALE_MACHINES",
     "SCALE_RATE",
     "SMOKE_POOL_SIZES",
@@ -55,11 +51,6 @@ SCALE_RATE = 0.1
 """Per-tenant arrival rate of the scale scenario: low utilization so
 1024 tenants stay in the mostly-idle regime the lazy scheduler and the
 delta barriers both target (~12k arrivals over a 120 s horizon)."""
-
-EAGER_MAX_MACHINES = 128
-"""Largest pool the eager reference backend is timed on.  Its loop is
-O(events x machines); at 1024 machines it would take minutes to anchor
-a trajectory nothing regresses against."""
 
 SMOKE_POOL_SIZES = (8, 16)
 """Pool sizes of the CI smoke run.
@@ -145,9 +136,7 @@ def bench_datacenter(
     """Time every backend across ``pool_sizes``; return the JSON payload.
 
     Each scenario entry reports per-backend wall-clock seconds and
-    events/second, ``speedup_vs_eager`` for the lazy serial scheduler
-    (omitted above :data:`EAGER_MAX_MACHINES`, where eager is not
-    timed), and per-worker-count sharded entries with
+    events/second, and per-worker-count sharded entries with
     ``speedup_vs_serial`` (measured) and
     ``projected_speedup_vs_serial`` (multi-core projection; see module
     docstring).
@@ -233,17 +222,9 @@ def bench_datacenter(
     results = []
     for scenario in scenarios:
         events = count_events(scenario)
-        eager = None
-        if scenario.machines <= EAGER_MAX_MACHINES:
-            eager = _time_backend(scenario, "eager", None, repeats)
-            eager["events_per_sec"] = events / eager["seconds"]
         serial = _time_backend(scenario, "serial", None, repeats)
         serial["events_per_sec"] = events / serial["seconds"]
-        if eager is not None:
-            serial["speedup_vs_eager"] = eager["seconds"] / serial["seconds"]
         backends: dict[str, Any] = {"serial": serial}
-        if eager is not None:
-            backends = {"eager": eager, "serial": serial}
         if sharded_ok:
             # Dedupe after clamping so a 4-machine pool asked for
             # workers 4 and 8 is timed (and reported) once, not twice.

@@ -31,14 +31,12 @@ def environment_header() -> dict[str, Any]:
     ``calibration_ops_per_sec`` — the host-speed score measured right
     before the payload's numbers (:mod:`repro.bench.calibration`) —
     which is what lets the trajectory gate compare runs across hosts.
-    Schema version 3 adds per-backend ``barrier_stats`` (wire protocol,
-    payload bytes, serialize/wait/apply seconds), the coordinator's CPU
-    seconds on sharded entries, re-derives
+    Schema version 3 adds per-backend ``barrier_stats`` (barrier
+    count, payload bytes, serialize/wait/apply seconds), the
+    coordinator's CPU seconds on sharded entries, re-derives
     ``projected_parallel_seconds`` from measured CPU times
-    (coordinator + slowest worker), adds the standing ``scale-1024m``
-    scenario, and stops timing the eager backend above
-    :data:`~repro.bench.datacenter.EAGER_MAX_MACHINES` machines (those
-    serial entries carry no ``speedup_vs_eager``).
+    (coordinator + slowest worker), and adds the standing
+    ``scale-1024m`` scenario.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -59,9 +57,7 @@ def format_backend_table(payload: dict[str, Any]) -> str:
     rows = []
     for scenario in payload["scenarios"]:
         for name, entry in scenario["backends"].items():
-            if "speedup_vs_eager" in entry:
-                speedup = f"{entry['speedup_vs_eager']:.2f}x vs eager"
-            elif "speedup_vs_serial" in entry:
+            if "speedup_vs_serial" in entry:
                 speedup = f"{entry['speedup_vs_serial']:.2f}x vs serial"
             else:
                 speedup = "baseline"

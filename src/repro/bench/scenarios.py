@@ -3,8 +3,8 @@
 One scenario family, parameterized by pool size: ``machines`` servers,
 one Poisson-driven :class:`~repro.datacenter.service.ServiceApp` tenant
 per machine at modest utilization.  Mostly-idle pools are exactly the
-regime the lazy scheduler targets (the eager loop pays O(machines) per
-event regardless of idleness), and one-tenant-per-machine keeps the
+regime the lazy scheduler targets (an idle machine costs nothing per
+event), and one-tenant-per-machine keeps the
 virtual workload identical across pool sizes so wall-clock differences
 measure the engine, not the workload.
 
@@ -34,7 +34,7 @@ Six scenario kinds:
 * ``scale`` — the 1024-machine standing scenario: hierarchical
   arbitration (``hier-arbitrated``) over the batched step kernel at a
   low per-tenant rate, the regime the shard barrier-protocol v2's
-  delta barriers and O(groups) demand aggregation target — this is
+  delta barriers and O(groups) arbitration target — this is
   the scenario where the sharded backend must beat serial;
 * ``grayfail`` — arbitrated plus a full seeded
   :class:`~repro.datacenter.faults.FaultPlan`: sensor dropout windows,

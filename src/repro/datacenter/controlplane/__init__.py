@@ -9,8 +9,8 @@ an immutable
 :class:`~repro.datacenter.controlplane.actions.ClusterView` at every
 control barrier and returns typed actions (``SetCaps``, ``SetBudget``,
 ``Migrate``) that every backend validates and applies through the
-shared applier — which is what keeps serial, eager, and sharded
-results byte-identical, migrations and budget shocks included.
+shared applier — which is what keeps serial and sharded results
+byte-identical, migrations and budget shocks included.
 
 Module map:
 

@@ -17,7 +17,7 @@ returns a list of typed actions:
   barrier and re-place its tenants from their journaled checkpoints
   (the chaos scenario family).
 
-Every backend (serial, eager, sharded) validates and applies these
+Every backend (serial, sharded) validates and applies these
 actions through the shared applier (:mod:`~repro.datacenter.
 controlplane.applier`), which is what keeps results byte-identical
 across backends: the *decision* is data, and the *application* is one

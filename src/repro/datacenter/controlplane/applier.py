@@ -9,8 +9,8 @@ backend:
   fleet's cap floor, caps must be within every machine's
   ``[cap_floor, cap_ceiling]`` range and sum within the budget (errors
   name the offending machine), migrations must reference live tenants
-  and real destinations.  The serial/eager engines and the sharded
-  coordinator all plan through this function.
+  and real destinations.  The serial engine and the sharded
+  coordinator both plan through this function.
 * :func:`enforce_caps` — cap -> DVFS application (the §5.4 mechanism).
 * :func:`emigrate` / :func:`absorb` — the two halves of a migration,
   cold or warm.  Serial runs them back to back in process; the sharded
@@ -30,6 +30,7 @@ backend:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -119,7 +120,8 @@ def plan_actions(
     This is the control plane's single trust boundary: every backend
     plans through it, so no policy — built-in or user-supplied — can
     push a machine outside ``[cap_floor, cap_ceiling]``, overspend the
-    budget, or migrate a tenant that does not exist.  Violations raise
+    budget, set a non-finite cap or budget, or migrate a tenant that
+    does not exist.  Violations raise
     :class:`~repro.datacenter.arbiter.ArbiterError` (cap/budget limits,
     naming the offending machine) or :class:`ControlError` (malformed
     action batches).
@@ -136,6 +138,10 @@ def plan_actions(
                 raise ControlError(
                     "policy emitted more than one SetBudget in a single "
                     "decision"
+                )
+            if not math.isfinite(action.budget_watts):
+                raise ArbiterError(
+                    f"budget {action.budget_watts!r} W is not finite"
                 )
             if action.budget_watts < sum(floors) - _CAP_TOLERANCE:
                 raise ArbiterError(
@@ -234,6 +240,11 @@ def plan_actions(
         for index, (cap, floor, ceiling) in enumerate(
             zip(caps, floors, ceilings)
         ):
+            # NaN fails every comparison below, so reject it first.
+            if not math.isfinite(cap):
+                raise ArbiterError(
+                    f"machine {index}: cap {cap!r} W is not finite"
+                )
             if cap < floor - _CAP_TOLERANCE:
                 raise ArbiterError(
                     f"machine {index}: cap {cap:.3f} W below its floor "
@@ -443,7 +454,7 @@ def migrate_instance(
 ) -> MigrationRecord:
     """In-process migration: emigrate and absorb back to back.
 
-    The serial and eager backends use this directly; the sharded
+    The serial backend uses this directly; the sharded
     backend runs the same :func:`emigrate`/:func:`absorb` pair split
     across its source and destination workers.  In process the
     tenant's arrival stream stays where it is (dispatch re-routes
@@ -517,7 +528,7 @@ def apply_failures(
 ) -> list[FailureRecord]:
     """Fail-stop machines in process and re-place their tenants.
 
-    The serial and eager backends use this directly (the sharded
+    The serial backend uses this directly (the sharded
     coordinator runs the same :func:`plan_failures` math and ships the
     checkpoints to destination workers instead).  All failing machines
     are marked dead first — their meters and clocks freeze at the

@@ -23,10 +23,7 @@ unchanged.  The group count is a property of the *policy*, never of
 the backend: a serial run and 1/2/4-worker sharded runs group machines
 identically, so :meth:`HierarchicalArbiter.decide` is a pure function
 of the view and byte-parity across backends holds per policy
-(ARCHITECTURE.md invariant 4).  On the sharded backend the
-``aggregation = "machine-demand"`` marker lets the shard coordinator
-ship per-machine demand scores instead of full tenant views — the
-barrier payload the hierarchy was built to shrink.
+(ARCHITECTURE.md invariant 4).
 """
 
 from __future__ import annotations
@@ -86,11 +83,6 @@ class HierarchicalArbiter:
             Fixed per policy so every backend groups identically.
     """
 
-    aggregation = "machine-demand"
-    """Barrier-plane marker: this policy consumes per-machine demand
-    scores, so a shard coordinator may ship scores instead of tenant
-    views when nothing else (journal, faults) needs the full view."""
-
     def __init__(
         self,
         budget_watts: float,
@@ -124,9 +116,8 @@ class HierarchicalArbiter:
     ) -> list[float]:
         """Per-machine caps from per-machine demand scores.
 
-        The one arithmetic path of the hierarchy: :meth:`decide` and
-        the shard coordinator's demand protocol both land here, so caps
-        cannot depend on which side asked.  ``floors``/``ceilings``
+        The one arithmetic path of the hierarchy, behind :meth:`decide`.
+        ``floors``/``ceilings``
         default to the construction-time pool limits; views pass their
         own (identical) copies.  Group aggregates are summed over
         ascending member indices — the float order is part of the

@@ -8,7 +8,7 @@ segments: fixed-width little-endian records, one codec shared by the
 worker (encode) and coordinator (decode) sides, with zero pickling on
 the hot path.
 
-Three record types cross the barrier plane:
+Two record types cross the barrier plane:
 
 * **tenant records** — the dynamic fields of one
   :class:`~repro.datacenter.controlplane.actions.TenantView`
@@ -19,9 +19,6 @@ Three record types cross the barrier plane:
   applying any record sequence ending in the current one reproduces
   the in-process view bit-for-bit, which is what makes the deltas
   composable (ARCHITECTURE.md invariant 10).
-* **score records** — one machine's weighted SLA-shortfall demand
-  (the per-machine aggregate a hierarchical arbiter consumes), keyed
-  by machine index.
 * **cap records** — one machine's applied cap in watts, keyed by
   machine index (the downstream half of the barrier).
 
@@ -52,13 +49,10 @@ from repro.datacenter.controlplane.actions import TenantView
 __all__ = [
     "CAP_RECORD",
     "HEADER",
-    "SCORE_RECORD",
     "TENANT_RECORD",
     "decode_cap_records",
-    "decode_score_records",
     "decode_tenant_records",
     "encode_cap_record",
-    "encode_score_record",
     "encode_tenant_record",
     "publish",
     "read_header",
@@ -71,9 +65,6 @@ TENANT_RECORD = struct.Struct("<iiqq?ddd")
 """One tenant-view delta: ``(binding_index, machine_index,
 pending_jobs, steps, finished, sla_shortfall, energy_joules,
 busy_seconds)`` — every dynamic :class:`TenantView` field, exact."""
-
-SCORE_RECORD = struct.Struct("<id")
-"""One machine-demand delta: ``(machine_index, weighted_shortfall)``."""
 
 CAP_RECORD = struct.Struct("<id")
 """One applied-cap delta: ``(machine_index, cap_watts)``."""
@@ -143,20 +134,6 @@ def decode_tenant_records(
             )
         )
     return views
-
-
-def encode_score_record(machine_index: int, score: float) -> bytes:
-    """Pack one machine's weighted-shortfall demand record."""
-    return SCORE_RECORD.pack(machine_index, score)
-
-
-def decode_score_records(buffer, count: int) -> list[tuple[int, float]]:
-    """Unpack ``count`` score records as ``(machine_index, score)``."""
-    return list(
-        SCORE_RECORD.iter_unpack(
-            bytes(buffer[HEADER.size : HEADER.size + count * SCORE_RECORD.size])
-        )
-    )
 
 
 def encode_cap_record(machine_index: int, cap_watts: float) -> bytes:

@@ -54,14 +54,12 @@ watt-second of pool energy to a tenant or to the idle floor (the
 conservation invariant the billing tests pin, which survives both
 migrations and mid-run budget changes).
 
-Three execution backends share these semantics:
+Two execution backends share these semantics:
 
 * ``"serial"`` — the lazy single-process scheduler (default);
 * ``"sharded"`` — machines partitioned across ``workers`` forked
   processes which run independently between control barriers (see
-  :mod:`repro.datacenter.shard`); identical results to ``"serial"``;
-* ``"eager"`` — the original advance-every-host-per-event loop, kept as
-  the reference baseline for the :mod:`repro.bench` perf trajectory.
+  :mod:`repro.datacenter.shard`); identical results to ``"serial"``.
 """
 
 from __future__ import annotations
@@ -129,7 +127,7 @@ __all__ = [
 _ARRIVAL = 0
 _BARRIER = 1
 
-ENGINE_BACKENDS = ("serial", "sharded", "eager")
+ENGINE_BACKENDS = ("serial", "sharded")
 """Recognized ``DatacenterEngine`` backends."""
 
 STEP_MODES = ("scalar", "batched")
@@ -415,13 +413,11 @@ class DatacenterEngine:
         control_period: Seconds between periodic control barriers.
         attainment_window: Lookback horizon for the per-barrier SLA
             attainment signal summarized in the policy's view.
-        backend: ``"serial"`` (lazy single-process, default),
-            ``"sharded"`` (multiprocess; identical results), or
-            ``"eager"`` (the original advance-all loop, kept as the
-            benchmark baseline).
+        backend: ``"serial"`` (lazy single-process, default) or
+            ``"sharded"`` (multiprocess; identical results).
         workers: Worker-process count for the sharded backend (clamped
             to the machine count; default: the host's CPU count).
-            Ignored by the other backends.
+            Ignored by the serial backend.
         journal: Optional run journal (anything with a ``write_record``
             method, normally a
             :class:`~repro.datacenter.journal.writer.JournalWriter`).
@@ -593,9 +589,8 @@ class DatacenterEngine:
         self.shard_busy_seconds: list[float] | None = None
         # Barrier-plane telemetry, filled by run(): the coordinator's
         # own CPU seconds and a per-run breakdown of the barrier
-        # protocol (payload bytes, serialize/wait/apply seconds).  The
-        # in-process backends report the degenerate "in-process"
-        # protocol so bench entries always carry the same keys.
+        # plane (payload bytes, serialize/wait/apply seconds).  The
+        # serial backend fills the same keys with no wire (zero bytes).
         self.coordinator_busy_seconds: float | None = None
         self.barrier_stats: dict[str, object] | None = None
         self._barrier_apply_seconds = 0.0
@@ -1241,7 +1236,7 @@ class DatacenterEngine:
         self._barrier_count += 1
 
     # ------------------------------------------------------------------
-    # Event plumbing for the single-process backends
+    # Event plumbing for the serial backend
     # ------------------------------------------------------------------
     def _event_stream(
         self,
@@ -1468,7 +1463,6 @@ class DatacenterEngine:
         # the sharded backend's breakdown so bench consumers need no
         # per-backend cases.
         self.barrier_stats = {
-            "protocol": "in-process",
             "barriers": self._barrier_count,
             "payload_bytes": 0,
             "serialize_seconds": 0.0,
@@ -1503,8 +1497,6 @@ class DatacenterEngine:
             from repro.datacenter.shard import run_sharded
 
             return run_sharded(self)
-        if self.backend == "eager":
-            return self._run_eager()
         return self._run_serial()
 
     def _run_serial(self) -> DatacenterResult:
@@ -1526,41 +1518,5 @@ class DatacenterEngine:
             self._final_event_time(tick_times),
             on_tick,
         )
-        self._finalize()
-        return self._collect_result(cap_history)
-
-    def _run_eager(self) -> DatacenterResult:
-        """The original PR 1 loop: advance *every* host at *every* event.
-
-        O(events × machines); kept (modulo routing control decisions
-        through the shared control plane) as the baseline the
-        :mod:`repro.bench` harness measures the lazy scheduler against.
-        """
-        tick_times = self._tick_times()
-        cap_history = self._begin_run()
-        heap: list[tuple[float, int, int, InstanceBinding | None]] = []
-        seq = 0
-        for binding in self.bindings:
-            for arrival in binding.tenant.trace.arrivals:
-                heap.append((arrival, seq, _ARRIVAL, binding))
-                seq += 1
-        for tick in tick_times:
-            heap.append((tick, seq, _BARRIER, None))
-            seq += 1
-        heapq.heapify(heap)
-
-        while heap:
-            now = heap[0][0]
-            for host in self.hosts:
-                self._advance(host, now)
-            while heap and heap[0][0] <= now + 1e-12:
-                _, _, kind, binding = heapq.heappop(heap)
-                if kind == _ARRIVAL:
-                    if binding is None:
-                        raise EngineError("arrival event lost its tenant binding")
-                    self._dispatch_arrival(binding, now)
-                else:
-                    self._control_tick(now, cap_history)
-
         self._finalize()
         return self._collect_result(cap_history)

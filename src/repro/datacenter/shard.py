@@ -36,15 +36,10 @@ snapshots over Pipes, and ships O(changes) typed deltas (the
    binding that leaves or joins a worker resets that worker's delta
    baseline for it, so the next barrier republishes it in full.
 
-Under a policy whose ``aggregation`` is ``"machine-demand"`` (the
-``hier-arbitrated`` :class:`~repro.datacenter.controlplane.hierarchy.
-HierarchicalArbiter`) and no journal/fault machinery, workers skip
-tenant views entirely and publish one demand score per owned machine —
-summed over residents in binding order, so the partial sums are
-bit-identical to the serial
-:meth:`~repro.datacenter.controlplane.actions.ClusterView.
-machine_shortfalls` — and the parent arbitrates through the policy's
-``caps_for_demand`` (the same arithmetic path ``decide`` uses).
+Tenant-view deltas are the only upstream payload, whatever the
+policy, journal or fault plan: the coordinator always assembles the
+full :class:`ClusterView` and calls the policy's ``decide`` exactly as
+the serial backend does.
 
 Journal checkpoints are **lazy**: full tenant + machine checkpoints
 ride the Pipe every barrier only when a journal is attached (the
@@ -109,14 +104,12 @@ from repro.datacenter.checkpoint import (
 from repro.datacenter.controlplane.actions import (
     FailureRecord,
     MigrationRecord,
-    SetCaps,
 )
 from repro.datacenter.controlplane.applier import (
     absorb,
     emigrate,
     enforce_caps,
     merge_run_results,
-    plan_actions,
     plan_failures,
 )
 from repro.datacenter.billing import compose_bill
@@ -240,7 +233,6 @@ def _worker_main(
     inherited: Sequence[Any],
     upstream,
     downstream,
-    protocol: str,
     ship_checkpoints: bool,
 ) -> None:
     """Advance one shard to completion, exchanging deltas at barriers.
@@ -248,13 +240,11 @@ def _worker_main(
     ``inherited`` are the coordinator's Pipe ends this fork copied —
     its own and every earlier sibling's — closed first thing so the
     coordinator's close at teardown is the last one and reaches a
-    worker blocked in ``recv`` as EOF.  ``protocol`` selects the
-    upstream payload — ``"views"`` (tenant-view deltas) or
-    ``"demand"`` (per-machine demand scores).
-    ``ship_checkpoints`` sends full tenant + machine checkpoints over
-    the pipe every barrier (journal mode); otherwise a checkpointing
-    worker captures tenant checkpoints locally and ships only the
-    victims the coordinator asks for at a failure barrier.
+    worker blocked in ``recv`` as EOF.  ``ship_checkpoints`` sends
+    full tenant + machine checkpoints over the pipe every barrier
+    (journal mode); otherwise a checkpointing worker captures tenant
+    checkpoints locally and ships only the victims the coordinator
+    asks for at a failure barrier.
     """
     from repro.datacenter.engine import _EventPump
 
@@ -274,8 +264,8 @@ def _worker_main(
         owned = set(machine_indices)
         hosts = [engine.hosts[i] for i in machine_indices]
         # Binding order everywhere: ``resident`` must stay a
-        # subsequence of engine.bindings so demand partial sums and
-        # view tuples keep the serial float order.
+        # subsequence of engine.bindings so view tuples keep the serial
+        # float order.
         resident = [b for b in engine.bindings if b.machine_index in owned]
         by_name = {b.tenant.name: b for b in engine.bindings}
         binding_index = {
@@ -314,28 +304,15 @@ def _worker_main(
                         ),
                     )
                 )
-            if protocol == "demand":
-                scores = {i: 0.0 for i in machine_indices}
-                for b in resident:
-                    scores[b.machine_index] += (
-                        b.tenant.weight * engine._tenant_shortfall(b, now)
-                    )
-                records = []
-                for i in machine_indices:
-                    record = deltas.encode_score_record(i, scores[i])
-                    if last_sent.get(i) != record:
-                        last_sent[i] = record
-                        records.append(record)
-            else:
-                records = []
-                for b in resident:
-                    bindex = binding_index[b.tenant.name]
-                    record = deltas.encode_tenant_record(
-                        bindex, engine._tenant_view(b, now)
-                    )
-                    if last_sent.get(bindex) != record:
-                        last_sent[bindex] = record
-                        records.append(record)
+            records = []
+            for b in resident:
+                bindex = binding_index[b.tenant.name]
+                record = deltas.encode_tenant_record(
+                    bindex, engine._tenant_view(b, now)
+                )
+                if last_sent.get(bindex) != record:
+                    last_sent[bindex] = record
+                    records.append(record)
             _publish_upstream(upstream, seq, records)
             conn.send(("ready", seq))
 
@@ -516,19 +493,8 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
     cap_history = engine._begin_run()
     final_time = engine._final_event_time(tick_times)
 
-    # Wire-protocol selection, fixed before forking.  The demand fast
-    # path needs nothing but per-machine scores at the coordinator: a
-    # policy that declares score aggregation, no fault machinery (fault
-    # observation rewrites tenant views), and no checkpoint consumers.
     journal_active = engine.journal is not None
-    demand_mode = (
-        getattr(engine.policy, "aggregation", None) == "machine-demand"
-        and engine.faults is None
-        and not engine._checkpointing
-    )
-    protocol = "demand" if demand_mode else "views"
     stats = {
-        "protocol": protocol,
         "barriers": len(tick_times),
         "payload_bytes": 0,
         "serialize_seconds": 0.0,
@@ -540,14 +506,9 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
     # for the worst case (every binding resident in one shard; caps for
     # every owned machine).  Created before forking so workers inherit
     # the mappings; the parent owns close + unlink in the finally.
-    if demand_mode:
-        up_size = deltas.HEADER.size + (
-            len(engine.machines) * deltas.SCORE_RECORD.size
-        )
-    else:
-        up_size = deltas.HEADER.size + (
-            len(engine.bindings) * deltas.TENANT_RECORD.size
-        )
+    up_size = deltas.HEADER.size + (
+        len(engine.bindings) * deltas.TENANT_RECORD.size
+    )
     down_size = deltas.HEADER.size + (
         len(engine.machines) * deltas.CAP_RECORD.size
     )
@@ -588,7 +549,6 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                     [*connections, parent_conn],
                     upstreams[worker_index],
                     downstreams[worker_index],
-                    protocol,
                     journal_active,
                 ),
                 daemon=True,
@@ -693,11 +653,10 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
         # Death-barrier machine checkpoints of fully-failed shards, so
         # later journal records still carry every machine's state.
         frozen_machine_cps: dict[int, Any] = {}
-        # Resident overlay tables: the last decoded record per key.
-        # Workers ship deltas against these, so between updates an
-        # entry is bitwise the sender's current state.
+        # Resident overlay table: the last decoded record per binding.
+        # Workers ship deltas against it, so between updates an entry
+        # is bitwise the sender's current state.
         resident_views: list[Any] = [None] * len(engine.bindings)
-        resident_scores: list[float] = [0.0] * len(engine.machines)
         # Last cap record published per worker per machine — the
         # downstream delta baseline.  The cache always equals the watts
         # the worker last enforced, so skipping an unchanged record is
@@ -719,23 +678,13 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                 count = await_upstream(worker_index, seq, now)
                 stats["wait_seconds"] += time.perf_counter() - waited
                 decoded = time.perf_counter()
-                buf = upstreams[worker_index].buf
-                if demand_mode:
-                    for index, score in deltas.decode_score_records(
-                        buf, count
-                    ):
-                        resident_scores[index] = score
-                    stats["payload_bytes"] += (
-                        deltas.HEADER.size + count * deltas.SCORE_RECORD.size
-                    )
-                else:
-                    for bindex, view in deltas.decode_tenant_records(
-                        buf, count, names, weights
-                    ):
-                        resident_views[bindex] = view
-                    stats["payload_bytes"] += (
-                        deltas.HEADER.size + count * deltas.TENANT_RECORD.size
-                    )
+                for bindex, view in deltas.decode_tenant_records(
+                    upstreams[worker_index].buf, count, names, weights
+                ):
+                    resident_views[bindex] = view
+                stats["payload_bytes"] += (
+                    deltas.HEADER.size + count * deltas.TENANT_RECORD.size
+                )
                 stats["serialize_seconds"] += time.perf_counter() - decoded
             if journal_active:
                 engine._last_checkpoints = tenant_cps
@@ -744,33 +693,9 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
                 ]
 
             applying = time.perf_counter()
-            if demand_mode:
-                # The hierarchical fast path: arbitrate O(machines)
-                # scores through the policy's one arithmetic path (the
-                # same caps_for_demand its decide() uses, on the same
-                # floors/ceilings the serial view carries) and validate
-                # through the shared trust boundary.  The synthetic
-                # empty-tenant view is safe: cap validation reads only
-                # the floors/ceilings/budget arguments.
-                caps = engine.policy.caps_for_demand(
-                    resident_scores,
-                    engine._budget,
-                    engine._cap_floors,
-                    engine._cap_ceilings,
-                )
-                actions = [SetCaps(tuple(caps))]
-                plan = plan_actions(
-                    actions,
-                    engine._control_view(now, tenants=()),
-                    engine._cap_floors,
-                    engine._cap_ceilings,
-                    engine._budget,
-                )
-            else:
-                tenants = tuple(resident_views)
-                actions, plan = engine._decide_plan(
-                    engine._control_view(now, tenants)
-                )
+            actions, plan = engine._decide_plan(
+                engine._control_view(now, tuple(resident_views))
+            )
             engine._record_plan(plan, now, cap_history)
             # Push the commanded caps through the (possibly faulty)
             # actuators exactly as the serial backend does — the same

@@ -293,6 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI driver; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
+        return 2
     budget_trace = None
     trace_path = getattr(args, "budget_trace", None)
     if trace_path is not None:
@@ -324,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
             getattr(args, "app", "swaptions"),
             Scale(args.scale),
             getattr(args, "backend", "serial"),
-            getattr(args, "workers", None),
+            workers,
             getattr(args, "bill", False),
             getattr(args, "policy", "sla-aware"),
             budget_trace,

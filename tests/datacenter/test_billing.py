@@ -112,9 +112,6 @@ class TestConservation:
     def test_serial_energy_conserved(self, serial_result):
         assert_conserved(serial_result)
 
-    def test_eager_energy_conserved(self):
-        assert_conserved(build_scenario("eager").run())
-
     def test_conserved_across_mid_run_reallocation(self, serial_result):
         """The arbiter actually moved caps mid-run, and billing held."""
         caps = {tuple(caps) for _, caps in serial_result.cap_history}

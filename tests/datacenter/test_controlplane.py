@@ -3,10 +3,11 @@
 Four contracts:
 
 * **Central validation** — whatever a policy emits, ``plan_actions``
-  rejects caps outside ``[machine_cap_floor, machine_cap_ceiling]`` or
-  over budget, naming the offending machine (property-style: random
-  cap vectors are accepted iff they satisfy the invariant), and the
-  engine enforces this on every policy at run time.
+  rejects caps outside ``[machine_cap_floor, machine_cap_ceiling]``
+  (NaN included), over budget, or non-finite budgets, naming the
+  offending machine (property-style: random cap vectors are accepted
+  iff they satisfy the invariant), and the engine enforces this on
+  every policy at run time.
 * **Budget traces** — the ``--budget-trace`` parser reports actionable
   errors (line numbers, non-monotonic timestamps, levels below the
   fleet floor).
@@ -15,12 +16,11 @@ Four contracts:
   conservation exact.
 * **Backend parity** — a scenario with a cross-machine migration *and*
   a mid-run budget shock yields byte-identical results (bills
-  included) on serial and sharded (1/2/4 workers), and matching
-  reports on eager.
+  included) on serial and sharded (1/2/4 workers).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.powerdial import measure_baseline_rate
@@ -71,6 +71,8 @@ needs_fork = pytest.mark.skipif(
 FLOOR = 183.0
 CEILING = 220.0
 BUDGET = 600.0
+NAN = float("nan")
+INF = float("inf")
 
 
 def tenant_view(name, machine_index, shortfall=0.0, weight=1.0, **overrides):
@@ -125,15 +127,22 @@ class TestCentralCapValidation:
     @settings(max_examples=200, deadline=None)
     @given(
         caps=st.lists(
-            st.floats(min_value=100.0, max_value=400.0), min_size=3, max_size=3
+            st.floats(min_value=100.0, max_value=400.0)
+            | st.sampled_from([NAN, INF, -INF]),
+            min_size=3,
+            max_size=3,
         )
     )
+    @example(caps=[190.0, NAN, 190.0])
+    @example(caps=[190.0, 190.0, INF])
     def test_caps_accepted_iff_within_range_and_budget(self, caps):
         """Property: validity is exactly range- and budget-compliance."""
+        # Written as "not inside" so NaN, which fails every comparison,
+        # counts as out of range.
         out_of_range = [
             i
             for i, cap in enumerate(caps)
-            if cap < FLOOR - 1e-6 or cap > CEILING + 1e-6
+            if not FLOOR - 1e-6 <= cap <= CEILING + 1e-6
         ]
         over_budget = sum(caps) > BUDGET + 1e-6
         if not out_of_range and not over_budget:
@@ -166,6 +175,17 @@ class TestCentralCapValidation:
         with pytest.raises(ArbiterError, match="below the pool's floor"):
             plan_actions(
                 [SetBudget(100.0)],
+                make_view(),
+                self.FLOORS,
+                self.CEILINGS,
+                BUDGET,
+            )
+
+    @pytest.mark.parametrize("budget", [NAN, INF])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ArbiterError, match="not finite"):
+            plan_actions(
+                [SetBudget(budget)],
                 make_view(),
                 self.FLOORS,
                 self.CEILINGS,
@@ -930,13 +950,6 @@ class TestConsolidationParity:
             assert run.outputs_by_job == other.outputs_by_job
             assert run.energy_joules == other.energy_joules
 
-    def test_eager_matches_serial(self, serial_result):
-        eager = build_consolidation_scenario("eager").run()
-        assert eager.tenant_reports == serial_result.tenant_reports
-        assert eager.migrations == serial_result.migrations
-        assert eager.budget_history == serial_result.budget_history
-        assert eager.energy_conservation_rel_error() <= 1e-9
-
 
 class TestMigrationAndShockParity:
     @pytest.fixture(scope="class")
@@ -961,23 +974,3 @@ class TestMigrationAndShockParity:
             assert run.samples == other.samples
             assert run.outputs_by_job == other.outputs_by_job
             assert run.energy_joules == other.energy_joules
-
-    def test_eager_matches_serial(self, serial_result):
-        """The eager baseline takes the same decisions; float sums may
-        differ by ulps (idle-interval chopping), so compare those
-        approximately."""
-        eager = build_migration_scenario("eager").run()
-        assert eager.tenant_reports == serial_result.tenant_reports
-        assert eager.migrations == serial_result.migrations
-        assert eager.budget_history == serial_result.budget_history
-        assert eager.energy_conservation_rel_error() <= 1e-9
-        assert eager.total_energy_joules == pytest.approx(
-            serial_result.total_energy_joules, rel=1e-9
-        )
-        for eager_bill, serial_bill in zip(eager.bills, serial_result.bills):
-            assert eager_bill.energy_joules == pytest.approx(
-                serial_bill.energy_joules, rel=1e-9
-            )
-            assert eager_bill.qos_loss_seconds == pytest.approx(
-                serial_bill.qos_loss_seconds, rel=1e-9, abs=1e-12
-            )

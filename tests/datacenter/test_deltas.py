@@ -114,16 +114,7 @@ class TestTenantRecords:
         assert replayed == last_only
 
 
-class TestScoreAndCapRecords:
-    @given(machine_index, nonneg)
-    @settings(deadline=None)
-    def test_score_round_trip_is_exact(self, index, score):
-        record = deltas.encode_score_record(index, score)
-        buffer, count = published([record])
-        [(got_index, got)] = deltas.decode_score_records(buffer, count)
-        assert got_index == index
-        assert bits(got) == bits(score)
-
+class TestCapRecords:
     @given(machine_index, finite)
     @settings(deadline=None)
     def test_cap_round_trip_is_exact(self, index, watts):

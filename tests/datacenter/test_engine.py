@@ -248,3 +248,34 @@ class TestValidation:
         ]
         with pytest.raises(EngineError):
             DatacenterEngine(machines, bindings, policy=object())
+
+
+class TestLazyScheduling:
+    def test_advances_once_per_arrival_plus_one_final_settle(
+        self, monkeypatch
+    ):
+        """The serial scheduler is O(events), not O(events x machines).
+
+        With no control barriers, each arrival advances only its own
+        host and the closing settle advances every host once, so the
+        count is exact — a per-event sweep of the pool would make it
+        grow with machines x events.
+        """
+        from repro.bench.scenarios import PoolScenario, build_pool_engine
+
+        scenario = PoolScenario(machines=64, horizon=30.0, rate=0.1)
+        engine = build_pool_engine(scenario)
+        calls = 0
+        advance = DatacenterEngine._advance
+
+        def counting_advance(self, host, until):
+            nonlocal calls
+            calls += 1
+            return advance(self, host, until)
+
+        monkeypatch.setattr(DatacenterEngine, "_advance", counting_advance)
+        engine.run()
+        arrivals = sum(
+            len(binding.tenant.trace.arrivals) for binding in engine.bindings
+        )
+        assert calls == arrivals + scenario.machines

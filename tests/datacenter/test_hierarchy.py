@@ -1,13 +1,10 @@
 """Hierarchical arbitration tests: grouping, caps, and backend parity.
 
-``hier-arbitrated`` is the policy the shard barrier-protocol v2 was
-built around: group-aggregate arbitration whose cross-shard state is
-O(groups), shipped as per-machine demand scores instead of full tenant
-views.  Its contract is the same as every other policy's
+``hier-arbitrated`` is group-aggregate arbitration whose decision
+state is O(groups).  Its contract is the same as every other policy's
 (ARCHITECTURE.md invariant 4): byte-identical results on serial and
-sharded backends for any worker count — including runs where the
-demand fast path is *disabled* (budget schedules, chaos kills, gray
-failure) and the policy rides the general view protocol.
+sharded backends for any worker count — plain, under budget
+schedules, chaos kills and gray failure alike.
 """
 
 import pytest
@@ -202,27 +199,19 @@ class TestHierParity:
         assert serial_results["gray-failure"].faults
 
 
-@needs_fork
-class TestDemandProtocol:
-    def test_bare_hierarchy_uses_demand_deltas(self):
+class TestBarrierStats:
+    @needs_fork
+    def test_bare_hierarchy_ships_tenant_deltas(self):
         engine = build_engine_from_config(
             make_config("plain"), backend="sharded", workers=2
         )
         engine.run()
-        assert engine.barrier_stats["protocol"] == "demand"
         assert engine.barrier_stats["payload_bytes"] > 0
 
-    def test_wrapped_hierarchy_falls_back_to_views(self):
-        engine = build_engine_from_config(
-            make_config("budget-shock"), backend="sharded", workers=2
-        )
-        engine.run()
-        assert engine.barrier_stats["protocol"] == "views"
-
-    def test_serial_reports_in_process_protocol(self):
+    def test_serial_reports_in_process_stats(self):
         engine = build_engine_from_config(make_config("plain"))
         engine.run()
-        assert engine.barrier_stats["protocol"] == "in-process"
+        assert engine.barrier_stats["payload_bytes"] == 0
         assert engine.barrier_stats["apply_seconds"] > 0.0
 
 

@@ -146,22 +146,6 @@ class TestShardedParity:
         assert all(busy > 0.0 for busy in engine.shard_busy_seconds)
 
 
-class TestEagerSerialConsistency:
-    """The lazy scheduler preserves the reference loop's results."""
-
-    def test_reports_match_eager_baseline(self):
-        eager = build_scenario("eager").run()
-        serial = build_scenario("serial").run()
-        # Integer accounting is exact; idle-interval merging may move
-        # float accumulation by ulps, so compare those approximately.
-        assert serial.tenant_reports == eager.tenant_reports
-        assert serial.total_energy_joules == pytest.approx(
-            eager.total_energy_joules, rel=1e-9
-        )
-        assert serial.makespan == pytest.approx(eager.makespan, rel=1e-9)
-        assert len(serial.cap_history) == len(eager.cap_history)
-
-
 class TestPartitioning:
     def test_round_robin_partition(self):
         assert partition_machines(5, 2) == [[0, 2, 4], [1, 3]]
@@ -374,7 +358,6 @@ class TestSegmentLifecycle:
         engine.run()
         stats = engine.barrier_stats
         assert stats is not None
-        assert stats["protocol"] == "views"
         assert stats["barriers"] > 0
         assert stats["payload_bytes"] > 0
         assert stats["wait_seconds"] >= 0.0

@@ -77,6 +77,16 @@ class TestFormat:
         with pytest.raises(SystemExit):
             main(["fig34", "--budget-trace", "x.trace"])
 
+    @pytest.mark.parametrize("artifact", ["datacenter", "replay"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_cli_rejects_non_positive_workers(self, capsys, artifact, workers):
+        argv = [artifact, "--scale", "tiny", "--workers", workers]
+        if artifact == "replay":
+            argv += ["--journal", "never-read.ndjson"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --workers must be >= 1, got {workers}\n"
+
     def test_cli_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             main(["datacenter", "--policy", "round-robin"])

@@ -73,7 +73,6 @@ class TestBenchDoc:
             "sharded_note",
             "projected_parallel_seconds",
             "projected_speedup_vs_serial",
-            "speedup_vs_eager",
             "conservation_rel_error",
             "events_per_sec",
             "schema_version",
