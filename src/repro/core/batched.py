@@ -50,6 +50,7 @@ Bit-exactness ground rules (load-bearing, tested):
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -542,7 +543,10 @@ def batched_water_fill(
         total_weight = float(np.add.accumulate(masked_weights)[-1]) if n else 0.0
         if total_weight <= 0.0:
             break
-        share = surplus * weights_arr / total_weight
+        # The scalar code's exact power-of-two rescale; closed entries
+        # bid 0.0, so a large closed weight cannot overflow the divide.
+        unit, exponent = math.frexp(total_weight)
+        share = surplus * np.ldexp(masked_weights, -exponent) / unit
         headroom = ceilings_arr - caps
         take = np.where(open_mask, np.minimum(share, headroom), 0.0)
         caps += take

@@ -36,6 +36,7 @@ itself lives in module functions, so ``decide`` is a thin adapter.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Sequence
 
 from repro.datacenter.caps import (
@@ -95,10 +96,16 @@ def water_fill(
         total_weight = sum(weights[i] for i in open_set)
         if total_weight <= 0.0:
             break
+        # Rescale the open bids by a power of two so their total lies in
+        # [0.5, 1).  That is exact for normal weights, so each share is
+        # bitwise ``surplus * weight / total_weight``; but a subnormal
+        # total can no longer magnify the product's underflow into a
+        # share beyond the surplus.
+        unit, exponent = math.frexp(total_weight)
         granted = 0.0
         saturated = []
         for i in open_set:
-            share = surplus * weights[i] / total_weight
+            share = surplus * math.ldexp(weights[i], -exponent) / unit
             headroom = ceilings[i] - caps[i]
             take = min(share, headroom)
             caps[i] += take

@@ -28,6 +28,13 @@ Rebuilding pending requests relies on the tenant's ``job_factory``
 being a pure function of the request index (true for every factory in
 this repo — jobs derive from a seeded per-index RNG); the checkpoint
 carries only the ``(index, arrival)`` tags.
+
+Capture is incremental where history grows: consecutive checkpoints of
+one tenant share a single immutable ``completions`` tuple, which each
+capture extends by only the requests completed since the last one
+(:meth:`~repro.datacenter.tenants.TenantStats.completion_pairs`).  A
+capture therefore builds O(new completions) pairs, not O(history), and
+the journal codec's append-only check compares shared elements.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.datacenter.tenants import CompletedRequest, TenantStats
 from repro.datacenter.billing import TenantLedger
+from repro.hardware.power import PowerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.datacenter.engine import DatacenterEngine, InstanceBinding
@@ -65,7 +73,9 @@ class TenantCheckpoint:
             offer exactly once, so ``trace_pos == offered``).
         rejected: Admission rejections so far.
         completions: ``(arrival, completion)`` pairs of every served
-            request so far, in completion order.
+            request so far, in completion order.  Consecutive captures
+            of one tenant share this tuple's prefix element for
+            element, so capture costs O(new completions).
         next_request: The tenant's next request index.
         pending: ``(index, arrival)`` tags of requests admitted but not
             yet started; jobs are rebuilt from the tenant's
@@ -129,9 +139,7 @@ def capture_tenant_checkpoint(
         machine_index=binding.machine_index,
         offered=stats.offered,
         rejected=stats.rejected,
-        completions=tuple(
-            (done.arrival, done.completion) for done in stats.completions
-        ),
+        completions=stats.completion_pairs(),
         next_request=binding.next_request,
         pending=tuple(tag for _, tag in binding.runtime.peek_pending()),
         energy_joules=binding.ledger.energy_joules,
@@ -149,7 +157,7 @@ def capture_machine_checkpoint(
     machine = engine.machines[index]
     try:
         mean_power = machine.meter.mean_power()
-    except Exception:
+    except PowerError:  # no samples yet
         mean_power = 0.0
     return MachineCheckpoint(
         index=index,

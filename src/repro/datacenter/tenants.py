@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -125,11 +125,42 @@ class CompletedRequest:
 
 @dataclass
 class TenantStats:
-    """Mutable per-tenant accounting the engine updates as it runs."""
+    """Mutable per-tenant accounting the engine updates as it runs.
+
+    ``completions`` is an append-only log; :meth:`record_completion` is
+    its only writer.
+    """
 
     offered: int = 0
     rejected: int = 0
     completions: list[CompletedRequest] = field(default_factory=list)
+
+    # The tuple :meth:`completion_pairs` last handed out.  A plain class
+    # attribute, not a dataclass field, so it stays out of ``__init__``,
+    # ``==`` and ``repr``; ``__getstate__`` keeps it out of pickles.
+    _pairs: ClassVar[tuple[tuple[float, float], ...]] = ()
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_pairs", None)
+        return state
+
+    def completion_pairs(self) -> tuple[tuple[float, float], ...]:
+        """``(arrival, completion)`` of every completion, as one tuple.
+
+        Extends the tuple of the previous call by only the completions
+        recorded since, so consecutive results share their prefix
+        element for element and a call costs O(new completions) pair
+        builds.  Lazy, so :meth:`record_completion` does no extra work.
+        """
+        pairs = self._pairs
+        done = len(pairs)
+        if done < len(self.completions):
+            pairs = self._pairs = pairs + tuple(
+                (record.arrival, record.completion)
+                for record in self.completions[done:]
+            )
+        return pairs
 
     @property
     def admitted(self) -> int:

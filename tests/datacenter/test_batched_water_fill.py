@@ -8,7 +8,7 @@ engine's billing depends on the exact caps the arbiter grants.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.batched import batched_water_fill
 from repro.datacenter.arbiter import water_fill
@@ -39,6 +39,11 @@ def unpack(pool):
 
 class TestBitwiseEquivalence:
     @given(pool=pools, budget=budgets)
+    # Subnormal bids once granted 2.0 W from a 1.5 W surplus, and a
+    # large closed bid beside a subnormal open one overflowed the divide.
+    @example(pool=[(5e-324, 0.0, 2.0)], budget=1.5)
+    @example(pool=[(5e-324, 0.0, 2.0), (5e-324, 0.0, 2.0)], budget=1.5)
+    @example(pool=[(10.0, 0.0, 1.0), (5e-324, 0.0, 5.0)], budget=4.0)
     @settings(max_examples=300, deadline=None)
     def test_caps_are_bitwise_identical(self, pool, budget):
         """Arbitrary floors/ceilings/budgets: identical caps, every bit."""
@@ -48,6 +53,11 @@ class TestBitwiseEquivalence:
         assert [cap.hex() for cap in batched] == [cap.hex() for cap in scalar]
 
     @given(pool=pools, budget=budgets)
+    # Subnormal bids once granted 2.0 W from a 1.5 W surplus, and a
+    # large closed bid beside a subnormal open one overflowed the divide.
+    @example(pool=[(5e-324, 0.0, 2.0)], budget=1.5)
+    @example(pool=[(5e-324, 0.0, 2.0), (5e-324, 0.0, 2.0)], budget=1.5)
+    @example(pool=[(10.0, 0.0, 1.0), (5e-324, 0.0, 5.0)], budget=4.0)
     @settings(max_examples=300, deadline=None)
     def test_caps_respect_floors_ceilings_and_budget(self, pool, budget):
         """Conservation: floors guaranteed, ceilings honored, no watt
