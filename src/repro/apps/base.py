@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 from repro.core.knobs import KnobConfiguration, KnobSpace, Parameter
 from repro.core.qos import QoSMetric
@@ -38,10 +38,14 @@ class WorkTracker:
     Attributes:
         events: Raw ``(section, units)`` events in emission order, kept for
             heartbeat-site profiling.
+        keep_events: Whether :meth:`add` logs to ``events``.  The
+            controlled runtime reads only the totals, so it turns the
+            log off rather than keep one event per item for a whole run.
     """
 
     events: list[tuple[str, float]] = field(default_factory=list)
     _total: float = 0.0
+    keep_events: bool = True
 
     def add(self, section: str, units: float) -> None:
         """Attribute ``units`` of work to ``section``."""
@@ -49,7 +53,8 @@ class WorkTracker:
             raise ApplicationError(
                 f"negative work {units!r} attributed to {section!r}"
             )
-        self.events.append((section, units))
+        if self.keep_events:
+            self.events.append((section, units))
         self._total += units
 
     @property
@@ -65,21 +70,28 @@ class WorkTracker:
         return total
 
 
-@dataclass(frozen=True)
-class ItemResult:
-    """Result of processing one main-loop item.
+class _ItemFields(NamedTuple):
+    output: Any
+    work: float
+
+
+class ItemResult(_ItemFields):
+    """Result of processing one main-loop item (an immutable record).
+
+    Built once per simulated item, so it is a checked named tuple rather
+    than a frozen dataclass.
 
     Attributes:
         output: The item's output (application-specific).
         work: Work units spent on this item.
     """
 
-    output: Any
-    work: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.work < 0:
-            raise ApplicationError(f"item work must be >= 0, got {self.work!r}")
+    def __new__(cls, output: Any, work: float) -> "ItemResult":
+        if work < 0:
+            raise ApplicationError(f"item work must be >= 0, got {work!r}")
+        return tuple.__new__(cls, (output, work))
 
 
 class Application(abc.ABC):

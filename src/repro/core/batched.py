@@ -57,13 +57,14 @@ import numpy as np
 
 from repro.apps.base import WorkTracker
 from repro.core.controller import ControllerError
-from repro.core.knobs import KnobSetting, KnobTable
+from repro.core.knobs import KnobTable
 from repro.core.runtime import (
     PowerDialRuntime,
     RunResult,
-    RuntimeSample,
+    SampleColumns,
     StepStatus,
 )
+from repro.hardware.power import PowerError
 
 __all__ = [
     "BatchedServiceRuntime",
@@ -80,32 +81,6 @@ _MIN_BULK = 2
 # Upper bound on candidate-chunk assembly, a guard against unbounded
 # job pre-pull when per-item time is pathologically small.
 _MAX_CHUNK = 4096
-
-
-def _fast_sample(
-    beat: int,
-    time: float,
-    window_rate: float | None,
-    normalized_performance: float | None,
-    knob_gain: float,
-    commanded_speedup: float,
-    frequency_ghz: float,
-) -> RuntimeSample:
-    """Materialize a :class:`RuntimeSample` without the frozen-dataclass
-    ``__init__`` (which routes every field through
-    ``object.__setattr__``).  Field-for-field identical to the normal
-    constructor — equality, hashing, repr, and pickling all read the
-    instance ``__dict__`` this fills."""
-    sample = RuntimeSample.__new__(RuntimeSample)
-    d = sample.__dict__
-    d["beat"] = beat
-    d["time"] = time
-    d["window_rate"] = window_rate
-    d["normalized_performance"] = normalized_performance
-    d["knob_gain"] = knob_gain
-    d["commanded_speedup"] = commanded_speedup
-    d["frequency_ghz"] = frequency_ghz
-    return sample
 
 
 class BatchedServiceRuntime(PowerDialRuntime):
@@ -145,16 +120,14 @@ class BatchedServiceRuntime(PowerDialRuntime):
             beats_in_quantum, quantum_start = self._restored_phase
             self._restored_phase = None
 
-        tracker = WorkTracker()
-        samples: list[RuntimeSample] = []
-        settings_used: list[KnobSetting] = []
+        tracker = WorkTracker(keep_events=False)
+        columns = SampleColumns()
         outputs_by_job: list[list[Any]] = []
         first_beat_time: float | None = None
         threads = app.threads()
         target_rate = self.target_rate
         queue = self._job_queue
         bulk = getattr(app, "batch_process", None)
-        new_sample = RuntimeSample.__new__
         # Expected items per chunk, refined from the realized per-item
         # seconds: enough to reach the next quantum boundary, plus slack.
         hint = self.actuator.quantum_beats + 1
@@ -304,18 +277,16 @@ class BatchedServiceRuntime(PowerDialRuntime):
                 outputs.append(result.output)
                 beats_in_quantum += 1
                 window_rate = monitor.window_rate()
-                samples.append(
-                    _fast_sample(
-                        record.sequence,
-                        record.timestamp,
-                        window_rate,
-                        None if window_rate is None else window_rate / target_rate,
-                        setting.speedup,
-                        self.controller.speedup,
-                        machine.processor.frequency_ghz,
-                    )
+                columns.beat.append(record.sequence)
+                columns.time.append(record.timestamp)
+                columns.window_rate.append(window_rate)
+                columns.normalized_performance.append(
+                    None if window_rate is None else window_rate / target_rate
                 )
-                settings_used.append(setting)
+                columns.knob_gain.append(setting.speedup)
+                columns.commanded_speedup.append(self.controller.speedup)
+                columns.frequency_ghz.append(machine.processor.frequency_ghz)
+                columns.setting.append(setting)
                 idx += 1
                 continue
 
@@ -332,26 +303,18 @@ class BatchedServiceRuntime(PowerDialRuntime):
                 first_beat_time = times_list[0]
             beats_in_quantum += count
 
-            gain = setting.speedup
-            commanded = self.controller.speedup
-            frequency = machine.processor.frequency_ghz
-            append = samples.append
-            beat = first_seq
-            for rate, beat_time in zip(rates, times_list):
-                sample = new_sample(RuntimeSample)
-                d = sample.__dict__
-                d["beat"] = beat
-                d["time"] = beat_time
-                d["window_rate"] = rate
-                d["normalized_performance"] = (
-                    None if rate is None else rate / target_rate
-                )
-                d["knob_gain"] = gain
-                d["commanded_speedup"] = commanded
-                d["frequency_ghz"] = frequency
-                append(sample)
-                beat += 1
-            settings_used.extend([setting] * count)
+            columns.beat.extend(range(first_seq, first_seq + count))
+            columns.time.extend(times_list[:count])
+            columns.window_rate.extend(rates)
+            columns.normalized_performance.extend(
+                [None if rate is None else rate / target_rate for rate in rates]
+            )
+            columns.knob_gain.extend([setting.speedup] * count)
+            columns.commanded_speedup.extend([self.controller.speedup] * count)
+            columns.frequency_ghz.extend(
+                [machine.processor.frequency_ghz] * count
+            )
+            columns.setting.extend([setting] * count)
 
             # Distribute outputs to their jobs, complete the ones that
             # ended inside the chunk (in order, with the exact end-of-
@@ -390,12 +353,11 @@ class BatchedServiceRuntime(PowerDialRuntime):
             elapsed = machine.now - first_beat_time
         try:
             mean_power: float | None = machine.meter.mean_power()
-        except Exception:
+        except PowerError:
             mean_power = None
         self._result = RunResult(
-            samples=samples,
+            columns=columns,
             outputs_by_job=outputs_by_job,
-            settings_used=settings_used,
             mean_power=mean_power,
             energy_joules=machine.meter.energy_joules,
             elapsed=elapsed,

@@ -31,6 +31,7 @@ import enum
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.apps.base import Application, WorkTracker
@@ -39,11 +40,13 @@ from repro.core.controller import HeartRateController
 from repro.core.knobs import KnobSetting, KnobTable
 from repro.heartbeats.api import HeartbeatMonitor, HeartbeatWindowState
 from repro.hardware.machine import Machine
+from repro.hardware.power import PowerError
 from repro.tracing.variables import AddressSpace
 
 __all__ = [
     "RuntimeEvent",
     "RuntimeSample",
+    "SampleColumns",
     "RunResult",
     "RuntimeSnapshot",
     "StepStatus",
@@ -119,44 +122,103 @@ class RuntimeSample:
 
 
 @dataclass
+class SampleColumns:
+    """A run's per-heartbeat observations, one list per field.
+
+    Entry ``i`` of every list belongs to the ``i``-th beat: the first
+    seven lists are the fields of :class:`RuntimeSample`, and
+    ``setting`` holds the knob setting active at that beat.  The runtime
+    appends to these lists instead of building one object per beat, and
+    in-run consumers (billing, the segment merge, the journal's sample
+    digest) read them directly.
+    """
+
+    beat: list[int] = field(default_factory=list)
+    time: list[float] = field(default_factory=list)
+    window_rate: list[float | None] = field(default_factory=list)
+    normalized_performance: list[float | None] = field(default_factory=list)
+    knob_gain: list[float] = field(default_factory=list)
+    commanded_speedup: list[float] = field(default_factory=list)
+    frequency_ghz: list[float] = field(default_factory=list)
+    setting: list[KnobSetting] = field(default_factory=list)
+
+    def extend(self, other: "SampleColumns") -> None:
+        """Append every beat of ``other`` after this run's beats."""
+        for name, column in vars(other).items():
+            getattr(self, name).extend(column)
+
+    def samples(self) -> list[RuntimeSample]:
+        """The beats as :class:`RuntimeSample` records, in order."""
+        return [
+            RuntimeSample(*fields)
+            for fields in zip(
+                self.beat,
+                self.time,
+                self.window_rate,
+                self.normalized_performance,
+                self.knob_gain,
+                self.commanded_speedup,
+                self.frequency_ghz,
+            )
+        ]
+
+
+@dataclass
 class RunResult:
     """Everything observed during one controlled run.
 
     Attributes:
-        samples: Per-heartbeat observations.
+        columns: Per-heartbeat observations and settings, column-wise.
         outputs_by_job: Main-loop outputs, grouped per input job.
-        settings_used: The knob setting active at each heartbeat.
         mean_power: Mean of the machine's 1 Hz power samples (None if the
             run was shorter than one sampling interval).
         energy_joules: Exact integrated energy of the run.
         elapsed: Virtual seconds from first to last beat.
     """
 
-    samples: list[RuntimeSample]
+    columns: SampleColumns
     outputs_by_job: list[list[Any]]
-    settings_used: list[KnobSetting]
     mean_power: float | None
     energy_joules: float
     elapsed: float
 
+    @cached_property
+    def samples(self) -> list[RuntimeSample]:
+        """Per-heartbeat observations, built from the columns once."""
+        return self.columns.samples()
+
+    @property
+    def settings_used(self) -> list[KnobSetting]:
+        """The knob setting active at each heartbeat."""
+        return self.columns.setting
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The built samples are a cache of the columns; never ship them.
+        state = dict(vars(self))
+        state.pop("samples", None)
+        return state
+
     def performance_series(self) -> list[tuple[float, float]]:
         """(time, normalized performance) pairs where defined."""
+        columns = self.columns
         return [
-            (s.time, s.normalized_performance)
-            for s in self.samples
-            if s.normalized_performance is not None
+            (time, performance)
+            for time, performance in zip(
+                columns.time, columns.normalized_performance
+            )
+            if performance is not None
         ]
 
     def gain_series(self) -> list[tuple[float, float]]:
         """(time, knob gain) pairs."""
-        return [(s.time, s.knob_gain) for s in self.samples]
+        return list(zip(self.columns.time, self.columns.knob_gain))
 
     def mean_normalized_performance(self, skip: int = 0) -> float:
         """Mean normalized performance over samples after ``skip`` beats."""
         values = [
-            s.normalized_performance
-            for s in self.samples[skip:]
-            if s.normalized_performance is not None
+            value
+            for value in self.columns.normalized_performance[skip:]
+            if value is not None
         ]
         if not values:
             raise ValueError("no performance samples available")
@@ -529,12 +591,15 @@ class PowerDialRuntime:
     def _stepping(self):
         """The run loop as a generator, yielding at quantum boundaries."""
         app, machine, monitor = self.app, self.machine, self.monitor
+        clock, processor, space = machine.clock, machine.processor, self.space
+        queue, events = self._job_queue, self._event_heap
+        target_rate = self.target_rate
         # "We heuristically establish the time quantum as the time required
         # to process twenty heartbeats" — at the target rate, so it is a
         # fixed time window of quantum_beats / g seconds.
-        quantum_duration = self.actuator.quantum_beats / self.target_rate
+        quantum_duration = self.actuator.quantum_beats / target_rate
         plan = self._plan_for(self.controller.speedup)
-        quantum_start = machine.now
+        quantum_start = clock.now
         beats_in_quantum = 0
         if self._restored_phase is not None:
             # Warm handoff: continue the source runtime's quantum in
@@ -542,58 +607,63 @@ class PowerDialRuntime:
             beats_in_quantum, quantum_start = self._restored_phase
             self._restored_phase = None
 
-        tracker = WorkTracker()
-        samples: list[RuntimeSample] = []
-        settings_used: list[KnobSetting] = []
+        # Only the per-item work totals are read, so keep no event log.
+        tracker = WorkTracker(keep_events=False)
+        columns = SampleColumns()
+        add_beat = columns.beat.append
+        add_time = columns.time.append
+        add_rate = columns.window_rate.append
+        add_performance = columns.normalized_performance.append
+        add_gain = columns.knob_gain.append
+        add_commanded = columns.commanded_speedup.append
+        add_frequency = columns.frequency_ghz.append
+        add_setting = columns.setting.append
         outputs_by_job: list[list[Any]] = []
         first_beat_time: float | None = None
         threads = app.threads()
 
         while True:
-            if not self._job_queue:
+            if not queue:
                 if self._input_closed:
                     break
-                stalled_at = machine.now
+                stalled_at = clock.now
                 self._phase = (beats_in_quantum, quantum_start)
                 yield StepStatus.STARVED
-                if machine.now > stalled_at:
+                if clock.now > stalled_at:
                     # The host idled the machine (or ran co-tenants) while
                     # we were starved; restart the quantum so the gap is
                     # not billed to this instance as slowness.
-                    quantum_start = machine.now
+                    quantum_start = clock.now
                     beats_in_quantum = 0
                 continue
-            pending_job = self._job_queue.popleft()
+            pending_job = queue.popleft()
             outputs: list[Any] = []
             for item in app.prepare(pending_job.job):
                 # External events (power caps, load changes).
-                while (
-                    self._event_heap
-                    and self._event_heap[0][0] <= monitor.count
-                ):
-                    heapq.heappop(self._event_heap)[2].action(machine)
+                while events and events[0][0] <= monitor.count:
+                    heapq.heappop(events)[2].action(machine)
 
                 # Quantum boundary: close the loop, then yield the machine.
-                if machine.now - quantum_start >= quantum_duration:
-                    plan = self._replan(
-                        beats_in_quantum, machine.now - quantum_start
-                    )
-                    quantum_start = machine.now
+                now = clock.now
+                if now - quantum_start >= quantum_duration:
+                    plan = self._replan(beats_in_quantum, now - quantum_start)
+                    quantum_start = now
                     beats_in_quantum = 0
                     self._phase = (beats_in_quantum, quantum_start)
                     yield StepStatus.RAN
+                    now = clock.now
 
                 # Locate ourselves inside the quantum and pick the setting.
-                fraction = (machine.now - quantum_start) / quantum_duration
+                fraction = (now - quantum_start) / quantum_duration
                 fraction = min(max(fraction, 0.0), 1.0 - 1e-9)
                 setting = plan.setting_at(fraction)
                 if setting is None:
                     # Race-to-idle tail: idle out the quantum, then replan.
                     machine.idle_until(quantum_start + quantum_duration)
                     plan = self._replan(
-                        beats_in_quantum, machine.now - quantum_start
+                        beats_in_quantum, clock.now - quantum_start
                     )
-                    quantum_start = machine.now
+                    quantum_start = clock.now
                     beats_in_quantum = 0
                     self._phase = (beats_in_quantum, quantum_start)
                     yield StepStatus.RAN
@@ -602,49 +672,42 @@ class PowerDialRuntime:
                         setting = self.table.fastest
                 self._apply_setting(setting)
 
-                record = monitor.heartbeat()
+                sequence, timestamp, _ = monitor.heartbeat()
                 if first_beat_time is None:
-                    first_beat_time = record.timestamp
-                self.space.mark_first_heartbeat()
+                    first_beat_time = timestamp
+                    space.mark_first_heartbeat()
 
-                result = app.process_item(item, self.space, tracker)
+                result = app.process_item(item, space, tracker)
                 machine.execute(result.work, threads=threads)
                 outputs.append(result.output)
                 beats_in_quantum += 1
 
                 window_rate = monitor.window_rate()
-                samples.append(
-                    RuntimeSample(
-                        beat=record.sequence,
-                        time=record.timestamp,
-                        window_rate=window_rate,
-                        normalized_performance=(
-                            None
-                            if window_rate is None
-                            else window_rate / self.target_rate
-                        ),
-                        knob_gain=setting.speedup,
-                        commanded_speedup=self.controller.speedup,
-                        frequency_ghz=machine.processor.frequency_ghz,
-                    )
+                add_beat(sequence)
+                add_time(timestamp)
+                add_rate(window_rate)
+                add_performance(
+                    None if window_rate is None else window_rate / target_rate
                 )
-                settings_used.append(setting)
+                add_gain(setting.speedup)
+                add_commanded(self.controller.speedup)
+                add_frequency(processor.frequency_ghz)
+                add_setting(setting)
             outputs_by_job.append(outputs)
             if pending_job.on_complete is not None:
-                pending_job.on_complete(machine.now)
+                pending_job.on_complete(clock.now)
 
         self._phase = (beats_in_quantum, quantum_start)
         elapsed = 0.0
         if first_beat_time is not None:
-            elapsed = machine.now - first_beat_time
+            elapsed = clock.now - first_beat_time
         try:
             mean_power: float | None = machine.meter.mean_power()
-        except Exception:
+        except PowerError:
             mean_power = None
         self._result = RunResult(
-            samples=samples,
+            columns=columns,
             outputs_by_job=outputs_by_job,
-            settings_used=settings_used,
             mean_power=mean_power,
             energy_joules=machine.meter.energy_joules,
             elapsed=elapsed,

@@ -59,6 +59,7 @@ __all__ = [
     "machine_cap_ceiling",
     "frequency_for_cap",
     "water_fill",
+    "check_weights",
     "PowerArbiter",
 ]
 
@@ -68,6 +69,21 @@ class ArbiterPolicy(enum.Enum):
 
     STATIC_EQUAL = "static-equal"
     SLA_AWARE = "sla-aware"
+
+
+def check_weights(weights: Sequence[float]) -> None:
+    """Reject any bidding weight that is not finite and >= 0.
+
+    A NaN, infinite or negative weight would flow silently into the
+    share arithmetic; the error names the first offending machine
+    index.
+    """
+    for index, weight in enumerate(weights):
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ArbiterError(
+                f"machine {index}: bidding weight {weight!r} must be "
+                "finite and >= 0"
+            )
 
 
 def water_fill(
@@ -86,8 +102,11 @@ def water_fill(
     cannot depend on which code path (legacy or control-plane) asked.
     If no open machine holds any weight (all remaining bids are zero),
     the rest of the surplus goes undistributed and every machine keeps
-    its floor — nobody bid for the watts.
+    its floor — nobody bid for the watts.  Weights must be finite and
+    non-negative (:func:`check_weights`); anything else raises
+    :class:`ArbiterError` naming the machine.
     """
+    check_weights(weights)
     caps = list(floors)
     surplus = budget_watts - sum(floors)
     open_set = set(range(len(caps)))

@@ -165,15 +165,15 @@ def qos_loss_seconds(run: RunResult) -> float:
     item's tail beyond the last beat has no closing timestamp in the
     samples and is excluded — identically on every backend.
     """
-    samples = run.samples
-    settings = run.settings_used
-    if len(samples) != len(settings):
+    times = run.columns.time
+    settings = run.columns.setting
+    if len(times) != len(settings):
         raise BillingError(
-            f"run has {len(samples)} samples but {len(settings)} settings"
+            f"run has {len(times)} samples but {len(settings)} settings"
         )
     total = 0.0
-    for index in range(len(samples) - 1):
-        dt = samples[index + 1].time - samples[index].time
+    for index in range(len(times) - 1):
+        dt = times[index + 1] - times[index]
         total += settings[index].qos_loss * dt
     return total
 
@@ -209,8 +209,9 @@ def compose_bill(
     span = 0.0
     for segment in segments:
         loss_seconds += qos_loss_seconds(segment)
-        if len(segment.samples) >= 2:
-            span += segment.samples[-1].time - segment.samples[0].time
+        times = segment.columns.time
+        if len(times) >= 2:
+            span += times[-1] - times[0]
     return TenantBill(
         tenant=report.name,
         machine_index=machine_index,

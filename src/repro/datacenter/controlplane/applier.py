@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.runtime import RunResult, StepStatus
+from repro.core.runtime import RunResult, SampleColumns, StepStatus
 from repro.datacenter.caps import (
     ArbiterError,
     frequency_for_cap,
@@ -594,10 +594,12 @@ def merge_run_results(segments: Sequence[RunResult]) -> RunResult:
         raise ControlError("cannot merge an empty run-segment list")
     if len(segments) == 1:
         return segments[0]
+    columns = SampleColumns()
+    for segment in segments:
+        columns.extend(segment.columns)
     return RunResult(
-        samples=[s for segment in segments for s in segment.samples],
+        columns=columns,
         outputs_by_job=[o for segment in segments for o in segment.outputs_by_job],
-        settings_used=[s for segment in segments for s in segment.settings_used],
         mean_power=None,
         energy_joules=sum(segment.energy_joules for segment in segments),
         elapsed=sum(segment.elapsed for segment in segments),

@@ -125,7 +125,7 @@ class HierarchicalArbiter:
         """
         # Deferred: importing water_fill at module scope closes a cycle
         # (arbiter -> controlplane.actions -> this package -> arbiter).
-        from repro.datacenter.arbiter import water_fill
+        from repro.datacenter.arbiter import check_weights, water_fill
 
         if len(scores) != len(self.machines):
             raise ArbiterError(
@@ -142,6 +142,9 @@ class HierarchicalArbiter:
                 f"{sum(floors):.1f} W"
             )
         weights = [1.0 + self.gain * score for score in scores]
+        # Checked per machine here, so the error names the machine
+        # rather than the group whose summed weight it poisons.
+        check_weights(weights)
         group_weights = [sum(weights[i] for i in g) for g in self.groups]
         group_floors = [sum(floors[i] for i in g) for g in self.groups]
         group_ceilings = [sum(ceilings[i] for i in g) for g in self.groups]

@@ -107,6 +107,7 @@ from repro.datacenter.controlplane.applier import (
 from repro.datacenter.faults import FaultPlan, FaultRecord, RetryRecord
 from repro.datacenter.tenants import TenantReport, TenantSpec, TenantStats
 from repro.hardware.machine import Machine
+from repro.hardware.power import PowerError
 from repro.heartbeats.health import (
     HEALTH_DEAD,
     HEALTH_FRESH,
@@ -1456,7 +1457,7 @@ class DatacenterEngine:
         for machine in self.machines:
             try:
                 machine_power.append(machine.meter.mean_power())
-            except Exception:
+            except PowerError:  # no samples yet
                 machine_power.append(0.0)
         # In-process barrier telemetry: no wire, so the whole barrier
         # cost is "apply" and the payload is zero bytes.  Same keys as

@@ -203,19 +203,18 @@ def result_payload(result: DatacenterResult) -> dict[str, Any]:
         digest.update(
             f"|{_hex(run.energy_joules)}|{_hex(run.elapsed)}\n".encode("utf-8")
         )
-        for sample in run.samples:
+        columns = run.columns
+        for beat, *values in zip(
+            columns.beat,
+            columns.time,
+            columns.window_rate,
+            columns.normalized_performance,
+            columns.knob_gain,
+            columns.commanded_speedup,
+            columns.frequency_ghz,
+        ):
             digest.update(
-                "|".join(
-                    (
-                        str(sample.beat),
-                        _hex(sample.time),
-                        _hex(sample.window_rate),
-                        _hex(sample.normalized_performance),
-                        _hex(sample.knob_gain),
-                        _hex(sample.commanded_speedup),
-                        _hex(sample.frequency_ghz),
-                    )
-                ).encode("utf-8")
+                "|".join((str(beat), *map(_hex, values))).encode("utf-8")
                 + b"\n"
             )
     return {

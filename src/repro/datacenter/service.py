@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from repro.apps.base import Application, ItemResult, WorkTracker
 from repro.core.knobs import Parameter
@@ -108,8 +109,10 @@ def request_stream(
         )
 
     def make_job(index: int) -> list[float]:
-        rng = np.random.default_rng((seed, index))
-        return list(rng.uniform(1.0, 10.0, size=items_per_request))
+        # Exactly what ``np.random.default_rng((seed, index))`` builds,
+        # without its argument dispatch; ``tolist`` returns Python floats.
+        rng = Generator(PCG64(SeedSequence((seed, index))))
+        return rng.uniform(1.0, 10.0, size=items_per_request).tolist()
 
     return make_job
 

@@ -113,6 +113,7 @@ from repro.datacenter.controlplane.applier import (
     plan_failures,
 )
 from repro.datacenter.billing import compose_bill
+from repro.hardware.power import PowerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.datacenter.engine import DatacenterEngine, DatacenterResult
@@ -197,7 +198,7 @@ def _final_payload(
         machine = engine.machines[index]
         try:
             machine_power[index] = machine.meter.mean_power()
-        except Exception:
+        except PowerError:  # no samples yet
             machine_power[index] = 0.0
         machine_energy[index] = machine.meter.energy_joules
         machine_idle[index] = engine.idle_energy_joules[index]

@@ -19,6 +19,9 @@ from repro.hardware.power import PowerMeter, PowerModel
 
 __all__ = ["Machine", "MachineError"]
 
+# Machine fields the derived (rate, watts) constants are computed from.
+_DERIVED_FROM = frozenset({"cores", "processor", "power_model"})
+
 
 class MachineError(RuntimeError):
     """Raised for invalid machine operations."""
@@ -37,6 +40,13 @@ class Machine:
         load_factor: Multiplier (>= 1) on execution time modelling
             co-located load; the cluster simulator uses this to express
             capacity sharing when several instances run on one machine.
+
+    :meth:`execute` and :meth:`idle` run once per simulated item, so the
+    work rate and the power draw they need are derived once per
+    ``(P-state index, busy threads)`` and cached (see :meth:`_derive`).
+    The cache is dropped whenever ``cores``, ``processor`` or
+    ``power_model`` is reassigned; a :class:`Processor`'s P-state table
+    and work rate are configuration, fixed once it is built.
     """
 
     cores: int = 8
@@ -45,6 +55,14 @@ class Machine:
     clock: VirtualClock = field(default_factory=VirtualClock)
     meter: PowerMeter = field(default_factory=PowerMeter)
     load_factor: float = 1.0
+    _derived: dict[tuple[int, int], tuple[float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name in _DERIVED_FROM:
+            object.__setattr__(self, "_derived", {})
 
     def __post_init__(self) -> None:
         if self.cores < 1:
@@ -61,6 +79,34 @@ class Machine:
         """Apply a DVFS change (e.g. impose or lift a power cap)."""
         self.processor.set_frequency(frequency_ghz)
 
+    def _derive(self, threads: int) -> tuple[float, float]:
+        """``(rate, watts)`` with ``threads`` busy cores in the current P-state.
+
+        ``rate`` is the work units per second the busy cores retire and
+        ``watts`` the system power they draw; ``threads == 0`` is the
+        idle machine.  Both are computed with the very expressions of
+        :meth:`Processor.seconds_for_work` and :meth:`PowerModel.power`,
+        once per ``(P-state index, threads)``, so a cached value is the
+        same float the uncached path computes.
+        """
+        processor = self.processor
+        key = (processor.state_index, threads)
+        derived = self._derived.get(key)
+        if derived is None:
+            rate = (
+                processor.frequency_ghz
+                * processor.work_units_per_ghz_second
+                * threads
+            )
+            watts = self.power_model.power(
+                threads / self.cores,
+                processor.pstate,
+                processor.max_frequency_ghz,
+                processor.pstates[0].voltage,
+            )
+            derived = self._derived[key] = (rate, watts)
+        return derived
+
     def execute(self, work_units: float, threads: int | None = None) -> float:
         """Run ``work_units`` of computation; return elapsed virtual seconds.
 
@@ -70,17 +116,14 @@ class Machine:
         threads = self.cores if threads is None else threads
         if threads < 1 or threads > self.cores:
             raise MachineError(f"threads must be in 1..{self.cores}, got {threads!r}")
-        seconds = self.processor.seconds_for_work(work_units, threads=threads)
+        if work_units < 0:
+            raise CpuError(f"work must be non-negative, got {work_units!r}")
+        rate, watts = self._derive(threads)
+        seconds = work_units / rate
         seconds *= self.load_factor
-        start = self.clock.now
-        end = self.clock.advance(seconds)
-        utilization = threads / self.cores
-        watts = self.power_model.power(
-            utilization,
-            self.processor.pstate,
-            self.processor.max_frequency_ghz,
-            self.processor.pstates[0].voltage,
-        )
+        clock = self.clock
+        start = clock.now
+        end = clock.advance(seconds)
         self.meter.observe(start, end, watts)
         return seconds
 
@@ -129,14 +172,7 @@ class Machine:
                 "at the current clock"
             )
         self.clock.advance_to(float(times[-1]))
-        utilization = threads / self.cores
-        watts = self.power_model.power(
-            utilization,
-            self.processor.pstate,
-            self.processor.max_frequency_ghz,
-            self.processor.pstates[0].voltage,
-        )
-        self.meter.observe_run(times, watts)
+        self.meter.observe_run(times, self._derive(threads)[1])
         return times
 
     def idle(self, seconds: float) -> None:
@@ -147,13 +183,7 @@ class Machine:
             return
         start = self.clock.now
         end = self.clock.advance(seconds)
-        watts = self.power_model.power(
-            0.0,
-            self.processor.pstate,
-            self.processor.max_frequency_ghz,
-            self.processor.pstates[0].voltage,
-        )
-        self.meter.observe(start, end, watts)
+        self.meter.observe(start, end, self._derive(0)[1])
 
     def idle_until(self, timestamp: float) -> None:
         """Idle until the absolute virtual ``timestamp``."""

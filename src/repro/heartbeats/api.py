@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +34,8 @@ class HeartbeatError(RuntimeError):
     """Raised for invalid heartbeat API usage."""
 
 
-@dataclass(frozen=True)
-class HeartbeatRecord:
-    """One emitted heartbeat.
+class HeartbeatRecord(NamedTuple):
+    """One emitted heartbeat (an immutable record, cheap to build).
 
     Attributes:
         sequence: Monotonically increasing beat number, starting at 0.
@@ -102,7 +102,12 @@ class HeartbeatMonitor:
             raise HeartbeatError(f"window_size must be >= 1, got {window_size!r}")
         self._clock = clock
         self._window_size = window_size
-        self._records: list[HeartbeatRecord] = []
+        # The beat log, kept as plain columns rather than one record per
+        # beat: every local beat's timestamp, and the tags of the beats
+        # that were given one (local index -> tag).  :attr:`records`
+        # rebuilds the records on demand.
+        self._times: list[float] = []
+        self._tags: dict[int, object] = {}
         # Sequence offset of the first locally emitted beat: 0 normally,
         # the carried-over beat count after restore_window(), so beat
         # numbering continues across a warm handoff.
@@ -162,17 +167,21 @@ class HeartbeatMonitor:
     def heartbeat(self, tag: object | None = None) -> HeartbeatRecord:
         """Emit one heartbeat at the current virtual time."""
         now = self._clock.now
-        record = HeartbeatRecord(self._base + len(self._records), now, tag)
-        if self._records:
-            interval = now - self._records[-1].timestamp
+        times = self._times
+        local = len(times)
+        if local:
+            interval = now - times[-1]
             if interval < 0:
                 raise HeartbeatError("heartbeat timestamps went backwards")
-            if len(self._intervals) == self._window_size:
-                self._window_sum -= self._intervals[0]
-            self._intervals.append(interval)
+            intervals = self._intervals
+            if len(intervals) == self._window_size:
+                self._window_sum -= intervals[0]
+            intervals.append(interval)
             self._window_sum += interval
-        self._records.append(record)
-        return record
+        if tag is not None:
+            self._tags[local] = tag
+        times.append(now)
+        return HeartbeatRecord(self._base + local, now, tag)
 
     def commit_run(
         self, timestamps: Sequence[float]
@@ -192,8 +201,8 @@ class HeartbeatMonitor:
         beat, observed *after* that beat (``None`` while no interval
         exists or the window duration is non-positive).
 
-        The per-beat record log is collapsed to a single trailing
-        :class:`HeartbeatRecord` (the same trick :meth:`restore_window`
+        The per-beat log is collapsed to a single trailing untagged
+        beat (the same trick :meth:`restore_window`
         uses), so :attr:`count`, the next interval, and
         :meth:`export_window` are exact while :attr:`records` and
         :meth:`global_rate` only see the collapsed history.  The commit
@@ -204,7 +213,7 @@ class HeartbeatMonitor:
         if n == 0:
             return self.count, []
         window_size = self._window_size
-        last = self._records[-1].timestamp if self._records else None
+        last = self._times[-1] if self._times else None
         if last is not None and n >= 8 and len(self._intervals) == window_size:
             bulk = self._commit_run_filled(timestamps, last, n)
             if bulk is not None:
@@ -230,9 +239,10 @@ class HeartbeatMonitor:
                 rates.append(len(intervals) / window_sum)
             else:
                 rates.append(None)
-        first = self._base + len(self._records)
+        first = self._base + len(self._times)
         self._base = first + n - 1
-        self._records = [HeartbeatRecord(self._base, timestamps[-1])]
+        self._times = [timestamps[-1]]
+        self._tags = {}
         self._intervals = intervals
         self._window_sum = window_sum
         return first, rates
@@ -276,9 +286,10 @@ class HeartbeatMonitor:
         if float(sums.min()) <= 0.0:
             return None
         rates = (window_size / sums).tolist()
-        first = self._base + len(self._records)
+        first = self._base + len(self._times)
         self._base = first + n - 1
-        self._records = [HeartbeatRecord(self._base, float(ts[-1]))]
+        self._times = [float(ts[-1])]
+        self._tags = {}
         self._intervals = deque(pool[n:].tolist(), maxlen=window_size)
         self._window_sum = float(chain[-1])
         return first, rates
@@ -289,12 +300,16 @@ class HeartbeatMonitor:
     @property
     def count(self) -> int:
         """Total number of beats emitted (carried-over beats included)."""
-        return self._base + len(self._records)
+        return self._base + len(self._times)
 
     @property
     def records(self) -> list[HeartbeatRecord]:
-        """All emitted heartbeat records."""
-        return list(self._records)
+        """All emitted heartbeat records, rebuilt from the beat log."""
+        base, tags = self._base, self._tags
+        return [
+            HeartbeatRecord(base + index, timestamp, tags.get(index))
+            for index, timestamp in enumerate(self._times)
+        ]
 
     @property
     def window_size(self) -> int:
@@ -331,12 +346,13 @@ class HeartbeatMonitor:
 
     def global_rate(self) -> float | None:
         """Average rate over the whole execution so far."""
-        if len(self._records) < 2:
+        times = self._times
+        if len(times) < 2:
             return None
-        span = self._records[-1].timestamp - self._records[0].timestamp
+        span = times[-1] - times[0]
         if span == 0.0:
             return None
-        return (len(self._records) - 1) / span
+        return (len(times) - 1) / span
 
     def window_mean_interval(self) -> float | None:
         """Mean of the window's beat intervals (the paper's 'sliding mean
@@ -349,7 +365,8 @@ class HeartbeatMonitor:
     def reset(self) -> None:
         """Forget all beats, carried-over ones included (targets are
         preserved)."""
-        self._records.clear()
+        self._times.clear()
+        self._tags.clear()
         self._base = 0
         self._intervals.clear()
         self._window_sum = 0.0
@@ -367,9 +384,7 @@ class HeartbeatMonitor:
         """
         return HeartbeatWindowState(
             count=self.count,
-            last_timestamp=(
-                self._records[-1].timestamp if self._records else None
-            ),
+            last_timestamp=self._times[-1] if self._times else None,
             intervals=tuple(self._intervals),
             window_sum=self._window_sum,
         )
@@ -386,7 +401,7 @@ class HeartbeatMonitor:
         the first local beat starts a fresh interval.  Only valid on a
         monitor that has not yet beaten; targets are untouched.
         """
-        if self._records or self._base:
+        if self._times or self._base:
             raise HeartbeatError(
                 "restore_window requires a fresh monitor (beats already "
                 "emitted)"
@@ -403,9 +418,7 @@ class HeartbeatMonitor:
             and state.last_timestamp <= self._clock.now
         ):
             self._base = state.count - 1
-            self._records.append(
-                HeartbeatRecord(state.count - 1, state.last_timestamp)
-            )
+            self._times.append(state.last_timestamp)
         else:
             self._base = state.count
         self._intervals = deque(state.intervals, maxlen=self._window_size)

@@ -1,7 +1,12 @@
 """Tests for the hierarchical power arbiter."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.datacenter import HierarchicalArbiter
 from repro.datacenter.arbiter import (
     ArbiterError,
     ArbiterPolicy,
@@ -9,6 +14,7 @@ from repro.datacenter.arbiter import (
     frequency_for_cap,
     machine_cap_ceiling,
     machine_cap_floor,
+    water_fill,
 )
 from repro.experiments.common import experiment_machine
 
@@ -108,3 +114,63 @@ class TestAllocation:
             machines[1].processor.frequency_ghz
             >= machines[0].processor.frequency_ghz
         )
+
+
+# Weights no bid can carry: NaN, either infinity, or anything negative.
+invalid_weights = st.one_of(
+    st.just(math.nan),
+    st.just(math.inf),
+    st.floats(max_value=-5e-324, allow_nan=False),
+)
+
+
+class TestInvalidWeights:
+    """A NaN, infinite or negative weight must never reach the share
+    arithmetic; the error names the machine that carried it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bad=invalid_weights, position=st.integers(0, 3))
+    @example(bad=math.nan, position=0)
+    @example(bad=math.inf, position=2)
+    @example(bad=-1.0, position=3)
+    def test_water_fill_names_the_machine(self, bad, position):
+        weights = [1.0, 2.0, 0.5, 1.0]
+        weights[position] = bad
+        with pytest.raises(ArbiterError, match=f"machine {position}:"):
+            water_fill(weights, [100.0] * 4, [200.0] * 4, 600.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bad=invalid_weights, position=st.integers(0, 1))
+    @example(bad=math.nan, position=1)
+    @example(bad=math.inf, position=0)
+    @example(bad=-1.0, position=1)
+    def test_rejected_through_power_arbiter(self, bad, position):
+        pool = [experiment_machine(), experiment_machine()]
+        arbiter = PowerArbiter(420.0, pool, policy=ArbiterPolicy.SLA_AWARE)
+        scores = [0.5, 0.5]
+        scores[position] = bad
+        # A negative score is refused before it becomes a weight; NaN
+        # and infinity reach water_fill, which names the machine.
+        match = "violation scores" if bad < 0 else f"machine {position}:"
+        with pytest.raises(ArbiterError, match=match):
+            arbiter.allocate(scores)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bad=invalid_weights, position=st.integers(0, 5))
+    @example(bad=math.nan, position=5)
+    @example(bad=math.inf, position=3)
+    @example(bad=-1.0, position=0)
+    def test_rejected_through_hierarchical_split(self, bad, position):
+        pool = [experiment_machine() for _ in range(6)]
+        arbiter = HierarchicalArbiter(1260.0, pool, groups=2)
+        scores = [0.25] * 6
+        scores[position] = bad
+        # Named by machine index, not by the group it would poison.
+        match = "violation scores" if bad < 0 else f"machine {position}:"
+        with pytest.raises(ArbiterError, match=match):
+            arbiter.caps_for_demand(scores)
+
+    def test_zero_and_subnormal_weights_still_bid(self):
+        caps = water_fill([0.0, 5e-324], [100.0, 100.0], [200.0, 200.0], 250.0)
+        assert caps[0] == 100.0
+        assert caps[1] == pytest.approx(150.0)

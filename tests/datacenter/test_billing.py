@@ -10,6 +10,8 @@ The billing contract has two halves:
   produce byte-identical bills for any worker count.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.powerdial import measure_baseline_rate
@@ -197,20 +199,18 @@ class TestLedger:
             ledger.charge(1.0, -0.1)
 
 
-class _FakeSample:
-    def __init__(self, time):
-        self.time = time
-
-
 class _FakeSetting:
     def __init__(self, qos_loss):
         self.qos_loss = qos_loss
 
 
 class _FakeRun:
+    """Just the two per-beat columns billing reads."""
+
     def __init__(self, times, losses):
-        self.samples = [_FakeSample(t) for t in times]
-        self.settings_used = [_FakeSetting(q) for q in losses]
+        self.columns = SimpleNamespace(
+            time=list(times), setting=[_FakeSetting(q) for q in losses]
+        )
 
 
 class TestQosLossIntegral:

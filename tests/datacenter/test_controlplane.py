@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.powerdial import measure_baseline_rate
-from repro.core.runtime import PowerDialRuntime, RunResult
+from repro.core.runtime import PowerDialRuntime, RunResult, SampleColumns
 from repro.datacenter import (
     ArbiterError,
     BudgetSchedule,
@@ -581,21 +581,25 @@ class TestConsolidatingPolicy:
             self.policy(pack_shortfall=0.1, spread_shortfall=0.1)
 
 
-class _FakeSample:
-    def __init__(self, time):
-        self.time = time
-
-
 class _FakeSetting:
     def __init__(self, qos_loss):
         self.qos_loss = qos_loss
+        self.speedup = 1.0
 
 
 def fake_run(times, losses, energy=10.0, elapsed=1.0):
     return RunResult(
-        samples=[_FakeSample(t) for t in times],
+        columns=SampleColumns(
+            beat=list(range(len(times))),
+            time=list(times),
+            window_rate=[None] * len(times),
+            normalized_performance=[None] * len(times),
+            knob_gain=[1.0] * len(times),
+            commanded_speedup=[1.0] * len(times),
+            frequency_ghz=[2.4] * len(times),
+            setting=[_FakeSetting(q) for q in losses],
+        ),
         outputs_by_job=[[0.0]],
-        settings_used=[_FakeSetting(q) for q in losses],
         mean_power=100.0,
         energy_joules=energy,
         elapsed=elapsed,

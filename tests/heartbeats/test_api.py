@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hardware.clock import VirtualClock
-from repro.heartbeats.api import HeartbeatError, HeartbeatMonitor
+from repro.heartbeats.api import HeartbeatError, HeartbeatMonitor, HeartbeatRecord
 
 
 def beat_at_intervals(monitor, clock, intervals):
@@ -171,3 +171,74 @@ class TestRunningWindowSum:
         assert monitor.window_mean_interval() == pytest.approx(
             naive / len(monitor._intervals), rel=1e-7
         )
+
+
+class TestBeatLog:
+    """The monitor keeps beats as timestamps plus sparse tags; the
+    record view must be what one record per beat would have shown."""
+
+    def test_records_rebuild_every_beat_with_its_tag(self):
+        clock = VirtualClock()
+        monitor = HeartbeatMonitor(clock)
+        emitted = []
+        for index in range(6):
+            tag = f"frame-{index}" if index % 2 else None
+            emitted.append(monitor.heartbeat(tag=tag))
+            clock.advance(0.25)
+        assert monitor.records == emitted
+        assert monitor.records == [
+            HeartbeatRecord(i, 0.25 * i, f"frame-{i}" if i % 2 else None)
+            for i in range(6)
+        ]
+        assert emitted[3] == (3, 0.75, "frame-3")
+
+    def test_falsy_tags_are_kept(self):
+        clock = VirtualClock()
+        monitor = HeartbeatMonitor(clock)
+        monitor.heartbeat(tag=0)
+        monitor.heartbeat(tag="")
+        monitor.heartbeat()
+        assert [r.tag for r in monitor.records] == [0, "", None]
+
+    def test_backwards_beat_leaves_the_log_untouched(self):
+        clock = VirtualClock(5.0)
+        monitor = HeartbeatMonitor(clock)
+        monitor.heartbeat(tag="a")
+        monitor._clock = VirtualClock(1.0)
+        with pytest.raises(HeartbeatError):
+            monitor.heartbeat(tag="b")
+        assert monitor.records == [HeartbeatRecord(0, 5.0, "a")]
+        assert monitor.count == 1
+
+    def test_reset_forgets_tags(self):
+        clock = VirtualClock()
+        monitor = HeartbeatMonitor(clock)
+        monitor.heartbeat(tag="old")
+        monitor.reset()
+        monitor.heartbeat()
+        assert monitor.records == [HeartbeatRecord(0, 0.0, None)]
+
+    def test_restored_monitor_continues_numbering(self):
+        clock = VirtualClock()
+        source = HeartbeatMonitor(clock, window_size=4)
+        for _ in range(5):
+            source.heartbeat()
+            clock.advance(0.5)
+        target = HeartbeatMonitor(clock, window_size=4)
+        target.restore_window(source.export_window())
+        record = target.heartbeat(tag="moved")
+        assert record == HeartbeatRecord(5, clock.now, "moved")
+        assert target.records == [
+            HeartbeatRecord(4, 2.0, None),
+            HeartbeatRecord(5, 2.5, "moved"),
+        ]
+        assert target.global_rate() == 1.0 / 0.5
+
+    def test_commit_run_collapses_to_one_untagged_beat(self):
+        clock = VirtualClock()
+        monitor = HeartbeatMonitor(clock, window_size=4)
+        monitor.heartbeat(tag="first")
+        first, rates = monitor.commit_run([0.5, 1.0, 1.5])
+        assert first == 1 and len(rates) == 3
+        assert monitor.records == [HeartbeatRecord(3, 1.5, None)]
+        assert monitor.count == 4

@@ -86,3 +86,24 @@ class TestParsing:
     def test_empty_log_rejected(self):
         with pytest.raises(LogFormatError):
             read_log(io.StringIO(""))
+
+
+class TestTaggedRoundTrip:
+    def test_tagged_beats_log_like_untagged_ones(self):
+        """Tags live beside the timestamps; the log is unchanged by them."""
+        clock = VirtualClock()
+        tagged = HeartbeatMonitor(clock, window_size=4)
+        other = VirtualClock()
+        plain = HeartbeatMonitor(other, window_size=4)
+        for index, interval in enumerate([0.5, 0.25, 1.0, 0.125, 0.5]):
+            tagged.heartbeat(tag=f"frame-{index}")
+            plain.heartbeat()
+            clock.advance(interval)
+            other.advance(interval)
+        tagged_log, plain_log = io.StringIO(), io.StringIO()
+        assert write_log(tagged, tagged_log) == write_log(plain, plain_log) == 5
+        assert tagged_log.getvalue() == plain_log.getvalue()
+        tagged_log.seek(0)
+        rows = read_log(tagged_log)
+        assert [r.beat for r in rows] == [r.sequence for r in tagged.records]
+        assert [r.timestamp for r in rows] == [r.timestamp for r in tagged.records]
