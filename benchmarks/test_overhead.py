@@ -3,7 +3,9 @@
 Paper: "The overhead of the PowerDial control system is insignificant and
 within the run-to-run variations."  In our virtual-time reproduction the
 modeled overhead is exactly zero (the runtime adds no application work);
-the wall-clock harness overhead is reported for completeness.
+the wall-clock harness overhead is printed for completeness, but only
+the deterministic modeled column is saved, so regenerating the artifact
+leaves it byte-identical.
 """
 
 import pytest
@@ -24,4 +26,5 @@ def test_overhead(benchmark, artifact):
         # knob and finish marginally faster, never more than a few percent.
         assert result.modeled_overhead <= 1e-9, result.name
         assert result.modeled_overhead > -0.05, result.name
-    artifact("overhead", format_overhead(results))
+    print(f"\n{format_overhead(results)}")
+    artifact("overhead", format_overhead(results, wall_clock=False))

@@ -51,8 +51,8 @@ def environment_header() -> dict[str, Any]:
 def format_backend_table(payload: dict[str, Any]) -> str:
     """Plain-text rendition of a ``bench_datacenter`` payload.
 
-    Shared by the CLI summary and the ``datacenter_speedup`` benchmark
-    artifact so the two never drift apart.
+    Shared by the CLI summary and the backend speedup benchmark's
+    printed table so the two never drift apart.
     """
     rows = []
     for scenario in payload["scenarios"]:

@@ -57,6 +57,7 @@ __all__ = [
     "decode_machine_checkpoint",
     "encode_bill",
     "decode_bill",
+    "require_list",
 ]
 
 CODEC_VERSION = 1
@@ -98,6 +99,38 @@ def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
+def require_list(obj: Mapping[str, Any], key: str, where: str) -> list[Any]:
+    """Field ``key`` of a decoded object, which must be a JSON array.
+
+    Raises :class:`JournalDecodeError` naming the field and its value
+    when it is missing or of another type.
+    """
+    value = _require(obj, key, where)
+    if not isinstance(value, list):
+        raise JournalDecodeError(
+            f"field {key!r} must be a list, got {value!r}", where
+        )
+    return value
+
+
+def _require_pairs(
+    obj: Mapping[str, Any], key: str, where: str
+) -> tuple[tuple[Any, Any], ...]:
+    """Field ``key`` as a tuple of two-element tuples."""
+    items = require_list(obj, key, where)
+    try:
+        return tuple((first, second) for first, second in items)
+    except (TypeError, ValueError):
+        bad = next(
+            item
+            for item in items
+            if not (isinstance(item, list) and len(item) == 2)
+        )
+        raise JournalDecodeError(
+            f"field {key!r} holds {bad!r}, not a two-element list", where
+        ) from None
+
+
 def encode_action(action: Action) -> dict[str, Any]:
     """One control action as a type-tagged JSON object."""
     if isinstance(action, SetCaps):
@@ -121,7 +154,7 @@ def decode_action(obj: Mapping[str, Any], where: str = "action") -> Action:
     """The inverse of :func:`encode_action`, with actionable errors."""
     kind = _require(obj, "type", where)
     if kind == "set_caps":
-        return SetCaps(caps=tuple(_require(obj, "caps", where)))
+        return SetCaps(caps=tuple(require_list(obj, "caps", where)))
     if kind == "set_budget":
         return SetBudget(budget_watts=_require(obj, "budget_watts", where))
     if kind == "migrate":
@@ -182,7 +215,7 @@ def decode_failure_record(
         machine_index=_require(obj, "machine_index", where),
         replacements=tuple(
             decode_migration_record(r, where)
-            for r in _require(obj, "replacements", where)
+            for r in require_list(obj, "replacements", where)
         ),
     )
 
@@ -361,11 +394,7 @@ def decode_tenant_checkpoint(
     cumulative count cross-checks the reconstruction.
     """
     base = () if previous is None else previous.completions
-    delta = tuple(
-        (arrival, completion)
-        for arrival, completion in _require(obj, "completions_delta", where)
-    )
-    completions = base + delta
+    completions = base + _require_pairs(obj, "completions_delta", where)
     total = _require(obj, "completed_total", where)
     if len(completions) != total:
         raise JournalDecodeError(
@@ -381,10 +410,7 @@ def decode_tenant_checkpoint(
         rejected=_require(obj, "rejected", where),
         completions=completions,
         next_request=_require(obj, "next_request", where),
-        pending=tuple(
-            (index, arrival)
-            for index, arrival in _require(obj, "pending", where)
-        ),
+        pending=_require_pairs(obj, "pending", where),
         energy_joules=_require(ledger, "energy_joules", where),
         busy_seconds=_require(ledger, "busy_seconds", where),
         steps=_require(ledger, "steps", where),

@@ -28,6 +28,7 @@ from repro.datacenter.journal.codec import (
     decode_retry_record,
     decode_tenant_checkpoint,
     decode_machine_checkpoint,
+    require_list,
 )
 from repro.datacenter.journal.writer import JOURNAL_SCHEMA_VERSION
 
@@ -142,54 +143,14 @@ def read_journal(path: str) -> Journal:
                 )
             where = f"{where} (barrier record)"
             try:
-                tenants = {}
-                for obj in record["tenants"]:
-                    checkpoint = decode_tenant_checkpoint(
-                        obj, previous.get(obj.get("tenant")), where
-                    )
-                    tenants[checkpoint.tenant] = checkpoint
-                barrier = BarrierRecord(
-                    index=record["index"],
-                    time=record["time"],
-                    actions=tuple(
-                        decode_action(obj, where)
-                        for obj in record["actions"]
-                    ),
-                    budget_watts=record["budget_watts"],
-                    caps=(
-                        None
-                        if record["caps"] is None
-                        else tuple(record["caps"])
-                    ),
-                    tenants=tenants,
-                    machines=tuple(
-                        decode_machine_checkpoint(obj, where)
-                        for obj in record["machines"]
-                    ),
-                    migrations=tuple(
-                        decode_migration_record(obj, where)
-                        for obj in record["migrations"]
-                    ),
-                    failures=tuple(
-                        decode_failure_record(obj, where)
-                        for obj in record["failures"]
-                    ),
-                    faults=tuple(
-                        decode_fault_record(obj, where)
-                        for obj in record["faults"]
-                    ),
-                    retries=tuple(
-                        decode_retry_record(obj, where)
-                        for obj in record["retries"]
-                    ),
-                )
+                barrier = _decode_barrier(record, previous, where)
             except KeyError as error:
                 raise JournalDecodeError(
                     f"missing field {error.args[0]!r}", where
                 ) from None
             if barrier.index != len(barriers):
                 raise JournalDecodeError(
-                    f"barrier index {barrier.index} out of order "
+                    f"barrier index {barrier.index!r} out of order "
                     f"(expected {len(barriers)})",
                     where,
                 )
@@ -214,4 +175,58 @@ def read_journal(path: str) -> Journal:
         header=header,
         barriers=tuple(barriers),
         result=result,
+    )
+
+
+def _decode_barrier(
+    record: dict[str, Any],
+    previous: dict[str, TenantCheckpoint],
+    where: str,
+) -> BarrierRecord:
+    """One barrier record; ``previous`` holds the prior barrier's tenants."""
+    index = record["index"]
+    if type(index) is not int:
+        raise JournalDecodeError(
+            f"barrier index must be an integer, got {index!r}", where
+        )
+    tenants = {}
+    for obj in require_list(record, "tenants", where):
+        name = obj.get("tenant") if isinstance(obj, dict) else None
+        prior = previous.get(name) if isinstance(name, str) else None
+        checkpoint = decode_tenant_checkpoint(obj, prior, where)
+        tenants[checkpoint.tenant] = checkpoint
+    return BarrierRecord(
+        index=index,
+        time=record["time"],
+        actions=tuple(
+            decode_action(obj, where)
+            for obj in require_list(record, "actions", where)
+        ),
+        budget_watts=record["budget_watts"],
+        caps=(
+            None
+            if record["caps"] is None
+            else tuple(require_list(record, "caps", where))
+        ),
+        tenants=tenants,
+        machines=tuple(
+            decode_machine_checkpoint(obj, where)
+            for obj in require_list(record, "machines", where)
+        ),
+        migrations=tuple(
+            decode_migration_record(obj, where)
+            for obj in require_list(record, "migrations", where)
+        ),
+        failures=tuple(
+            decode_failure_record(obj, where)
+            for obj in require_list(record, "failures", where)
+        ),
+        faults=tuple(
+            decode_fault_record(obj, where)
+            for obj in require_list(record, "faults", where)
+        ),
+        retries=tuple(
+            decode_retry_record(obj, where)
+            for obj in require_list(record, "retries", where)
+        ),
     )

@@ -25,6 +25,10 @@ from typing import Any, Callable, ClassVar
 
 import numpy as np
 
+# np.percentile imports numpy.ma on its first call; load it with this
+# module so that import never lands inside a timed run.
+import numpy.ma  # noqa: F401
+
 from repro.datacenter.traffic import TrafficTrace
 
 __all__ = [

@@ -2,136 +2,85 @@
 
 See DESIGN.md's per-experiment index for the mapping from paper artifact
 to module and bench target.
+
+The public names below resolve on first access (PEP 562), so importing
+one submodule — ``repro.experiments.common`` for :class:`Scale`, say —
+does not execute every experiment module.
 """
 
-from repro.experiments.common import Scale, experiment_machine, format_table
-from repro.experiments.controllers import (
-    ControllerAblation,
-    ControllerResult,
-    format_controller_ablation,
-    run_controller_ablation,
-)
-from repro.experiments.consolidation import (
-    ConsolidationExperiment,
-    ConsolidationPoint,
-    format_fig8,
-    run_consolidation,
-)
-from repro.experiments.catalog import ARTIFACTS, Artifact, PER_APP_ARTIFACTS
-from repro.experiments.datacenter import (
-    DatacenterExperiment,
-    TenantScenario,
-    billing_payload,
-    default_tenant_mix,
-    format_datacenter,
-    format_datacenter_bills,
-    format_replay,
-    format_replay_bills,
-    replay_billing_payload,
-    run_datacenter,
-)
-from repro.experiments.energy_models import (
-    EnergyScenario,
-    format_fig34,
-    run_energy_models,
-)
-from repro.experiments.inputs import InputSummary, format_table1, summarize_inputs
-from repro.experiments.overhead import OverheadResult, format_overhead, run_overhead
-from repro.experiments.power_qos import (
-    PowerQosExperiment,
-    PowerQosPoint,
-    format_fig6,
-    run_power_qos,
-)
-from repro.experiments.powercap import (
-    PowerCapExperiment,
-    format_fig7,
-    run_powercap,
-)
-from repro.experiments.quantum import (
-    QuantumAblation,
-    QuantumResult,
-    format_quantum_ablation,
-    run_quantum_ablation,
-)
-from repro.experiments.registry import (
-    APP_SPECS,
-    AppSpec,
-    built_service_system,
-    built_system,
-    get_spec,
-)
-from repro.experiments.sla import (
-    SlaExperiment,
-    SlaSeries,
-    format_sla,
-    run_sla,
-)
-from repro.experiments.tradeoff import (
-    TradeoffExperiment,
-    correlation,
-    format_fig5,
-    format_table2,
-    run_tradeoff,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "Scale",
-    "experiment_machine",
-    "format_table",
-    "AppSpec",
-    "APP_SPECS",
-    "get_spec",
-    "built_system",
-    "TradeoffExperiment",
-    "run_tradeoff",
-    "correlation",
-    "format_fig5",
-    "format_table2",
-    "PowerQosExperiment",
-    "PowerQosPoint",
-    "run_power_qos",
-    "format_fig6",
-    "PowerCapExperiment",
-    "run_powercap",
-    "format_fig7",
-    "ConsolidationExperiment",
-    "ConsolidationPoint",
-    "run_consolidation",
-    "format_fig8",
-    "DatacenterExperiment",
-    "TenantScenario",
-    "default_tenant_mix",
-    "run_datacenter",
-    "format_datacenter",
-    "format_datacenter_bills",
-    "format_replay",
-    "format_replay_bills",
-    "billing_payload",
-    "replay_billing_payload",
-    "ARTIFACTS",
-    "Artifact",
-    "PER_APP_ARTIFACTS",
-    "built_service_system",
-    "InputSummary",
-    "summarize_inputs",
-    "format_table1",
-    "EnergyScenario",
-    "run_energy_models",
-    "format_fig34",
-    "OverheadResult",
-    "run_overhead",
-    "format_overhead",
-    "ControllerAblation",
-    "ControllerResult",
-    "run_controller_ablation",
-    "format_controller_ablation",
-    "QuantumAblation",
-    "QuantumResult",
-    "run_quantum_ablation",
-    "format_quantum_ablation",
-    "SlaExperiment",
-    "SlaSeries",
-    "run_sla",
-    "format_sla",
-]
+_EXPORTS = {
+    "Scale": "common",
+    "experiment_machine": "common",
+    "format_table": "common",
+    "AppSpec": "registry",
+    "APP_SPECS": "registry",
+    "get_spec": "registry",
+    "built_system": "registry",
+    "TradeoffExperiment": "tradeoff",
+    "run_tradeoff": "tradeoff",
+    "correlation": "tradeoff",
+    "format_fig5": "tradeoff",
+    "format_table2": "tradeoff",
+    "PowerQosExperiment": "power_qos",
+    "PowerQosPoint": "power_qos",
+    "run_power_qos": "power_qos",
+    "format_fig6": "power_qos",
+    "PowerCapExperiment": "powercap",
+    "run_powercap": "powercap",
+    "format_fig7": "powercap",
+    "ConsolidationExperiment": "consolidation",
+    "ConsolidationPoint": "consolidation",
+    "run_consolidation": "consolidation",
+    "format_fig8": "consolidation",
+    "DatacenterExperiment": "datacenter",
+    "TenantScenario": "datacenter",
+    "default_tenant_mix": "datacenter",
+    "run_datacenter": "datacenter",
+    "format_datacenter": "datacenter",
+    "format_datacenter_bills": "datacenter",
+    "format_replay": "datacenter",
+    "format_replay_bills": "datacenter",
+    "billing_payload": "datacenter",
+    "replay_billing_payload": "datacenter",
+    "ARTIFACTS": "catalog",
+    "Artifact": "catalog",
+    "PER_APP_ARTIFACTS": "catalog",
+    "built_service_system": "registry",
+    "InputSummary": "inputs",
+    "summarize_inputs": "inputs",
+    "format_table1": "inputs",
+    "EnergyScenario": "energy_models",
+    "run_energy_models": "energy_models",
+    "format_fig34": "energy_models",
+    "OverheadResult": "overhead",
+    "run_overhead": "overhead",
+    "format_overhead": "overhead",
+    "ControllerAblation": "controllers",
+    "ControllerResult": "controllers",
+    "run_controller_ablation": "controllers",
+    "format_controller_ablation": "controllers",
+    "QuantumAblation": "quantum",
+    "QuantumResult": "quantum",
+    "run_quantum_ablation": "quantum",
+    "format_quantum_ablation": "quantum",
+    "SlaExperiment": "sla",
+    "SlaSeries": "sla",
+    "run_sla": "sla",
+    "format_sla": "sla",
+}
+"""Each public name and the submodule that defines it."""
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's submodule on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

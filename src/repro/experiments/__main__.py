@@ -50,38 +50,17 @@ from repro.datacenter.journal import (
 )
 from repro.datacenter.journal import replay as journal_replay
 from repro.datacenter.journal import resume as journal_resume
-from repro.experiments import (
-    APP_SPECS,
-    Scale,
-    format_fig5,
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_controller_ablation,
+from repro.experiments.catalog import ARTIFACTS, PER_APP_ARTIFACTS
+from repro.experiments.common import Scale
+from repro.experiments.datacenter import (
+    DEFAULT_BUDGET_WATTS,
     format_datacenter,
     format_datacenter_bills,
     format_replay,
     format_replay_bills,
-    format_fig34,
-    format_overhead,
-    format_quantum_ablation,
-    format_sla,
-    format_table1,
-    format_table2,
-    run_consolidation,
-    run_controller_ablation,
     run_datacenter,
-    run_energy_models,
-    run_overhead,
-    run_power_qos,
-    run_powercap,
-    run_quantum_ablation,
-    run_sla,
-    run_tradeoff,
-    summarize_inputs,
 )
-from repro.experiments.catalog import ARTIFACTS, PER_APP_ARTIFACTS
-from repro.experiments.datacenter import DEFAULT_BUDGET_WATTS
+from repro.experiments.registry import APP_SPECS
 
 
 def _run(
@@ -100,28 +79,65 @@ def _run(
     faults: FaultPlan | None = None,
     machines: int = 2,
 ) -> str:
-    """Execute one artifact subcommand and return its rendered output."""
+    """Execute one artifact subcommand and return its rendered output.
+
+    Each branch imports its own experiment module, so a subcommand loads
+    only the layers it runs (``datacenter`` and ``replay`` never import
+    a paper application).
+    """
     if artifact == "table1":
+        from repro.experiments.inputs import format_table1, summarize_inputs
+
         return format_table1(summarize_inputs(scale))
     if artifact == "table2":
+        from repro.experiments.tradeoff import format_table2, run_tradeoff
+
         return format_table2(
             [run_tradeoff(name, scale) for name in APP_SPECS]
         )
     if artifact == "fig5":
+        from repro.experiments.tradeoff import format_fig5, run_tradeoff
+
         return format_fig5(run_tradeoff(app, scale))
     if artifact == "fig6":
+        from repro.experiments.power_qos import format_fig6, run_power_qos
+
         return format_fig6(run_power_qos(app, scale))
     if artifact == "fig7":
+        from repro.experiments.powercap import format_fig7, run_powercap
+
         return format_fig7(run_powercap(app, scale))
     if artifact == "fig8":
+        from repro.experiments.consolidation import (
+            format_fig8,
+            run_consolidation,
+        )
+
         return format_fig8(run_consolidation(app, scale))
     if artifact == "fig34":
+        from repro.experiments.energy_models import (
+            format_fig34,
+            run_energy_models,
+        )
+
         return format_fig34(run_energy_models())
     if artifact == "ablation-controllers":
+        from repro.experiments.controllers import (
+            format_controller_ablation,
+            run_controller_ablation,
+        )
+
         return format_controller_ablation(run_controller_ablation(app, scale))
     if artifact == "ablation-quantum":
+        from repro.experiments.quantum import (
+            format_quantum_ablation,
+            run_quantum_ablation,
+        )
+
         return format_quantum_ablation(run_quantum_ablation(app, scale))
     if artifact == "sla":
+        from repro.experiments.sla import format_sla, run_sla
+
         return format_sla(run_sla(app, scale))
     if artifact == "datacenter":
         experiment = run_datacenter(
@@ -152,6 +168,8 @@ def _run(
             result, verb="resumed" if resume_run else "replayed"
         )
     if artifact == "overhead":
+        from repro.experiments.overhead import format_overhead, run_overhead
+
         return format_overhead(
             [run_overhead(name, Scale.TINY) for name in APP_SPECS]
         )

@@ -5,27 +5,27 @@ application, its training/production/control workloads at each scale, the
 knob space the calibration sweeps, and the Section 5.5 cluster sizing.
 Built PowerDial systems are cached per (application, scale) so the bench
 harness calibrates each application once per process.
+
+Each spec imports its application's package on first use, not when this
+module loads: the datacenter scenarios only need
+:func:`built_service_system`, and x264 alone brings in ``scipy.fft``.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.apps.base import Application
-from repro.apps.bodytrack import BodytrackApp, generate_sequence
-from repro.apps.swaptions import SwaptionsApp, generate_swaptions
-from repro.apps.swish import (
-    InvertedIndex,
-    SwishApp,
-    generate_corpus,
-    generate_queries,
-)
-from repro.apps.x264 import X264App, synthesize_video
 from repro.core.knobs import KnobSpace, Parameter
 from repro.core.powerdial import PowerDialSystem, build_powerdial
 from repro.datacenter.service import ServiceApp, service_training_jobs
 from repro.experiments.common import Scale
+
+if TYPE_CHECKING:
+    from repro.apps.swish import InvertedIndex
 
 __all__ = [
     "AppSpec",
@@ -66,6 +66,11 @@ class AppSpec:
     cluster_slots: int
 
 
+def _app(package: str) -> ModuleType:
+    """A paper application's package, imported on its spec's first use."""
+    return importlib.import_module(f"repro.apps.{package}")
+
+
 # ----------------------------------------------------------------------
 # swaptions
 # ----------------------------------------------------------------------
@@ -77,26 +82,33 @@ def _swaptions_space(scale: Scale) -> KnobSpace:
     return KnobSpace((Parameter("sm", values, default=20_000),))
 
 
+def _swaptions_portfolios(
+    count: int, seeds: Sequence[int], uniform_contract: bool = False
+) -> list[Any]:
+    generate = _app("swaptions").generate_swaptions
+    return [
+        generate(count, seed=seed, uniform_contract=uniform_contract)
+        for seed in seeds
+    ]
+
+
 _SWAPTIONS = AppSpec(
     name="swaptions",
-    app_factory=lambda scale: SwaptionsApp,
+    app_factory=lambda scale: _app("swaptions").SwaptionsApp,
     training_jobs=lambda scale: (
-        [generate_swaptions(4, seed=11)]
+        _swaptions_portfolios(4, [11])
         if scale is Scale.TINY
-        else [generate_swaptions(16, seed=11 + j) for j in range(4)]
+        else _swaptions_portfolios(16, range(11, 15))
     ),
     production_jobs=lambda scale: (
-        [generate_swaptions(4, seed=211)]
+        _swaptions_portfolios(4, [211])
         if scale is Scale.TINY
-        else [generate_swaptions(16, seed=211 + j) for j in range(4)]
+        else _swaptions_portfolios(16, range(211, 215))
     ),
     control_jobs=lambda scale: (
-        [generate_swaptions(200, seed=311, uniform_contract=True)]
+        _swaptions_portfolios(200, [311], uniform_contract=True)
         if scale is Scale.TINY
-        else [
-            generate_swaptions(220, seed=311, uniform_contract=True),
-            generate_swaptions(220, seed=312, uniform_contract=True),
-        ]
+        else _swaptions_portfolios(220, [311, 312], uniform_contract=True)
     ),
     knob_space=_swaptions_space,
     qos_bound=0.05,
@@ -128,6 +140,7 @@ def _x264_space(scale: Scale) -> KnobSpace:
 
 def _x264_videos(scale: Scale, base_seed: int, jobs: int, frames: int):
     size = 32 if scale is Scale.TINY else 48
+    synthesize_video = _app("x264").synthesize_video
     return [
         synthesize_video(
             f"synthetic-{base_seed + index}",
@@ -142,7 +155,7 @@ def _x264_videos(scale: Scale, base_seed: int, jobs: int, frames: int):
 
 _X264 = AppSpec(
     name="x264",
-    app_factory=lambda scale: X264App,
+    app_factory=lambda scale: _app("x264").X264App,
     training_jobs=lambda scale: (
         _x264_videos(scale, 21, jobs=1, frames=8)
         if scale is Scale.TINY
@@ -188,23 +201,28 @@ def _bodytrack_space(scale: Scale) -> KnobSpace:
     )
 
 
+def _bodytrack_sequences(frames: int, seeds: Sequence[int]) -> list[Any]:
+    generate = _app("bodytrack").generate_sequence
+    return [generate(frames=frames, seed=seed) for seed in seeds]
+
+
 _BODYTRACK = AppSpec(
     name="bodytrack",
-    app_factory=lambda scale: BodytrackApp,
+    app_factory=lambda scale: _app("bodytrack").BodytrackApp,
     training_jobs=lambda scale: (
-        [generate_sequence(frames=10, seed=31)]
+        _bodytrack_sequences(10, [31])
         if scale is Scale.TINY
-        else [generate_sequence(frames=25, seed=31)]
+        else _bodytrack_sequences(25, [31])
     ),
     production_jobs=lambda scale: (
-        [generate_sequence(frames=10, seed=131)]
+        _bodytrack_sequences(10, [131])
         if scale is Scale.TINY
-        else [generate_sequence(frames=40, seed=131)]
+        else _bodytrack_sequences(40, [131])
     ),
     control_jobs=lambda scale: (
-        [generate_sequence(frames=120, seed=231)]
+        _bodytrack_sequences(120, [231])
         if scale is Scale.TINY
-        else [generate_sequence(frames=200, seed=231), generate_sequence(frames=200, seed=232)]
+        else _bodytrack_sequences(200, [231, 232])
     ),
     knob_space=_bodytrack_space,
     qos_bound=0.05,
@@ -221,31 +239,33 @@ _INDICES: dict[Scale, InvertedIndex] = {}
 
 def _swish_index(scale: Scale) -> InvertedIndex:
     if scale not in _INDICES:
+        swish = _app("swish")
         if scale is Scale.TINY:
-            corpus = generate_corpus(
+            corpus = swish.generate_corpus(
                 documents=200, tokens_per_document=400, vocabulary_size=4000, seed=41
             )
         else:
             # Paper: 2000 Project Gutenberg books per split.
-            corpus = generate_corpus(
+            corpus = swish.generate_corpus(
                 documents=2000,
                 tokens_per_document=500,
                 vocabulary_size=20_000,
                 seed=41,
             )
-        _INDICES[scale] = InvertedIndex(corpus)
+        _INDICES[scale] = swish.InvertedIndex(corpus)
     return _INDICES[scale]
 
 
 def _swish_factory(scale: Scale) -> Callable[[], Application]:
     index = _swish_index(scale)
-    return lambda: SwishApp(index=index, qos_cutoff=10)
+    swish_app = _app("swish").SwishApp
+    return lambda: swish_app(index=index, qos_cutoff=10)
 
 
 def _swish_queries(scale: Scale, seed: int, count_tiny: int, count_paper: int):
     index = _swish_index(scale)
     count = count_tiny if scale is Scale.TINY else count_paper
-    return generate_queries(index.corpus, count=count, seed=seed)
+    return _app("swish").generate_queries(index.corpus, count=count, seed=seed)
 
 
 _SWISH = AppSpec(
@@ -258,7 +278,7 @@ _SWISH = AppSpec(
         if scale is Scale.TINY
         else [_swish_queries(scale, 243, 150, 450)]
     ),
-    knob_space=lambda scale: SwishApp.knob_space(),
+    knob_space=lambda scale: _app("swish").SwishApp.knob_space(),
     # The paper bounds swish++ at 30%; on our denser synthetic corpus the
     # mean query matches >= 10 documents, so the 5-result setting costs
     # exactly 1/3 under P@10 — the bound is calibrated just above it.

@@ -287,6 +287,47 @@ class TestChaosAndResume:
         assert replayed.bills == reference.bills
 
 
+def corrupt_barrier(path, tmp_path, corrupt, line=3):
+    """Copy the journal at ``path`` with ``corrupt`` applied to one line."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[line - 1])
+    assert record["kind"] == "barrier"
+    corrupt(record)
+    lines[line - 1] = json.dumps(record)
+    copy = tmp_path / "corrupt.ndjson"
+    copy.write_text("\n".join(lines) + "\n")
+    return copy
+
+
+WRONG_TYPED_BARRIERS = [
+    pytest.param(
+        lambda r: r.update(tenants=5),
+        "field 'tenants' must be a list, got 5",
+        id="tenants-not-a-list",
+    ),
+    pytest.param(
+        lambda r: r.update(caps=5),
+        "field 'caps' must be a list, got 5",
+        id="caps-not-a-list",
+    ),
+    pytest.param(
+        lambda r: r["tenants"][0].update(completions_delta=3),
+        "field 'completions_delta' must be a list, got 3",
+        id="completions-not-a-list",
+    ),
+    pytest.param(
+        lambda r: r["tenants"][0].update(completions_delta=[[1.0]]),
+        "field 'completions_delta' holds [1.0], not a two-element list",
+        id="one-element-completion",
+    ),
+    pytest.param(
+        lambda r: r.update(index=str(r["index"])),
+        "barrier index must be an integer, got '1'",
+        id="string-index",
+    ),
+]
+
+
 class TestReaderErrors:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
@@ -314,6 +355,28 @@ class TestReaderErrors:
         message = str(excinfo.value)
         assert "corrupt.ndjson" in message
         assert "2" in message
+
+    @pytest.mark.parametrize("corrupt, expected", WRONG_TYPED_BARRIERS)
+    def test_wrong_typed_barrier_field_names_path_and_line(
+        self, recorded, tmp_path, corrupt, expected
+    ):
+        path, _ = recorded
+        copy = corrupt_barrier(path, tmp_path, corrupt)
+        with pytest.raises(JournalDecodeError) as excinfo:
+            read_journal(str(copy))
+        message = str(excinfo.value)
+        assert "corrupt.ndjson:3" in message
+        assert expected in message
+
+    def test_replay_of_a_wrong_typed_journal_exits_2(
+        self, recorded, tmp_path, capsys
+    ):
+        path, _ = recorded
+        copy = corrupt_barrier(path, tmp_path, lambda r: r.update(tenants=5))
+        assert main(["replay", "--journal", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert "corrupt.ndjson:3" in err
+        assert "must be a list" in err
 
     def test_replay_refuses_an_incomplete_journal(self, recorded, tmp_path):
         path, _ = recorded
