@@ -118,17 +118,12 @@ def _require_pairs(
 ) -> tuple[tuple[Any, Any], ...]:
     """Field ``key`` as a tuple of two-element tuples."""
     items = require_list(obj, key, where)
-    try:
-        return tuple((first, second) for first, second in items)
-    except (TypeError, ValueError):
-        bad = next(
-            item
-            for item in items
-            if not (isinstance(item, list) and len(item) == 2)
-        )
-        raise JournalDecodeError(
-            f"field {key!r} holds {bad!r}, not a two-element list", where
-        ) from None
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise JournalDecodeError(
+                f"field {key!r} holds {item!r}, not a two-element list", where
+            )
+    return tuple((first, second) for first, second in items)
 
 
 def encode_action(action: Action) -> dict[str, Any]:

@@ -104,27 +104,22 @@ def run_overhead(name: str, scale: Scale = Scale.TINY) -> OverheadResult:
     )
 
 
-def format_overhead(
-    results: list[OverheadResult], wall_clock: bool = True
-) -> str:
-    """The §5.1 overhead table.
-
-    ``wall_clock=False`` drops the host wall-clock columns, leaving the
-    deterministic rendition the benchmark harness commits.
-    """
-    headers = ["Benchmark", "modeled time overhead"]
-    if wall_clock:
-        headers += ["static wall", "controlled wall", "harness wall overhead"]
-    rows = []
-    for r in results:
-        row = [r.name, f"{r.modeled_overhead * 100:+.3f}%"]
-        if wall_clock:
-            row += [
-                f"{r.wall_static:.2f}s",
-                f"{r.wall_controlled:.2f}s",
-                f"{r.wall_overhead * 100:+.1f}%",
-            ]
-        rows.append(row)
-    return "Section 5.1: PowerDial control-system overhead\n" + format_table(
-        headers, rows
+def format_overhead(results: list[OverheadResult]) -> str:
+    """The §5.1 overhead table."""
+    rows = [
+        [
+            r.name,
+            f"{r.modeled_overhead * 100:+.3f}%",
+            f"{r.wall_static:.2f}s",
+            f"{r.wall_controlled:.2f}s",
+            f"{r.wall_overhead * 100:+.1f}%",
+        ]
+        for r in results
+    ]
+    return (
+        "Section 5.1: PowerDial control-system overhead\n"
+        + format_table(
+            ["Benchmark", "modeled time overhead", "static wall", "controlled wall", "harness wall overhead"],
+            rows,
+        )
     )

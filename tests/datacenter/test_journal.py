@@ -321,6 +321,16 @@ WRONG_TYPED_BARRIERS = [
         id="one-element-completion",
     ),
     pytest.param(
+        lambda r: r["tenants"][0].update(completions_delta=["ab"]),
+        "field 'completions_delta' holds 'ab', not a two-element list",
+        id="string-completion",
+    ),
+    pytest.param(
+        lambda r: r["tenants"][0].update(pending=[{"x": 1, "y": 2}]),
+        "field 'pending' holds {'x': 1, 'y': 2}, not a two-element list",
+        id="object-pending",
+    ),
+    pytest.param(
         lambda r: r.update(index=str(r["index"])),
         "barrier index must be an integer, got '1'",
         id="string-index",
