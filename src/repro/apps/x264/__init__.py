@@ -11,9 +11,12 @@ from repro.apps.x264.frames import Video, synthesize_video
 from repro.apps.x264.motion import (
     SUBME_PROFILES,
     MotionEstimate,
+    MotionField,
     ReferencePlanes,
     SubmeProfile,
+    check_knobs,
     estimate_motion,
+    search_blocks,
 )
 from repro.apps.x264.transform import (
     BLOCK,
@@ -23,6 +26,7 @@ from repro.apps.x264.transform import (
     encode_block,
     forward_transform,
     golomb_bits,
+    golomb_lengths,
     inverse_transform,
     quantize,
 )
@@ -38,7 +42,10 @@ __all__ = [
     "Video",
     "synthesize_video",
     "estimate_motion",
+    "search_blocks",
+    "check_knobs",
     "MotionEstimate",
+    "MotionField",
     "ReferencePlanes",
     "SubmeProfile",
     "SUBME_PROFILES",
@@ -49,6 +56,7 @@ __all__ = [
     "quantize",
     "dequantize",
     "golomb_bits",
+    "golomb_lengths",
     "block_bits",
     "encode_block",
 ]

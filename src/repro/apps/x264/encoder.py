@@ -7,8 +7,12 @@ motion search, transform-code the residual, count entropy bits, and
 reconstruct the frame into the reference list so coding error propagates
 exactly as in a closed-loop encoder.  Each reconstructed frame is
 interpolated into its quarter-pel planes once, when it joins the list.
-PSNR is measured against the source (the job of the paper's H.264
-reference decoder) and bitrate is the total entropy-size estimate.
+A frame is coded in lock-step: one motion search over all its blocks
+(:func:`~repro.apps.x264.motion.search_blocks`) and one transform pass
+over the stack of their residuals, since no block depends on another
+block of the same frame.  PSNR is measured against the source (the job
+of the paper's H.264 reference decoder) and bitrate is the total
+entropy-size estimate.
 """
 
 from __future__ import annotations
@@ -18,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.x264.motion import ReferencePlanes, estimate_motion
-from repro.apps.x264.transform import BLOCK, encode_block, golomb_bits
+from repro.apps.x264.motion import ReferencePlanes, check_knobs, search_blocks
+from repro.apps.x264.transform import (
+    BLOCK,
+    encode_block,
+    golomb_bits,
+    golomb_lengths,
+)
 
 __all__ = ["FrameStats", "Encoder", "psnr"]
 
@@ -40,7 +49,7 @@ def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     mse = float(np.mean((original.astype(np.float64) - reconstructed) ** 2))
     if mse == 0.0:
         return 100.0
-    return 10.0 * np.log10(255.0**2 / mse)
+    return float(10.0 * np.log10(255.0**2 / mse))
 
 
 @dataclass(frozen=True)
@@ -89,49 +98,66 @@ class Encoder:
     def encode_frame(
         self, frame: np.ndarray, subme: int, merange: int, ref: int
     ) -> FrameStats:
-        """Encode one frame with the given knob values."""
+        """Encode one frame with the given knob values.
+
+        Raises:
+            ValueError: A knob is out of range (checked on every frame,
+                intra ones included), the frame's sides are not positive
+                multiples of the block size, or a pixel is NaN or infinite.
+        """
+        check_knobs(merange, subme, ref)
         frame = np.asarray(frame, dtype=np.float64)
         height, width = frame.shape
-        if height % BLOCK or width % BLOCK:
+        if not height or not width or height % BLOCK or width % BLOCK:
             raise ValueError(
-                f"frame dimensions must be multiples of {BLOCK}, got {frame.shape}"
+                f"frame dimensions must be positive multiples of {BLOCK}, "
+                f"got {frame.shape}"
             )
+        if not np.isfinite(frame).all():
+            raise ValueError("frame pixels must be finite")
         intra = not self._references
-        reconstructed = np.empty_like(frame)
-        total_bits = 0
+        rows, cols = height // BLOCK, width // BLOCK
+        # (rows * cols, 8, 8): the blocks in raster order.
+        tiles = frame.reshape(rows, BLOCK, cols, BLOCK).swapaxes(1, 2)
+        block_ys = [BLOCK * row for row in range(rows) for _ in range(cols)]
+        block_xs = [BLOCK * col for _ in range(rows) for col in range(cols)]
+        blocks = [
+            frame[y : y + BLOCK, x : x + BLOCK] for y, x in zip(block_ys, block_xs)
+        ]
         total_work = _FRAME_OVERHEAD_WORK
-        references = list(self._references)
 
-        for block_y in range(0, height, BLOCK):
-            for block_x in range(0, width, BLOCK):
-                block = frame[block_y : block_y + BLOCK, block_x : block_x + BLOCK]
-                if intra:
-                    prediction = np.full_like(block, float(np.mean(block)))
-                    mv_bits = golomb_bits(0) * 2
-                else:
-                    estimate = estimate_motion(
-                        block,
-                        references,
-                        block_y,
-                        block_x,
-                        merange=merange,
-                        subme=subme,
-                        ref_count=ref,
-                    )
-                    prediction = estimate.prediction
-                    total_work += estimate.work
-                    mv_bits = (
-                        golomb_bits(int(round(4 * estimate.mv_y)))
-                        + golomb_bits(int(round(4 * estimate.mv_x)))
-                        + golomb_bits(estimate.ref_index)
-                    )
-                residual = block - prediction
-                decoded_residual, bits, work = encode_block(residual, self.qstep)
-                total_work += work + _BLOCK_PIPELINE_WORK
-                total_bits += bits + mv_bits + _HEADER_BITS_PER_BLOCK
-                reconstructed[
-                    block_y : block_y + BLOCK, block_x : block_x + BLOCK
-                ] = np.clip(prediction + decoded_residual, 0.0, 255.0)
+        if intra:
+            # One mean per frame view: a mean over the stacked tiles sums
+            # in another order and rounds differently.
+            means = np.array([np.mean(block) for block in blocks])
+            prediction = np.broadcast_to(
+                means[:, None, None], (len(blocks), BLOCK, BLOCK)
+            )
+            mv_bits = 2 * golomb_bits(0) * len(blocks)
+        else:
+            field = search_blocks(
+                blocks, list(self._references), block_ys, block_xs,
+                merange=merange, subme=subme, ref_count=ref,
+            )
+            prediction = field.prediction
+            total_work += float(field.work.sum())
+            mv_bits = int(
+                (
+                    golomb_lengths(np.rint(4 * field.mv_y))
+                    + golomb_lengths(np.rint(4 * field.mv_x))
+                    + golomb_lengths(field.ref_index)
+                ).sum()
+            )
+        residuals = tiles.reshape(-1, BLOCK, BLOCK) - prediction
+        decoded, bits, work = encode_block(residuals, self.qstep)
+        total_work += work + len(blocks) * _BLOCK_PIPELINE_WORK
+        total_bits = int(bits.sum()) + mv_bits + len(blocks) * _HEADER_BITS_PER_BLOCK
+        reconstructed = (
+            np.clip(prediction + decoded, 0.0, 255.0)
+            .reshape(rows, cols, BLOCK, BLOCK)
+            .swapaxes(1, 2)
+            .reshape(height, width)
+        )
 
         self._references.appendleft(ReferencePlanes(reconstructed))
         return FrameStats(

@@ -6,6 +6,11 @@ exponential-Golomb size accounting (the bit count an entropy coder of
 the CAVLC family would produce, without materializing the bitstream),
 and exact reconstruction (dequantize + inverse DCT) so the encoder's
 reference frames contain true coding error.
+
+Every stage takes one ``8 x 8`` block or a ``(B, 8, 8)`` stack of them:
+the encoder codes a whole frame's residuals in one pass.  A stacked
+transform gives each block the same bits as transforming it alone, and
+the stacked bit counts are exact integers.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "quantize",
     "dequantize",
     "golomb_bits",
+    "golomb_lengths",
     "block_bits",
     "encode_block",
 ]
@@ -45,13 +51,13 @@ ZIGZAG = _zigzag_order(BLOCK)
 
 
 def forward_transform(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2D DCT-II of one 8x8 block."""
-    return dctn(block, norm="ortho")
+    """Orthonormal 2D DCT-II of each 8x8 block (the last two axes)."""
+    return dctn(block, axes=(-2, -1), norm="ortho")
 
 
 def inverse_transform(coefficients: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_transform`."""
-    return idctn(coefficients, norm="ortho")
+    return idctn(coefficients, axes=(-2, -1), norm="ortho")
 
 
 def quantize(coefficients: np.ndarray, qstep: float) -> np.ndarray:
@@ -78,35 +84,56 @@ def golomb_bits(value: int) -> int:
     return 2 * (mapped + 1).bit_length() - 1
 
 
-def block_bits(levels: np.ndarray) -> int:
-    """Entropy-size estimate of one quantized 8x8 block.
+def golomb_lengths(values: np.ndarray) -> np.ndarray:
+    """:func:`golomb_bits` of each element, as an integer array.
+
+    The signed mapping makes the length ``2 * bit_length(|value|) + 1``
+    (``mapped + 1`` is ``2|value|`` or ``2|value| + 1``), and ``frexp``'s
+    exponent is that bit length, exactly for ``|value| < 2**53``.
+    """
+    return 2 * np.frexp(np.asarray(values, dtype=np.float64))[1] + 1
+
+
+_POSITIONS = np.arange(BLOCK * BLOCK)
+_END_OF_BLOCK_BITS = golomb_bits(0) + 1
+
+
+def block_bits(levels: np.ndarray) -> int | np.ndarray:
+    """Entropy-size estimate of one quantized 8x8 block, or of each in a stack.
 
     Zigzag run-length coding: each nonzero level costs the Golomb length
     of the preceding zero-run plus the Golomb length of the level; a
     terminator closes the block.
+
+    Returns:
+        An ``int`` for one ``(8, 8)`` block; an ``int64`` array of shape
+        ``levels.shape[:-2]`` for a stack.
     """
-    scanned = levels.ravel()[ZIGZAG]
-    bits = 0
-    run = 0
-    for level in scanned.tolist():
-        if level == 0:
-            run += 1
-            continue
-        bits += golomb_bits(run) + golomb_bits(int(level))
-        run = 0
-    bits += golomb_bits(0) + 1  # end-of-block marker
-    return bits
+    levels = np.asarray(levels)
+    scanned = levels.reshape(-1, BLOCK * BLOCK)[:, ZIGZAG]
+    nonzero = scanned != 0
+    # The last nonzero position at or before each position (-1 if none);
+    # the zero-run before position p ends at the last nonzero before p.
+    last = np.maximum.accumulate(np.where(nonzero, _POSITIONS, -1), axis=1)
+    previous = np.concatenate((np.full((len(scanned), 1), -1), last[:, :-1]), axis=1)
+    runs = _POSITIONS - previous - 1
+    symbols = np.where(nonzero, golomb_lengths(runs) + golomb_lengths(scanned), 0)
+    bits = symbols.sum(axis=1) + _END_OF_BLOCK_BITS
+    if levels.ndim == 2:
+        return int(bits[0])
+    return bits.reshape(levels.shape[:-2])
 
 
 def encode_block(
     residual: np.ndarray, qstep: float
-) -> tuple[np.ndarray, int, float]:
-    """Transform-code one residual block.
+) -> tuple[np.ndarray, int | np.ndarray, float]:
+    """Transform-code one residual block, or each block of a stack.
 
     Returns:
         ``(reconstructed_residual, bits, work)`` — the decoded residual
-        the reference frame will contain, the entropy-size estimate, and
-        the abstract work units of the transform/quantize/entropy stage.
+        the reference frame will contain, the entropy-size estimate
+        (per block, as :func:`block_bits` returns it), and the abstract
+        work units of the transform/quantize/entropy stage, in total.
     """
     coefficients = forward_transform(residual)
     levels = quantize(coefficients, qstep)

@@ -23,6 +23,8 @@ from repro.apps.x264 import (
 )
 from repro.core.calibration import calibrate
 from repro.core.knobs import KnobSpace, Parameter
+from repro.experiments.common import Scale
+from repro.experiments.registry import get_spec
 
 
 class TestTransform:
@@ -172,6 +174,21 @@ class TestMotionEstimation:
         with pytest.raises(ValueError):
             estimate_motion(block, [], 0, 0, merange=2, subme=1, ref_count=1)
 
+    def test_integer_sad_keeps_the_strided_reduction_order(self):
+        """The integer search sums its strided temporary in numpy's order
+        for it, which differs from a contiguous sum of the same patch."""
+        video = get_spec("x264").training_jobs(Scale.TINY)[0]
+        encoder = Encoder()
+        encoder.encode_frame(video.frames[0], subme=4, merange=8, ref=1)
+        (reference,) = encoder._references
+        frame = np.asarray(video.frames[1], dtype=np.float64)
+        block = frame[8:16, 24:32]
+        estimate = estimate_motion(
+            block, [reference], 8, 24, merange=8, subme=1, ref_count=1
+        )
+        assert estimate.cost == 376.4067695828929
+        assert float(np.abs(block - estimate.prediction).sum()) == 376.4067695828928
+
 
 class TestEncoder:
     def test_first_frame_is_intra(self):
@@ -225,6 +242,45 @@ class TestEncoder:
     def test_psnr_of_identical_is_capped(self):
         frame = np.full((8, 8), 128.0)
         assert psnr(frame, frame) == 100.0
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"subme": 99, "merange": 0, "ref": 0}, "merange must be >= 1"),
+            ({"subme": 99, "merange": 1, "ref": 1}, "subme must be in 1..7"),
+            ({"subme": 1, "merange": 1, "ref": 0}, "ref must be >= 1"),
+        ],
+    )
+    def test_knobs_are_checked_on_the_intra_frame(self, knobs, message):
+        encoder = Encoder()
+        with pytest.raises(ValueError, match=message):
+            encoder.encode_frame(np.zeros((32, 32)), **knobs)
+        assert encoder.reference_count == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("everywhere", [False, True])
+    def test_non_finite_pixels_rejected(self, bad, everywhere):
+        frame = np.full((32, 32), 128.0)
+        if everywhere:
+            frame[:] = bad
+        else:
+            frame[13, 7] = bad
+        encoder = Encoder()
+        with pytest.raises(ValueError, match="finite"):
+            encoder.encode_frame(frame, subme=1, merange=1, ref=1)
+        assert encoder.reference_count == 0
+        # A P-frame is checked too, before it touches the reference list.
+        encoder.encode_frame(np.full((32, 32), 128.0), subme=1, merange=1, ref=1)
+        with pytest.raises(ValueError, match="finite"):
+            encoder.encode_frame(frame, subme=1, merange=1, ref=1)
+        assert encoder.reference_count == 1
+
+    def test_psnr_is_a_python_float(self):
+        rng = np.random.default_rng(8)
+        frame = rng.uniform(0, 255, size=(16, 16))
+        assert type(psnr(frame, frame + 1.0)) is float
+        stats = Encoder().encode_frame(frame, subme=1, merange=1, ref=1)
+        assert type(stats.psnr_db) is float
 
 
 class TestApp:

@@ -1,16 +1,21 @@
-"""Property-based tests on the encoder's transform/entropy invariants."""
+"""Property-based tests on the encoder's transform/entropy invariants
+and on the lock-step motion search."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.apps.x264 import (
     BLOCK,
+    ZIGZAG,
     block_bits,
     encode_block,
+    estimate_motion,
     forward_transform,
     golomb_bits,
     inverse_transform,
+    search_blocks,
 )
 from repro.apps.x264.motion import _HADAMARD, ReferencePlanes, _sample_patch
 
@@ -137,3 +142,134 @@ class TestReferencePlanes:
         patch = ReferencePlanes(frame).patch(3, 16.0)
         assert np.shares_memory(patch, frame)
         assert np.array_equal(patch, frame[3:11, 16:24])
+
+
+def _scalar_block_bits(levels: np.ndarray) -> int:
+    """Zigzag run-length bits of one block, one Python int at a time."""
+
+    def golomb(value: int) -> int:
+        mapped = 2 * value - 1 if value > 0 else -2 * value
+        return 2 * (mapped + 1).bit_length() - 1
+
+    bits = 0
+    run = 0
+    for index in ZIGZAG.tolist():
+        level = int(levels[index // BLOCK, index % BLOCK])
+        if level == 0:
+            run += 1
+            continue
+        bits += golomb(run) + golomb(level)
+        run = 0
+    return bits + golomb(0) + 1
+
+
+INT32_MAX = 2**31 - 1
+
+level_stacks = arrays(
+    np.int32,
+    st.tuples(st.integers(1, 6), st.just(BLOCK), st.just(BLOCK)),
+    elements=st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.integers(-INT32_MAX, INT32_MAX),
+    ),
+)
+
+
+class TestStackedBlockBits:
+    @given(levels=level_stacks)
+    @example(levels=np.zeros((3, BLOCK, BLOCK), dtype=np.int32))
+    @example(levels=np.ones((2, BLOCK, BLOCK), dtype=np.int32))
+    @example(levels=np.full((1, BLOCK, BLOCK), INT32_MAX, dtype=np.int32))
+    @example(levels=np.full((1, BLOCK, BLOCK), -INT32_MAX, dtype=np.int32))
+    @example(
+        levels=np.stack(
+            [
+                np.zeros((BLOCK, BLOCK), dtype=np.int32),
+                np.where(
+                    np.arange(BLOCK * BLOCK).reshape(BLOCK, BLOCK) % 2,
+                    INT32_MAX,
+                    -INT32_MAX,
+                ).astype(np.int32),
+            ]
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_bits_equal_the_scalar_oracle(self, levels):
+        stacked = block_bits(levels)
+        assert stacked.shape == levels.shape[:1]
+        expected = [_scalar_block_bits(block) for block in levels]
+        assert stacked.tolist() == expected
+        assert [block_bits(block) for block in levels] == expected
+
+
+SIDES = st.sampled_from([8, 16, 24, 32, 40, 48])
+
+
+def _search_inputs(height, width, seed, reference_count):
+    """A frame that moves by a fraction of a pel against its references."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 255.0, size=(height, width))
+    texture = (base + np.roll(base, 1, axis=0) + np.roll(base, 1, axis=1)) / 3.0
+    shift = tuple(int(v) for v in rng.integers(-3, 4, size=2))
+    moved = np.roll(texture, shift, axis=(0, 1))
+    frame = 0.5 * (moved + np.roll(moved, 1, axis=1)) + rng.normal(
+        0.0, 2.0, size=(height, width)
+    )
+    references = [
+        ReferencePlanes(np.roll(texture, (k, -k), axis=(0, 1)))
+        for k in range(reference_count)
+    ]
+    return frame, references
+
+
+class TestLockStepSearch:
+    @given(
+        height=SIDES,
+        width=SIDES,
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        reference_count=st.integers(1, 3),
+        subme=st.integers(1, 7),
+        merange=st.integers(1, 12),
+        ref_count=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 35), min_size=1, max_size=36, unique=True),
+    )
+    @example(
+        height=8, width=8, seed=0, reference_count=1,
+        subme=7, merange=1, ref_count=1, picks=[0],
+    )
+    @example(
+        height=48, width=32, seed=3, reference_count=3,
+        subme=7, merange=8, ref_count=3, picks=[23, 0, 5, 17, 11],
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_each_lane_is_its_one_lane_search(
+        self, height, width, seed, reference_count, subme, merange, ref_count, picks
+    ):
+        """Any subset of a frame's blocks, in any order: each block's
+        batched result is bit for bit the one it gets searched alone."""
+        frame, references = _search_inputs(height, width, seed, reference_count)
+        positions = [
+            (y, x) for y in range(0, height, BLOCK) for x in range(0, width, BLOCK)
+        ]
+        chosen = list(dict.fromkeys(pick % len(positions) for pick in picks))
+        block_ys = [positions[index][0] for index in chosen]
+        block_xs = [positions[index][1] for index in chosen]
+        blocks = [
+            frame[y : y + BLOCK, x : x + BLOCK] for y, x in zip(block_ys, block_xs)
+        ]
+        field = search_blocks(
+            blocks, references, block_ys, block_xs, merange, subme, ref_count
+        )
+        lanes = enumerate(zip(blocks, block_ys, block_xs))
+        for lane, (block, block_y, block_x) in lanes:
+            alone = estimate_motion(
+                block, references, block_y, block_x,
+                merange=merange, subme=subme, ref_count=ref_count,
+            )
+            assert float(field.mv_y[lane]).hex() == float(alone.mv_y).hex()
+            assert float(field.mv_x[lane]).hex() == float(alone.mv_x).hex()
+            assert int(field.ref_index[lane]) == alone.ref_index
+            assert float(field.cost[lane]).hex() == float(alone.cost).hex()
+            assert float(field.work[lane]).hex() == float(alone.work).hex()
+            assert np.array_equal(field.prediction[lane], alone.prediction)
