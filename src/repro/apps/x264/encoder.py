@@ -103,7 +103,8 @@ class Encoder:
         Raises:
             ValueError: A knob is out of range (checked on every frame,
                 intra ones included), the frame's sides are not positive
-                multiples of the block size, or a pixel is NaN or infinite.
+                multiples of the block size, or a pixel is NaN, infinite or
+                outside the luma range [0, 255].
         """
         check_knobs(merange, subme, ref)
         frame = np.asarray(frame, dtype=np.float64)
@@ -113,8 +114,13 @@ class Encoder:
                 f"frame dimensions must be positive multiples of {BLOCK}, "
                 f"got {frame.shape}"
             )
-        if not np.isfinite(frame).all():
-            raise ValueError("frame pixels must be finite")
+        low, high = float(frame.min()), float(frame.max())
+        if not 0.0 <= low <= high <= 255.0:  # NaN fails every comparison
+            if not np.isfinite(frame).all():
+                raise ValueError("frame pixels must be finite")
+            raise ValueError(
+                f"frame pixels must lie in [0, 255], got [{low!r}, {high!r}]"
+            )
         intra = not self._references
         rows, cols = height // BLOCK, width // BLOCK
         # (rows * cols, 8, 8): the blocks in raster order.

@@ -34,12 +34,6 @@ def _summarize_runtime(payload: dict) -> str:
             f"{probes['step_path']['beats_per_sec']:.0f} beats/s",
         ],
         [
-            "batched_step_path",
-            f"{probes['batched_step_path']['items_per_sec']:.0f} items/s",
-            f"{probes['batched_step_path']['instances']} instances, "
-            f"{probes['batched_step_path']['speedup_vs_scalar']:.1f}x scalar",
-        ],
-        [
             "heartbeat_window",
             f"{probes['heartbeat_window']['beats_per_sec']:.0f} beats/s",
             "window 20, O(1) rate query per beat",

@@ -44,8 +44,8 @@ DEFAULT_POOL_SIZES = (8, 32, 128)
 """Pool sizes of the full bench run (one tenant per machine)."""
 
 SCALE_MACHINES = 1024
-"""Pool size of the standing ``scale`` scenario (hier-arbitrated,
-batched step kernel) — the regime where sharded must beat serial."""
+"""Pool size of the standing ``scale`` scenario (hier-arbitrated) — the
+regime where sharded must beat serial."""
 
 SCALE_RATE = 0.1
 """Per-tenant arrival rate of the scale scenario: low utilization so
@@ -206,17 +206,16 @@ def bench_datacenter(
             grayfail=True,
         )
     )
-    # The standing scale scenario: 1024 machines under hier-arbitrated
-    # with the batched step kernel.  Appended unconditionally (smoke and
-    # full runs time the identical configuration) so the trajectory
-    # gate's per-kind serial cost comparison is like for like.
+    # The standing scale scenario: 1024 machines under hier-arbitrated.
+    # Appended unconditionally (smoke and full runs time the identical
+    # configuration) so the trajectory gate's per-kind serial cost
+    # comparison is like for like.
     scenarios.append(
         PoolScenario(
             machines=SCALE_MACHINES,
             horizon=horizon,
             rate=SCALE_RATE,
             hier=True,
-            step_mode="batched",
         )
     )
     results = []

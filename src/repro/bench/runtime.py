@@ -1,19 +1,11 @@
 """Microbenchmarks of the PowerDial runtime's hot step path.
 
-Four probes, matching the optimizations this harness exists to keep
+Three probes, matching the optimizations this harness exists to keep
 honest:
 
 * ``step_path`` — a full :meth:`~repro.core.runtime.PowerDialRuntime`
   run over a stream of service jobs: items/second and heartbeats/second
   through the whole monitor -> controller -> actuator -> machine loop.
-* ``batched_step_path`` — the same loop through the vectorized kernel
-  (:mod:`repro.core.batched`): a pool of co-resident instances, each on
-  its own machine with a coarse 200-beat quantum (the regime the kernel
-  targets — chunk size is pinned at ``quantum_beats``), drained to
-  completion the way :class:`~repro.datacenter.engine.DatacenterEngine`
-  drains its hosts.  ``scalar_items_per_sec`` reports the identical
-  pool stepped through the scalar loop, so the probe carries its own
-  like-for-like speedup.
 * ``heartbeat_window`` — beats/second through
   :meth:`~repro.heartbeats.api.HeartbeatMonitor.heartbeat` plus a
   ``window_rate`` query per beat (O(1) running-sum path; the naive
@@ -34,9 +26,8 @@ import gc
 import time
 from typing import Any, Callable
 
-from repro.core.batched import to_batched
 from repro.core.powerdial import measure_baseline_rate
-from repro.core.runtime import PowerDialRuntime, StepStatus
+from repro.core.runtime import PowerDialRuntime
 from repro.datacenter.service import ServiceApp, service_training_jobs
 from repro.experiments.common import experiment_machine
 from repro.experiments.registry import built_service_system
@@ -44,10 +35,6 @@ from repro.hardware.clock import VirtualClock
 from repro.heartbeats.api import HeartbeatMonitor
 
 __all__ = ["bench_runtime"]
-
-# Quantum length for the batched probe: the kernel advances one chunk
-# per quantum, so a coarse quantum is what makes batching pay.
-BATCHED_QUANTUM_BEATS = 200
 
 
 def _best_of(
@@ -100,68 +87,6 @@ def _bench_step_path(
             "seconds": elapsed,
             "items_per_sec": jobs * items_per_job / elapsed,
             "beats_per_sec": beats / elapsed,
-        }
-
-    return _best_of(repeats, run_once, "seconds")
-
-
-def _drain_pool(runtimes, workload) -> None:
-    """Feed and drain a pool the way the engine drains its hosts."""
-    for runtime in runtimes:
-        runtime.begin([list(job) for job in workload])
-        runtime.close_input()
-    for runtime in runtimes:
-        while runtime.step() is not StepStatus.FINISHED:
-            pass
-        runtime.finish()
-
-
-def _bench_batched_step_path(
-    instances: int, jobs: int, items_per_job: int, repeats: int
-) -> dict[str, Any]:
-    system = built_service_system()
-    workload = _service_workload(jobs, items_per_job)
-    total_items = instances * jobs * items_per_job
-
-    def build_pool() -> list[PowerDialRuntime]:
-        pool = []
-        for _ in range(instances):
-            machine = experiment_machine()
-            target = measure_baseline_rate(
-                ServiceApp, service_training_jobs()[0], machine
-            )
-            pool.append(
-                PowerDialRuntime(
-                    app=ServiceApp(),
-                    table=system.table,
-                    machine=machine,
-                    target_rate=target,
-                    quantum_beats=BATCHED_QUANTUM_BEATS,
-                )
-            )
-        return pool
-
-    def run_once() -> dict[str, Any]:
-        batched = [to_batched(runtime) for runtime in build_pool()]
-        start = time.perf_counter()
-        _drain_pool(batched, workload)
-        batched_elapsed = time.perf_counter() - start
-
-        scalar = build_pool()
-        gc.collect()
-        start = time.perf_counter()
-        _drain_pool(scalar, workload)
-        scalar_elapsed = time.perf_counter() - start
-        return {
-            "instances": instances,
-            "jobs_per_instance": jobs,
-            "items": total_items,
-            "quantum_beats": BATCHED_QUANTUM_BEATS,
-            "seconds": batched_elapsed,
-            "items_per_sec": total_items / batched_elapsed,
-            "scalar_seconds": scalar_elapsed,
-            "scalar_items_per_sec": total_items / scalar_elapsed,
-            "speedup_vs_scalar": scalar_elapsed / batched_elapsed,
         }
 
     return _best_of(repeats, run_once, "seconds")
@@ -223,25 +148,20 @@ def _bench_actuation_plan(calls: int, repeats: int) -> dict[str, Any]:
 
 
 def bench_runtime(smoke: bool = False) -> dict[str, Any]:
-    """Run the four step-path microbenchmarks; return the JSON payload."""
+    """Run the three step-path microbenchmarks; return the JSON payload."""
     if smoke:
         # Only the expensive probes shrink: heartbeat beats and plan
         # calls stay at full count because they cost well under a
         # second, and at smoke-sized counts the cached-plan timing
         # (~0.1 us/call) drops below the noise floor of a shared host,
         # making the trajectory gate flap on unchanged code.
-        jobs, items, beats, calls = 40, 5, 200_000, 100_000
-        instances, batched_jobs, repeats = 8, 40, 2
+        jobs, items, beats, calls, repeats = 40, 5, 200_000, 100_000, 2
     else:
-        jobs, items, beats, calls = 400, 5, 200_000, 100_000
-        instances, batched_jobs, repeats = 32, 200, 3
+        jobs, items, beats, calls, repeats = 400, 5, 200_000, 100_000, 3
     return {
         "benchmark": "runtime-step-path",
         "probes": {
             "step_path": _bench_step_path(jobs, items, repeats),
-            "batched_step_path": _bench_batched_step_path(
-                instances, batched_jobs, items, repeats
-            ),
             "heartbeat_window": _bench_heartbeat_window(beats, repeats),
             "actuation_plan": _bench_actuation_plan(calls, repeats),
         },

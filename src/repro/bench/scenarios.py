@@ -32,10 +32,10 @@ Six scenario kinds:
   re-placement — with the billing conservation audit still enforced
   across the failures;
 * ``scale`` — the 1024-machine standing scenario: hierarchical
-  arbitration (``hier-arbitrated``) over the batched step kernel at a
-  low per-tenant rate, the regime the shard barrier-protocol v2's
-  delta barriers and O(groups) arbitration target — this is
-  the scenario where the sharded backend must beat serial;
+  arbitration (``hier-arbitrated``) at a low per-tenant rate, the
+  regime the shard barrier-protocol v2's delta barriers and O(groups)
+  arbitration target — this is the scenario where the sharded backend
+  must beat serial;
 * ``grayfail`` — arbitrated plus a full seeded
   :class:`~repro.datacenter.faults.FaultPlan`: sensor dropout windows,
   actuator drop windows, a straggler, and one fail-stop kill, with the
@@ -120,9 +120,6 @@ class PoolScenario:
             policy runs instead of the flat SLA-aware arbiter (implies
             a policy runs).  Labeled ``scale-{machines}m`` — the
             standing large-pool scenario.
-        step_mode: Default virtual-step kernel (``"scalar"`` or
-            ``"batched"``) when the caller does not override it; the
-            scale scenario pins ``"batched"``.
     """
 
     machines: int
@@ -136,7 +133,6 @@ class PoolScenario:
     chaos_seed: int = 7
     grayfail: bool = False
     hier: bool = False
-    step_mode: str = "scalar"
 
     @property
     def label(self) -> str:
@@ -211,15 +207,8 @@ def build_pool_engine(
     scenario: PoolScenario,
     backend: str = "serial",
     workers: int | None = None,
-    step_mode: str | None = None,
 ) -> DatacenterEngine:
-    """Materialize a fresh engine for ``scenario`` (engines are one-shot).
-
-    ``step_mode`` defaults to the scenario's own (``"scalar"`` unless
-    the scenario pins otherwise); an explicit argument always wins.
-    """
-    if step_mode is None:
-        step_mode = scenario.step_mode
+    """Materialize a fresh engine for ``scenario`` (engines are one-shot)."""
     system = built_service_system()
     machines = [experiment_machine() for _ in range(scenario.machines)]
     target = measure_baseline_rate(
@@ -296,7 +285,6 @@ def build_pool_engine(
         backend=backend,
         workers=workers,
         faults=plan,
-        step_mode=step_mode,
     )
 
 

@@ -187,7 +187,6 @@ def compare_datacenter(
 
 _PROBE_COSTS = {
     "step_path": ("items_per_sec", "item"),
-    "batched_step_path": ("items_per_sec", "item"),
     "heartbeat_window": ("beats_per_sec", "beat"),
 }
 
@@ -201,12 +200,10 @@ def compare_runtime(
 ) -> list[TrajectoryCheck]:
     """Compare the runtime microbench probes against the committed run.
 
-    ``step_path``, ``batched_step_path``, and ``heartbeat_window``
-    compare calibrated per-item / per-beat costs; ``actuation_plan``
-    compares the calibrated cost
-    of a *cached* plan call (the steady-state path the cache exists
-    for).  Same tolerance and injection semantics as
-    :func:`compare_datacenter`.
+    ``step_path`` and ``heartbeat_window`` compare calibrated per-item
+    / per-beat costs; ``actuation_plan`` compares the calibrated cost of
+    a *cached* plan call (the steady-state path the cache exists for).
+    Same tolerance and injection semantics as :func:`compare_datacenter`.
     """
     notes = notes if notes is not None else []
     base_calib, fresh_calib = _normalizer(baseline, fresh, notes)

@@ -70,7 +70,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.batched import to_batched
 from repro.core.runtime import PowerDialRuntime, RunResult, StepStatus
 from repro.datacenter.billing import (
     TenantBill,
@@ -122,7 +121,6 @@ __all__ = [
     "DatacenterResult",
     "DatacenterEngine",
     "ENGINE_BACKENDS",
-    "STEP_MODES",
 ]
 
 _ARRIVAL = 0
@@ -130,29 +128,6 @@ _BARRIER = 1
 
 ENGINE_BACKENDS = ("serial", "sharded")
 """Recognized ``DatacenterEngine`` backends."""
-
-STEP_MODES = ("scalar", "batched")
-"""Recognized step-path kernels (orthogonal to the backend choice)."""
-
-
-def _batched_factory(
-    factory: Callable[[Machine], PowerDialRuntime],
-) -> Callable[[Machine], PowerDialRuntime]:
-    """Wrap a runtime factory so rebuilt runtimes use the batched kernel.
-
-    Migrations and crash re-placements construct fresh runtimes through
-    the binding's ``runtime_factory``; under ``step_mode="batched"``
-    those rebuilds must come up batched too, or a migrated tenant would
-    silently fall back to the scalar step path.  The wrapper is a plain
-    closure: shard workers inherit it by fork (factories never cross
-    process boundaries by pickling).
-    """
-
-    def build(machine: Machine) -> PowerDialRuntime:
-        return to_batched(factory(machine))
-
-    return build
-
 
 class EngineError(ValueError):
     """Raised for invalid engine configuration or usage."""
@@ -426,13 +401,12 @@ class DatacenterEngine:
             policy's raw actions, the applied budget/caps/migrations/
             failures, and a full cluster checkpoint — making the run
             replayable and crash-resumable from the journal alone.
-        step_mode: ``"scalar"`` (the reference per-item step path,
-            default) or ``"batched"`` (each runtime advances whole
-            control quanta as vectorized numpy chunks; see
-            :mod:`repro.core.batched`).  Bit-exact by construction, so
-            bills, histories, and journal bytes are identical either
-            way; the choice is never serialized into journals or
-            checkpoints.
+        step_mode: ``"scalar"`` or ``"batched"``; anything else raises
+            :class:`EngineError`.  Both values run the one per-item
+            :class:`~repro.core.runtime.PowerDialRuntime` step path and
+            nothing reads the choice.  The keyword stays only because
+            the repository benchmark (``perfbench/workloads.py``)
+            passes it.
     """
 
     def __init__(
@@ -458,9 +432,10 @@ class DatacenterEngine:
             raise EngineError(
                 f"unknown backend {backend!r}; expected one of {ENGINE_BACKENDS}"
             )
-        if step_mode not in STEP_MODES:
+        if step_mode not in ("scalar", "batched"):
             raise EngineError(
-                f"unknown step_mode {step_mode!r}; expected one of {STEP_MODES}"
+                f"unknown step_mode {step_mode!r}; expected 'scalar' or "
+                "'batched'"
             )
         if workers is not None and workers < 1:
             raise EngineError(f"workers must be >= 1, got {workers!r}")
@@ -503,21 +478,6 @@ class DatacenterEngine:
         self.attainment_window = attainment_window
         self.backend = backend
         self.workers = workers
-        self.step_mode = step_mode
-        if step_mode == "batched":
-            # Swap each un-begun runtime for its batched twin (a no-op
-            # for apps without a batch hook or custom runtime
-            # subclasses, which keep the scalar path), and wrap the
-            # factories so migration/crash rebuilds stay batched.  The
-            # kernel is bit-exact per step, so every downstream
-            # artifact — bills, journals, histories — is unchanged;
-            # step_mode is deliberately never serialized.
-            for binding in self.bindings:
-                binding.runtime = to_batched(binding.runtime)
-                if binding.runtime_factory is not None:
-                    binding.runtime_factory = _batched_factory(
-                        binding.runtime_factory
-                    )
         self.hosts = [
             _Host(i, machine, [b for b in self.bindings if b.machine_index == i])
             for i, machine in enumerate(self.machines)
@@ -1311,12 +1271,9 @@ class DatacenterEngine:
         The one dispatch point where a whole group of instances is known
         to be due at the same time — serial barriers, the trailing
         settle, and the shard workers' per-tick loops all funnel through
-        here.  Each host still advances its residents in the scalar
-        round-robin order (co-resident instances share one clock, so
-        cross-instance reordering would change the interleaving the
-        scalar engine defines); under ``step_mode="batched"`` each
-        dispatched ``step()`` then advances a whole control quantum as
-        one vectorized chunk inside the runtime kernel.
+        here.  Each host advances its residents in round-robin order
+        (co-resident instances share one clock, so cross-instance
+        reordering would change the interleaving the engine defines).
         """
         for host in hosts:
             self._advance(host, until)

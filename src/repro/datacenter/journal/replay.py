@@ -89,7 +89,6 @@ def build_engine_from_header(
     backend: str | None = None,
     workers: int | None = None,
     journal=None,
-    step_mode: str = "scalar",
 ) -> DatacenterEngine:
     """Rebuild a journaled run's engine from its header alone.
 
@@ -97,10 +96,7 @@ def build_engine_from_header(
     the recorded defining module first if needed (modules register
     their builders at import time).  ``backend``/``workers`` override
     the recorded ones — replay is backend-independent by construction,
-    so any backend must reproduce the same result.  ``step_mode``
-    likewise stays a caller choice, never a header field: the batched
-    kernel is bit-equal to scalar, so a journal recorded either way
-    replays under either kernel.
+    so any backend must reproduce the same result.
     """
     scenario = header.get("scenario")
     if not isinstance(scenario, Mapping):
@@ -132,7 +128,6 @@ def build_engine_from_header(
         backend=backend if backend is not None else "serial",
         workers=workers,
         journal=journal,
-        step_mode=step_mode,
     )
 
 
@@ -275,7 +270,6 @@ def replay(
     path: str,
     backend: str | None = None,
     workers: int | None = None,
-    step_mode: str = "scalar",
 ) -> DatacenterResult:
     """Re-execute a journaled run and assert byte-exact reproduction.
 
@@ -295,7 +289,7 @@ def replay(
             "record); use resume() to finish it"
         )
     engine = build_engine_from_header(
-        journal.header, backend=backend, workers=workers, step_mode=step_mode
+        journal.header, backend=backend, workers=workers
     )
     engine.policy = ReplayPolicy(journal)
     engine._checkpointing = True
@@ -400,7 +394,6 @@ def resume(
     backend: str | None = None,
     workers: int | None = None,
     journal_path: str | None = None,
-    step_mode: str = "scalar",
 ) -> DatacenterResult:
     """Finish a crashed run from its journal, attesting the prefix.
 
@@ -434,7 +427,6 @@ def resume(
             backend=backend,
             workers=workers,
             journal=writer,
-            step_mode=step_mode,
         )
         attestor = _AttestingPolicy(engine.policy, journal)
         attestor.attach(engine)

@@ -70,15 +70,15 @@ class ServiceApp(Application):
     def batch_process(
         self, items: list[Any], space: AddressSpace, tracker: WorkTracker
     ) -> tuple[np.ndarray, float]:
-        """Vectorized twin of :meth:`process_item` for the batched kernel.
+        """Vectorized twin of :meth:`process_item`.
 
+        It has no caller in the package; the repository benchmark's
+        tracer (``perfbench/trace.py``) still patches it by name.
         Processes ``items`` under the *current* knob configuration in one
-        numpy expression, returning ``(outputs, work_per_item)``.  The
-        contract (see :mod:`repro.core.batched`): outputs must be
+        numpy expression, returning ``(outputs, work_per_item)``: outputs
         float-for-float equal to per-item :meth:`process_item` calls, and
-        the per-item work must be a single constant for the whole batch —
-        which holds here because work depends only on the knob, and the
-        kernel never lets a batch span a knob change.
+        one per-item work constant for the whole batch (work depends only
+        on the knob).
         """
         iterations = int(space.read("iterations"))
         work = float(iterations) * WORK_SCALE

@@ -167,7 +167,6 @@ def build_engine(
     chaos_kills: int = 0,
     chaos_seed: int = 0,
     faults: FaultPlan | None = None,
-    step_mode: str = "scalar",
 ) -> DatacenterEngine:
     """Assemble machines, instances, and control policy for one run.
 
@@ -264,7 +263,6 @@ def build_engine(
         workers=workers,
         journal=journal,
         faults=faults,
-        step_mode=step_mode,
     )
 
 
@@ -312,7 +310,6 @@ def build_engine_from_config(
     backend: str = "serial",
     workers: int | None = None,
     journal: JournalWriter | None = None,
-    step_mode: str = "scalar",
 ) -> DatacenterEngine:
     """Rebuild an engine from a :func:`scenario_config` dict.
 
@@ -350,7 +347,6 @@ def build_engine_from_config(
         chaos_kills=int(chaos.get("kills", 0)),
         chaos_seed=int(chaos.get("seed", 0)),
         faults=faults,
-        step_mode=step_mode,
     )
 
 
@@ -403,7 +399,6 @@ def run_datacenter(
     chaos: int = 0,
     chaos_seed: int = 0,
     faults: FaultPlan | None = None,
-    step_mode: str = "scalar",
 ) -> DatacenterExperiment:
     """Run the tenant mix under static-equal and the chosen policy.
 
@@ -462,7 +457,6 @@ def run_datacenter(
         backend=backend,
         workers=workers,
         budget_trace=budget_trace,
-        step_mode=step_mode,
     ).run()
     arbitrated_engine = build_engine(
         tenants,
@@ -477,7 +471,6 @@ def run_datacenter(
         chaos_kills=chaos,
         chaos_seed=chaos_seed,
         faults=faults,
-        step_mode=step_mode,
     )
     if writer is not None:
         try:

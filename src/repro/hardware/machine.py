@@ -136,19 +136,20 @@ class Machine:
     ) -> np.ndarray:
         """Run ``count`` identical work batches back to back, in one call.
 
-        The bulk twin of :meth:`execute` for the batched step kernel:
-        per-batch seconds are computed once (the P-state is constant
-        across the run by construction — frequency changes only happen
-        between runs), the clock chain ``now, now+s, now+2s, ...`` is
-        materialized with a strictly sequential ``np.add.accumulate``
-        (bit-identical to ``count`` successive ``clock.advance`` calls),
-        and the meter integrates the whole run at the constant watts the
-        per-call path would compute for every batch.
+        The bulk twin of :meth:`execute`.  It has no caller in the
+        package; the repository benchmark's tracer (``perfbench/trace.py``)
+        still patches it by name.  Per-batch seconds are computed once
+        (the P-state is constant across the run by construction —
+        frequency changes only happen between runs), the clock chain
+        ``now, now+s, now+2s, ...`` is materialized with a strictly
+        sequential ``np.add.accumulate`` (bit-identical to ``count``
+        successive ``clock.advance`` calls), and the meter integrates the
+        whole run at the constant watts the per-call path would compute
+        for every batch.
 
-        A caller that already materialized the identical chain (the
-        batched kernel builds it to find chunk boundaries) may pass it as
-        ``times`` — ``count + 1`` boundary timestamps whose first entry
-        must be the current clock value; the chain is then trusted
+        A caller that already materialized the identical chain may pass
+        it as ``times`` — ``count + 1`` boundary timestamps whose first
+        entry must be the current clock value; the chain is then trusted
         instead of recomputed.
 
         Returns the ``count + 1`` clock boundary timestamps, starting

@@ -145,16 +145,17 @@ class PowerMeter:
     def observe_run(self, times: np.ndarray, watts: float) -> None:
         """Record a run of back-to-back constant-power intervals at once.
 
-        The bulk twin of :meth:`observe` for the batched step kernel:
-        ``times`` holds the ``n+1`` boundary timestamps of ``n``
-        consecutive intervals all drawn at ``watts``.  Equivalent —
-        float for float — to ``observe(times[i], times[i+1], watts)``
-        for each ``i`` in order: the energy integral is accumulated
-        strictly left to right (``np.add.accumulate`` seeded with the
-        current total, which adds in exactly the scalar order), and
-        sample emission advances the same ``_next_sample_time``
-        recurrence.  Constant power across the run is what makes the
-        single sample-emission sweep exact.
+        The bulk twin of :meth:`observe`, called only by
+        :meth:`~repro.hardware.machine.Machine.execute_run`, which has
+        no caller in the package.  ``times`` holds the ``n+1`` boundary
+        timestamps of ``n`` consecutive intervals all drawn at
+        ``watts``.  Equivalent — float for float — to
+        ``observe(times[i], times[i+1], watts)`` for each ``i`` in order:
+        the energy integral is accumulated strictly left to right
+        (``np.add.accumulate`` seeded with the current total, which adds
+        in exactly the scalar order), and sample emission advances the
+        same ``_next_sample_time`` recurrence.  Constant power across the
+        run is what makes the single sample-emission sweep exact.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.shape[0] < 2:

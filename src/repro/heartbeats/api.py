@@ -188,8 +188,9 @@ class HeartbeatMonitor:
     ) -> tuple[int, list[float | None]]:
         """Emit a run of heartbeats at precomputed timestamps, in one call.
 
-        The bulk twin of :meth:`heartbeat` for the batched step kernel
-        (:mod:`repro.core.batched`): the caller has already computed the
+        The bulk twin of :meth:`heartbeat`.  It has no caller in the
+        package; the repository benchmark's tracer (``perfbench/trace.py``)
+        still patches it by name.  The caller has already computed the
         exact clock values successive beats would observe, and this
         method reproduces — float for float — the window state that the
         same number of sequential :meth:`heartbeat` calls would leave

@@ -275,6 +275,29 @@ class TestEncoder:
             encoder.encode_frame(frame, subme=1, merange=1, ref=1)
         assert encoder.reference_count == 1
 
+    @pytest.mark.parametrize("bad", [-0.5, 255.5])
+    def test_out_of_range_pixels_rejected(self, bad):
+        frame = np.full((32, 32), 128.0)
+        frame[5, 9] = bad
+        encoder = Encoder()
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            encoder.encode_frame(frame, subme=1, merange=1, ref=1)
+        assert encoder.reference_count == 0
+
+    def test_huge_frame_rejected(self):
+        """A ±1e12 frame once overflowed quantize's int32 cast."""
+        frame = np.random.default_rng(9).uniform(-1e12, 1e12, size=(32, 32))
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            Encoder().encode_frame(frame, subme=1, merange=1, ref=1)
+
+    def test_range_ends_accepted(self):
+        frame = np.zeros((32, 32))
+        frame[::2] = 255.0
+        encoder = Encoder()
+        encoder.encode_frame(frame, subme=1, merange=1, ref=1)
+        encoder.encode_frame(frame[::-1].copy(), subme=1, merange=1, ref=1)
+        assert encoder.reference_count == 2
+
     def test_psnr_is_a_python_float(self):
         rng = np.random.default_rng(8)
         frame = rng.uniform(0, 255, size=(16, 16))

@@ -77,31 +77,18 @@ class TestScaleScenario:
         periodic = int(math.floor(30.0 / 10.0))
         assert count_events(hier) == count_events(open_scenario) + periodic
 
-    def test_hier_run_conserves_energy_with_scenario_step_mode(self):
-        scenario = PoolScenario(
-            machines=4, horizon=12.0, hier=True, step_mode="batched"
-        )
+    def test_hier_run_conserves_energy(self):
+        scenario = PoolScenario(machines=4, horizon=12.0, hier=True)
         engine = build_pool_engine(scenario, backend="serial")
         from repro.datacenter.controlplane.hierarchy import (
             HierarchicalArbiter,
         )
 
-        # The scenario's pinned step kernel is the default; the policy
-        # dispatch routed to the hierarchy.
-        assert engine.step_mode == "batched"
+        # The policy dispatch routed to the hierarchy.
         assert isinstance(engine.policy, HierarchicalArbiter)
         result = engine.run()
         assert result.energy_conservation_rel_error() <= CONSERVATION_TOLERANCE
         assert result.cap_history
-
-    def test_explicit_step_mode_overrides_scenario_default(self):
-        scenario = PoolScenario(
-            machines=2, horizon=6.0, hier=True, step_mode="batched"
-        )
-        engine = build_pool_engine(
-            scenario, backend="serial", step_mode="scalar"
-        )
-        assert engine.step_mode == "scalar"
 
 
 class TestBudgetShockRun:

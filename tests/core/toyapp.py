@@ -50,20 +50,6 @@ class ToyApp(Application):
         estimate = item * (1.0 + 1.0 / iterations)
         return ItemResult(output=estimate, work=work)
 
-    def batch_process(self, items, space, tracker):
-        """Vectorized twin of :meth:`process_item` for the batched kernel.
-
-        Same contract as ``ServiceApp.batch_process``: outputs must be
-        float-for-float equal to per-item calls under a fixed knob
-        configuration, and per-item work is one constant for the batch.
-        """
-        iterations = int(space.read("iterations"))
-        _ = space.read("half_iterations")
-        work = float(iterations) * WORK_SCALE
-        tracker.add("main", work * len(items))
-        outputs = np.asarray(items, dtype=float) * (1.0 + 1.0 / iterations)
-        return outputs, work
-
     def qos_metric(self) -> QoSMetric:
         return DistortionMetric(lambda outputs: np.asarray(outputs, dtype=float))
 

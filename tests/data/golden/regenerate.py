@@ -3,10 +3,10 @@
 Five small seeded datacenter scenarios, each committed as a journal
 (``<name>.ndjson``) plus the expected replay billing document
 (``<name>.bills.json``).  The parity suite
-(``tests/datacenter/test_golden_traces.py``) replays every journal on
-the *batched* engine and diffs the bills byte-for-byte against the
-committed expectations — a frozen, reviewable record that the batched
-kernel reproduces historic runs exactly.
+(``tests/datacenter/test_golden_traces.py``) replays every journal and
+diffs the bills byte-for-byte against the committed expectations — a
+frozen, reviewable record that the engine reproduces historic runs
+exactly.
 
 Run from the repo root after any change that intentionally shifts
 simulation results:

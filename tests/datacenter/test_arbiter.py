@@ -174,3 +174,69 @@ class TestInvalidWeights:
         caps = water_fill([0.0, 5e-324], [100.0, 100.0], [200.0, 200.0], 250.0)
         assert caps[0] == 100.0
         assert caps[1] == pytest.approx(150.0)
+
+
+watts = st.floats(
+    min_value=0.0, max_value=300.0, allow_nan=False, allow_infinity=False
+)
+pools = st.lists(
+    st.tuples(  # (weight, floor, headroom)
+        st.floats(
+            min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
+        ),
+        watts,
+        watts,
+    ),
+    min_size=1,
+    max_size=12,
+)
+budgets = st.floats(
+    min_value=0.0, max_value=3000.0, allow_nan=False, allow_infinity=False
+)
+
+
+def unpack(pool):
+    weights = [row[0] for row in pool]
+    floors = [row[1] for row in pool]
+    ceilings = [floor + headroom for _, floor, headroom in pool]
+    return weights, floors, ceilings
+
+
+class TestWaterFillProperties:
+    @given(pool=pools, budget=budgets)
+    # Subnormal bids once granted 2.0 W from a 1.5 W surplus, and a
+    # large closed bid beside a subnormal open one overflowed the divide.
+    @example(pool=[(5e-324, 0.0, 2.0)], budget=1.5)
+    @example(pool=[(5e-324, 0.0, 2.0), (5e-324, 0.0, 2.0)], budget=1.5)
+    @example(pool=[(10.0, 0.0, 1.0), (5e-324, 0.0, 5.0)], budget=4.0)
+    @settings(max_examples=300, deadline=None)
+    def test_caps_respect_floors_ceilings_and_budget(self, pool, budget):
+        """Floors guaranteed, ceilings honored, no watt granted beyond
+        the surplus."""
+        weights, floors, ceilings = unpack(pool)
+        caps = water_fill(weights, floors, ceilings, budget)
+        for cap, floor, ceiling in zip(caps, floors, ceilings):
+            assert cap >= floor
+            assert cap <= ceiling + 1e-9
+        granted = sum(caps) - sum(floors)
+        surplus = max(0.0, budget - sum(floors))
+        assert granted <= surplus + 1e-6
+
+    @given(pool=pools, budget=budgets)
+    @settings(max_examples=100, deadline=None)
+    def test_zero_weights_keep_floors(self, pool, budget):
+        _, floors, ceilings = unpack(pool)
+        assert water_fill([0.0] * len(floors), floors, ceilings, budget) == floors
+
+    def test_empty_pool(self):
+        assert water_fill([], [], [], 100.0) == []
+
+    def test_budget_below_floors_keeps_floors(self):
+        floors = [100.0, 120.0]
+        assert water_fill([1.0, 1.0], floors, [200.0, 200.0], 50.0) == floors
+
+    def test_cascade_returns_excess_to_open_machines(self):
+        # Machine 0 saturates instantly; its share cascades to machine 1.
+        caps = water_fill([1.0, 1.0], [100.0, 100.0], [110.0, 300.0], 300.0)
+        assert caps[0] == 110.0
+        assert caps[1] == pytest.approx(190.0)

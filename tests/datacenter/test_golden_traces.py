@@ -1,10 +1,11 @@
-"""Golden-trace corpus: batched replays pinned to committed bills.
+"""Golden-trace corpus: replays pinned to committed bills.
 
 Each journal under ``tests/data/golden/`` is a frozen, seeded run
 (including one faulted run and one with a warm migration).  Replaying
-it on the *batched* engine must reproduce the journaled result byte-
-exactly (``replay`` raises otherwise) and render bills that match the
-committed ``<name>.bills.json`` byte for byte.  If a change moves
+it must reproduce the journaled result byte-exactly (``replay`` raises
+otherwise) and render bills that match the committed
+``<name>.bills.json`` byte for byte, with or without the engine's
+``step_mode="batched"`` keyword.  If a change moves
 these on purpose, regenerate the corpus with
 ``PYTHONPATH=src python tests/data/golden/regenerate.py`` and commit
 the diff.
@@ -29,9 +30,19 @@ def test_corpus_is_complete(name):
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_batched_replay_matches_committed_bills(name):
-    """replay(step_mode="batched") reproduces the committed bytes."""
-    result = replay(str(journal_path(name)), step_mode="batched")
+def test_replay_matches_committed_bills(name):
+    """replay() reproduces the committed bytes."""
+    result = replay(str(journal_path(name)))
+    expected = bills_path(name).read_text()
+    assert format_replay_bills(result) == expected
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_batched_replay_matches_committed_bills(name, batched_step_mode):
+    """Replayed with ``step_mode="batched"``: the same committed bytes."""
+    built = batched_step_mode()
+    result = replay(str(journal_path(name)))
+    assert built
     expected = bills_path(name).read_text()
     assert format_replay_bills(result) == expected
 

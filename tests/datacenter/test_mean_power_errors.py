@@ -8,7 +8,6 @@ bug and must propagate instead of turning into a silent default.
 
 import pytest
 
-from repro.core.batched import BatchedServiceRuntime
 from repro.core.powerdial import build_powerdial, measure_baseline_rate
 from repro.core.runtime import PowerDialRuntime
 from repro.datacenter import (
@@ -59,7 +58,7 @@ def one_tenant_engine(system, machines, horizon=12.0):
     return DatacenterEngine(machines, [binding])
 
 
-@pytest.mark.parametrize("cls", [PowerDialRuntime, BatchedServiceRuntime])
+@pytest.mark.parametrize("cls", [PowerDialRuntime])
 class TestRuntimeResult:
     def test_short_run_has_no_mean_power(self, system, cls):
         runtime = service_runtime(system, cls)

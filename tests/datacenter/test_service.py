@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datacenter import request_stream
+from repro.apps.base import WorkTracker
+from repro.datacenter import ServiceApp, request_stream
+from repro.tracing.variables import AddressSpace
 
 
 def reference_job(seed, index, items):
@@ -41,3 +43,16 @@ class TestRequestStream:
     def test_rejects_empty_requests(self):
         with pytest.raises(ValueError):
             request_stream(seed=1, items_per_request=0)
+
+
+class TestBatchProcess:
+    def test_matches_per_item_process_item(self):
+        """The bulk twin equals per-item calls float for float."""
+        app = ServiceApp()
+        items = request_stream(seed=5, items_per_request=9)(3)
+        space = AddressSpace()
+        app.initialize(app.default_configuration(), space)
+        per_item = [app.process_item(item, space, WorkTracker()) for item in items]
+        outputs, work = app.batch_process(items, space, WorkTracker())
+        assert outputs.tolist() == [result.output for result in per_item]
+        assert all(result.work == work for result in per_item)

@@ -1,5 +1,6 @@
 """Unit tests for the simulated server machine."""
 
+import numpy as np
 import pytest
 
 from repro.hardware.cpu import CpuError, Processor
@@ -221,3 +222,40 @@ class TestDerivedConstantCache:
         start = machine.meter.energy_joules
         seconds = machine.execute(1e9)
         assert machine.meter.energy_joules - start == pytest.approx(160.0 * seconds)
+
+
+class TestExecuteRun:
+    """``execute_run`` must equal a chain of ``execute`` calls bit for bit."""
+
+    def test_matches_per_call_execute_chain(self):
+        serial = Machine()
+        bulk = Machine()
+        for _ in range(10):
+            serial.execute(3.0e8, threads=8)
+        times = bulk.execute_run(10, 3.0e8, threads=8)
+        assert times.shape == (11,)
+        assert bulk.now == serial.now
+        assert bulk.meter.energy_joules.hex() == serial.meter.energy_joules.hex()
+        assert bulk.meter.samples == serial.meter.samples
+
+    def test_precomputed_times_are_trusted(self):
+        reference = Machine()
+        chain = reference.execute_run(6, 2.0e8)
+        machine = Machine()
+        times = machine.execute_run(6, 2.0e8, times=chain.copy())
+        assert times.tolist() == chain.tolist()
+        assert machine.now == reference.now
+        assert machine.meter.samples == reference.meter.samples
+
+    def test_rejects_malformed_times(self):
+        machine = Machine()
+        with pytest.raises(MachineError):
+            machine.execute_run(3, 1.0e8, times=np.zeros(3))  # wrong length
+        with pytest.raises(MachineError):
+            machine.execute_run(
+                3, 1.0e8, times=np.asarray([1.0, 2.0, 3.0, 4.0])
+            )  # first entry is not the current clock
+
+    def test_rejects_nonpositive_count(self):
+        with pytest.raises(MachineError):
+            Machine().execute_run(0, 1.0e8)

@@ -1,7 +1,8 @@
 """Unit tests for the Application Heartbeats API."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware.clock import VirtualClock
 from repro.heartbeats.api import HeartbeatError, HeartbeatMonitor, HeartbeatRecord
@@ -242,3 +243,91 @@ class TestBeatLog:
         assert first == 1 and len(rates) == 3
         assert monitor.records == [HeartbeatRecord(3, 1.5, None)]
         assert monitor.count == 4
+
+
+def committed_reference(window_size, warmup, timestamps):
+    """Per-beat heartbeat() plus a window_rate() query after each beat."""
+    clock = VirtualClock()
+    monitor = HeartbeatMonitor(clock, window_size=window_size)
+    for t in warmup:
+        clock.advance_to(t)
+        monitor.heartbeat()
+    rates = []
+    for t in timestamps:
+        clock.advance_to(t)
+        monitor.heartbeat()
+        rates.append(monitor.window_rate())
+    return monitor, rates
+
+
+def committed_bulk(window_size, warmup, timestamps):
+    """The same trace, its run committed by one commit_run call."""
+    clock = VirtualClock()
+    monitor = HeartbeatMonitor(clock, window_size=window_size)
+    for t in warmup:
+        clock.advance_to(t)
+        monitor.heartbeat()
+    first, rates = monitor.commit_run(np.asarray(timestamps, dtype=float))
+    return monitor, first, rates
+
+
+intervals = st.floats(
+    min_value=1e-4, max_value=5.0, allow_nan=False, allow_infinity=False
+)
+
+
+class TestCommitRun:
+    """``commit_run`` must equal the per-beat loop bit for bit."""
+
+    @given(
+        window_size=st.integers(1, 20),
+        warmup_gaps=st.lists(intervals, min_size=0, max_size=30),
+        run_gaps=st.lists(intervals, min_size=1, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_beat_loop(self, window_size, warmup_gaps, run_gaps):
+        """Draws cover both the filled-window vector path (warm monitor,
+        n >= 8) and the loop fallback (cold or short runs)."""
+        times = []
+        now = 0.0
+        for gap in warmup_gaps + run_gaps:
+            now += gap
+            times.append(now)
+        warmup = times[: len(warmup_gaps)]
+        run = times[len(warmup_gaps):]
+        reference, ref_rates = committed_reference(window_size, warmup, run)
+        bulk, first, bulk_rates = committed_bulk(window_size, warmup, run)
+        assert first == len(warmup)
+        assert bulk_rates == ref_rates
+        assert bulk.count == reference.count
+        assert bulk.export_window() == reference.export_window()
+        assert bulk.window_rate() == reference.window_rate()
+
+    def test_zero_intervals_fall_back_to_none_rates(self):
+        """A window full of zero-width intervals bails the vector path."""
+        warmup = [0.0, 1.0, 2.0, 3.0]
+        run = [3.0] * 12  # zero intervals push the window sum to zero
+        reference, ref_rates = committed_reference(3, warmup, run)
+        bulk, first, bulk_rates = committed_bulk(3, warmup, run)
+        assert bulk_rates == ref_rates
+        assert any(rate is None for rate in bulk_rates)
+        assert bulk.export_window() == reference.export_window()
+
+    def test_backwards_run_raises_before_mutating(self):
+        """The vector path validates the whole run before touching state."""
+        clock = VirtualClock()
+        monitor = HeartbeatMonitor(clock, window_size=4)
+        for t in (0.0, 1.0, 2.0, 3.0, 4.0):
+            clock.advance_to(t)
+            monitor.heartbeat()
+        before = (monitor.count, monitor.export_window())
+        bad = np.asarray([5.0, 6.0, 5.5, 7.0, 8.0, 9.0, 10.0, 11.0])
+        with pytest.raises(HeartbeatError):
+            monitor.commit_run(bad)
+        assert (monitor.count, monitor.export_window()) == before
+
+    def test_empty_run_is_a_noop(self):
+        clock = VirtualClock()
+        monitor = HeartbeatMonitor(clock, window_size=4)
+        monitor.heartbeat()
+        assert monitor.commit_run([]) == (monitor.count, [])
