@@ -11,8 +11,11 @@ The three x264 dynamic knobs live here:
 
 Reference frames are interpolated once: :class:`ReferencePlanes` holds a
 reconstructed frame with its quarter-pel planes as one ``(16, H, W)``
-stack, built when the encoder adds the frame to its reference list (as
-x264 runs its half-pel filter once per frame).  Motion vectors are always
+stack (as x264 runs its half-pel filter once per frame).  A plane is
+filled on the first search that can read it: subme 1 scores only integer
+positions, subme 2-3 also half-pel ones, and subme 4+ every quarter-pel
+phase; the knobs may change between frames, so a reference is filled up
+to the highest subme that has searched it.  Motion vectors are always
 multiples of a quarter pel, so every candidate the search scores is a
 slice of one plane, bit-identical to bilinearly sampling the frame at
 that position.
@@ -185,6 +188,14 @@ _FY = np.repeat(_QUARTERS, 4)[1:, None, None]
 _FX = np.tile(_QUARTERS, 4)[1:, None, None]
 _WEIGHTS = ((1 - _FY) * (1 - _FX), (1 - _FY) * _FX, _FY * (1 - _FX), _FY * _FX)
 
+_HALF_PELS = np.array([2, 8, 10])
+_HALF_PEL_WEIGHTS = tuple(weight[_HALF_PELS - 1] for weight in _WEIGHTS)
+_PHASE_LEVEL = tuple(
+    0 if k == 0 else 1 if k in _HALF_PELS else 2 for k in range(16)
+)
+"""The fill level that holds each plane: 0 the frame, 1 the half-pel
+planes and 2 every plane."""
+
 
 class ReferencePlanes:
     """A reference frame interpolated at every quarter-pel phase.
@@ -197,11 +208,15 @@ class ReferencePlanes:
     weight 0, because a patch that covers the last row is clipped to
     ``fy == 0`` (and one that covers the last column to ``fx == 0``).
 
+    Only plane 0 (the frame) is filled at construction; :meth:`prepare`
+    fills the planes a subme level reads, and a plane not yet filled
+    holds arbitrary values.
+
     Args:
         frame: The reconstructed reference frame.
     """
 
-    __slots__ = ("frame", "planes", "_windows", "_max_y", "_max_x")
+    __slots__ = ("frame", "planes", "_filled", "_windows", "_max_y", "_max_x")
 
     def __init__(self, frame: np.ndarray) -> None:
         height, width = frame.shape
@@ -216,31 +231,60 @@ class ReferencePlanes:
             strides=frame.strides * 2,
             writeable=False,
         )
+        self.planes = np.empty((16, height, width))
+        self.planes[0] = frame
+        self._filled = 0
+
+    def prepare(self, subme: int) -> None:
+        """Fill every plane a search at ``subme`` can read."""
+        profile = SUBME_PROFILES[subme]
+        # A walk's positions stay even in quarter pels until its first
+        # quarter-pel step.
+        if profile.quarter_pel_iterations:
+            self._fill(2)
+        elif profile.half_pel_iterations:
+            self._fill(1)
+
+    def _fill(self, level: int) -> None:
+        if level <= self._filled:
+            return
+        frame = self.frame
         p01 = np.concatenate((frame[:, 1:], frame[:, -1:]), axis=1)
         p10 = np.concatenate((frame[1:], frame[-1:]), axis=0)
         p11 = np.concatenate((p01[1:], p01[-1:]), axis=0)
-        self.planes = np.empty((16, height, width))
-        self.planes[0] = frame
+        if level == 2:
+            # Every fractional plane, in place; a half-pel plane filled
+            # earlier gets the same values again.
+            weights, fractional = _WEIGHTS, self.planes[1:]
+        else:
+            weights, fractional = _HALF_PEL_WEIGHTS, np.empty((3,) + frame.shape)
+        w00, w01, w10, w11 = weights
         # w00 * frame + w01 * p01 + w10 * p10 + w11 * p11, added left to
         # right as _sample_patch adds them.
-        fractional = self.planes[1:]
-        w00, w01, w10, w11 = _WEIGHTS
         np.multiply(w00, frame, out=fractional)
         fractional += w01 * p01
         fractional += w10 * p10
         fractional += w11 * p11
+        if level == 1:
+            self.planes[_HALF_PELS] = fractional
+        self._filled = level
 
     def patch(self, y: float, x: float) -> np.ndarray:
         """The block-sized patch at quarter-pel (y, x), clipped to the frame.
 
         Equal, element for element, to ``_sample_patch(frame, y, x, BLOCK)``;
-        an integer position is a view of the frame itself.
+        an integer position is a view of the frame itself.  A phase not yet
+        filled is filled first.
         """
         y = min(max(y, 0.0), self._max_y)
         x = min(max(x, 0.0), self._max_x)
         y0, x0 = int(y), int(x)
-        phase = 16 * (y - y0) + 4 * (x - x0)
-        source = self.planes[int(phase)] if phase else self.frame
+        phase = int(16 * (y - y0) + 4 * (x - x0))
+        if not phase:
+            source = self.frame
+        else:
+            self._fill(_PHASE_LEVEL[phase])
+            source = self.planes[phase]
         return source[y0 : y0 + BLOCK, x0 : x0 + BLOCK]
 
 
@@ -393,6 +437,8 @@ def search_blocks(
         raise ValueError("motion estimation needs at least one block")
     profile = SUBME_PROFILES[subme]
     searched = references[:ref_count]
+    for reference in searched:
+        reference.prepare(subme)
     count = len(searched)
     block_count = len(blocks)
     lanes = _Lanes(np.array(blocks, dtype=np.float64), searched, _reach(profile))

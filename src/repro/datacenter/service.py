@@ -14,7 +14,11 @@ the table's reach.
 
 A *request* is one job: ``items_per_request`` main-loop items, each a
 target value the service estimates.  ``request_stream`` builds the seeded
-per-request job factory the tenant layer uses.
+per-request job factory the tenant layer uses.  Requests are seeded in
+blocks of ``REQUEST_BLOCK``: one generator draws a block's requests as the
+rows of one array, so the generator's set-up (most of a request's cost)
+is paid once per block, while a request stays a pure function of its
+``(seed, index)``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.core.knobs import Parameter
 from repro.core.qos import DistortionMetric, QoSMetric
 from repro.tracing.variables import AddressSpace
 
-__all__ = ["ServiceApp", "request_stream", "service_training_jobs"]
+__all__ = ["REQUEST_BLOCK", "ServiceApp", "request_stream", "service_training_jobs"]
 
 N_MAX = 800
 N_VALUES = (200, 400, 600, N_MAX)
@@ -39,6 +43,9 @@ N_VALUES = (200, 400, 600, N_MAX)
 # takes ~42 ms of virtual time, so a service instance beats at ~24 Hz —
 # the heartbeat granularity of the paper's benchmarks.
 WORK_SCALE = 1.0e3
+
+REQUEST_BLOCK = 16
+"""Requests drawn by one generator (see :func:`request_stream`)."""
 
 
 class ServiceApp(Application):
@@ -100,19 +107,35 @@ def request_stream(
 ) -> Callable[[int], list[float]]:
     """A deterministic request-index -> job factory for one tenant.
 
-    Each request is ``items_per_request`` positive floats; distinct
-    request indices draw from independent, reproducible substreams.
+    Each request is ``items_per_request`` positive floats.  Request ``i``
+    is row ``i % REQUEST_BLOCK`` of
+    ``default_rng((seed, i // REQUEST_BLOCK)).uniform(1.0, 10.0,
+    size=(REQUEST_BLOCK, items_per_request))``: distinct blocks draw from
+    independent, reproducible substreams.  The factory keeps the block it
+    drew last, so consecutive indices share one generator, but any index
+    may be asked for in any order, in any process (checkpoint restore and
+    migration rebuild pending jobs this way) and gets the same values.
     """
     if items_per_request < 1:
         raise ValueError(
             f"items_per_request must be >= 1, got {items_per_request!r}"
         )
+    shape = (REQUEST_BLOCK, items_per_request)
+    # (block number, its rows), replaced as one object.
+    last: tuple[int | None, Any] = (None, None)
 
     def make_job(index: int) -> list[float]:
-        # Exactly what ``np.random.default_rng((seed, index))`` builds,
-        # without its argument dispatch; ``tolist`` returns Python floats.
-        rng = Generator(PCG64(SeedSequence((seed, index))))
-        return rng.uniform(1.0, 10.0, size=items_per_request).tolist()
+        nonlocal last
+        block, row = divmod(index, REQUEST_BLOCK)
+        drawn, rows = last
+        if drawn != block:
+            # Exactly what ``np.random.default_rng((seed, block))`` builds,
+            # without its argument dispatch.
+            rng = Generator(PCG64(SeedSequence((seed, block))))
+            rows = rng.uniform(1.0, 10.0, size=shape)
+            last = (block, rows)
+        # ``tolist`` returns a new list of Python floats.
+        return rows[row].tolist()
 
     return make_job
 

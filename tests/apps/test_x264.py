@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.base import run_job
+from repro.apps.x264 import encoder as x264_encoder
 from repro.apps.x264 import (
     BLOCK,
     Encoder,
@@ -225,6 +226,32 @@ class TestEncoder:
             )
 
         assert total_bits(7, 8, 3) < total_bits(1, 1, 1)
+
+    def test_knob_changes_read_the_same_planes_as_eager_ones(self, monkeypatch):
+        """References are filled on first use at a subme; a later frame at
+        a higher subme fills the rest and encodes the same bytes as planes
+        filled up front."""
+        video = synthesize_video("v", frames=8, seed=6)
+        schedule = [1, 3, 1, 5, 2, 7, 4, 1]
+
+        def encode():
+            encoder = Encoder()
+            return [
+                encoder.encode_frame(frame, subme=subme, merange=4, ref=3)
+                for frame, subme in zip(video.frames, schedule)
+            ]
+
+        lazy = encode()
+
+        class EagerPlanes(ReferencePlanes):
+            __slots__ = ()
+
+            def __init__(self, frame):
+                super().__init__(frame)
+                self.prepare(7)
+
+        monkeypatch.setattr(x264_encoder, "ReferencePlanes", EagerPlanes)
+        assert encode() == lazy
 
     def test_reset_forces_intra(self):
         video = synthesize_video("v", frames=2, seed=5)

@@ -137,6 +137,25 @@ class TestReferencePlanes:
                     planes.patch(y, x), _sample_patch(frame, y, x, 8)
                 ), (y, x)
 
+    @pytest.mark.parametrize("subme", range(1, 8))
+    def test_prepare_fills_every_phase_the_subme_reads(self, subme):
+        """A search at subme 1 scores whole pels, at 2-3 half pels and at
+        4+ quarter pels; after ``prepare(subme)`` every such patch is the
+        sampled patch, and none needs a plane ``prepare`` left empty."""
+        height, width = 16, 24
+        frame = np.random.default_rng(subme).uniform(0.0, 255.0, (height, width))
+        planes = ReferencePlanes(frame)
+        planes.prepare(subme)
+        filled = planes._filled
+        step = 4 if subme == 1 else 2 if subme <= 3 else 1
+        for qy in range(-8, 4 * (height - 8) + 9, step):
+            for qx in range(-8, 4 * (width - 8) + 9, step):
+                y, x = qy / 4, qx / 4
+                assert np.array_equal(
+                    planes.patch(y, x), _sample_patch(frame, y, x, 8)
+                ), (y, x)
+        assert planes._filled == filled
+
     def test_integer_positions_are_views_of_the_frame(self):
         frame = np.random.default_rng(4).uniform(0, 255, size=(16, 24))
         patch = ReferencePlanes(frame).patch(3, 16.0)
