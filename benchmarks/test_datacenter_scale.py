@@ -1,17 +1,16 @@
 """Benchmark E-DC: the datacenter subsystem at paper scale.
 
-Three committed artifacts and one printed table:
+Three committed artifacts:
 
 * ``datacenter`` — the headline static-vs-arbitrated tenant mix;
 * ``datacenter_sweep`` — SLA attainment across utilization x budget x
   tenant mix, the scenario space the subsystem opens;
 * ``datacenter_closed_form`` — the event-driven engine cross-validated
   against the §5.5 closed-form ``cluster.evaluate_system`` power model
-  at matching utilization points;
-* the backend speedup table — wall-clock of the engine backends (the
-  lazy serial scheduler vs the sharded multiprocess backend) at growing
-  pool sizes, via the :mod:`repro.bench` harness.  It is host timing,
-  so it prints to stdout only and no file is committed.
+  at matching utilization points.
+
+The engine's host speed is measured by ``perfbench/`` and gated by
+``tools/perf_gate.py``, not here.
 """
 
 import pytest
@@ -188,39 +187,3 @@ class TestClosedFormValidation:
             )
         )
         artifact("datacenter_closed_form", text)
-
-
-class TestEngineScaling:
-    def test_backend_speedup_table(self):
-        """Print the backend speedup table.
-
-        Wall-clock is reported, not asserted: the serial scheduler's
-        O(events) cost is pinned by an exact step count in the fast
-        tier, and on a single-core host (CI containers) forked workers
-        time-slice, so only the projected multi-core sharded number is
-        meaningful there.
-        """
-        from repro.bench import (
-            bench_datacenter,
-            environment_header,
-            format_backend_table,
-        )
-
-        payload = bench_datacenter(
-            pool_sizes=(16, 64), worker_counts=(4,), repeats=2
-        )
-        env = environment_header()
-        text = (
-            "Engine backend speedups (serial vs sharded)\n"
-            f"  host: {env['cpu_count']} cpu(s), python {env['python']}; "
-            "projected = multi-core projection from worker CPU times\n"
-            + format_backend_table(payload)
-        )
-        # Host wall-clock: printed, never committed.
-        print(f"\n{text}")
-
-        (largest,) = [
-            s for s in payload["scenarios"] if s["scenario"] == "open-64m"
-        ]
-        assert largest["machines"] == 64
-        assert "serial" in largest["backends"]

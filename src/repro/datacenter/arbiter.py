@@ -50,6 +50,7 @@ from repro.datacenter.controlplane.actions import (
     ClusterView,
     SetCaps,
 )
+from repro.datacenter.tolerances import WATT_SLACK
 from repro.hardware.machine import Machine
 
 __all__ = [
@@ -111,7 +112,7 @@ def water_fill(
     surplus = budget_watts - sum(floors)
     open_set = set(range(len(caps)))
     # Water-fill: machines that hit their ceiling return the excess.
-    while surplus > 1e-9 and open_set:
+    while surplus > WATT_SLACK and open_set:
         total_weight = sum(weights[i] for i in open_set)
         if total_weight <= 0.0:
             break
@@ -129,11 +130,11 @@ def water_fill(
             take = min(share, headroom)
             caps[i] += take
             granted += take
-            if headroom - take <= 1e-9:
+            if headroom - take <= WATT_SLACK:
                 saturated.append(i)
         open_set.difference_update(saturated)
         surplus -= granted
-        if granted <= 1e-9:
+        if granted <= WATT_SLACK:
             break
     return caps
 
@@ -168,7 +169,7 @@ class PowerArbiter:
         self.gain = gain
         self.floors = [machine_cap_floor(m) for m in self.machines]
         self.ceilings = [machine_cap_ceiling(m) for m in self.machines]
-        if budget_watts < sum(self.floors) - 1e-9:
+        if budget_watts < sum(self.floors) - WATT_SLACK:
             raise ArbiterError(
                 f"budget {budget_watts!r} W is below the pool's floor "
                 f"{sum(self.floors):.1f} W ({len(self.machines)} machines "
@@ -205,7 +206,7 @@ class PowerArbiter:
                 f"{len(violation_scores)!r}"
             )
         budget = self.budget_watts if budget_watts is None else budget_watts
-        if budget < sum(self.floors) - 1e-9:
+        if budget < sum(self.floors) - WATT_SLACK:
             raise ArbiterError(
                 f"budget {budget!r} W is below the pool's floor "
                 f"{sum(self.floors):.1f} W"

@@ -61,7 +61,7 @@ CONSERVATION_TOLERANCE = 1e-9
 """Max tolerated relative error of billed + idle vs metered energy.
 
 The invariant's contract, owned here next to the accounting that
-defines it: the bench harness hard-fails timed runs against it, and the
+defines it: perfbench fails every timed repetition that breaks it, and the
 tests/examples assert it.  Observed errors are float-summation noise
 (~1e-16), so this bound has orders of magnitude of slack.
 """

@@ -16,6 +16,7 @@ historical home).
 
 from __future__ import annotations
 
+from repro.datacenter.tolerances import WATT_SLACK
 from repro.hardware.machine import Machine
 
 __all__ = [
@@ -68,6 +69,6 @@ def frequency_for_cap(machine: Machine, cap_watts: float) -> float:
         watts = machine.power_model.power(
             1.0, pstate, processor.max_frequency_ghz, v_max
         )
-        if watts <= cap_watts + 1e-9:
+        if watts <= cap_watts + WATT_SLACK:
             return pstate.frequency_ghz
     return processor.pstates[-1].frequency_ghz

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.datacenter.tolerances import WATT_SLACK
+
 __all__ = [
     "BudgetTraceError",
     "BudgetSchedule",
@@ -97,7 +99,7 @@ class BudgetSchedule:
         offending entry.
         """
         for index, (time, watts) in enumerate(self.entries):
-            if watts < floor_watts - 1e-9:
+            if watts < floor_watts - WATT_SLACK:
                 raise BudgetTraceError(
                     f"entry {index} (t={time:g} s): budget {watts:g} W is "
                     f"below the fleet-wide cap floor {floor_watts:.1f} W "

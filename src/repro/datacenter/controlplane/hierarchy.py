@@ -40,6 +40,7 @@ from repro.datacenter.controlplane.actions import (
     ClusterView,
     SetCaps,
 )
+from repro.datacenter.tolerances import WATT_SLACK
 from repro.hardware.machine import Machine
 
 __all__ = ["DEFAULT_GROUPS", "HierarchicalArbiter", "round_robin_groups"]
@@ -99,7 +100,7 @@ class HierarchicalArbiter:
         self.groups = round_robin_groups(len(self.machines), groups)
         self.floors = [machine_cap_floor(m) for m in self.machines]
         self.ceilings = [machine_cap_ceiling(m) for m in self.machines]
-        if budget_watts < sum(self.floors) - 1e-9:
+        if budget_watts < sum(self.floors) - WATT_SLACK:
             raise ArbiterError(
                 f"budget {budget_watts!r} W is below the pool's floor "
                 f"{sum(self.floors):.1f} W ({len(self.machines)} machines "
@@ -136,7 +137,7 @@ class HierarchicalArbiter:
         floors = self.floors if floors is None else floors
         ceilings = self.ceilings if ceilings is None else ceilings
         budget = self.budget_watts if budget_watts is None else budget_watts
-        if budget < sum(floors) - 1e-9:
+        if budget < sum(floors) - WATT_SLACK:
             raise ArbiterError(
                 f"budget {budget!r} W is below the pool's floor "
                 f"{sum(floors):.1f} W"

@@ -57,6 +57,7 @@ from repro.datacenter.faults import (
     KillFault,
     kill_schedule,
 )
+from repro.datacenter.tolerances import TIME_SLACK
 from repro.heartbeats.health import (
     HEALTH_FRESH,
     HEALTH_STALE,
@@ -463,8 +464,8 @@ def chaos_kill_times(
     """The seeded, sorted machine-kill instants for a chaos run.
 
     A pure function of ``(horizon, kills, seed)`` so every consumer —
-    :class:`ChaosPolicy`, a resumed run re-deriving its schedule, and
-    the bench harness's event counter — computes identical floats.
+    :class:`ChaosPolicy` and a resumed run re-deriving its schedule —
+    computes identical floats.
     Kills land in the ``[start_fraction, end_fraction]`` span of the
     horizon: late enough that tenants have warm state worth losing,
     early enough that the recovered run still serves traffic.
@@ -618,7 +619,7 @@ class ChaosPolicy:
                 "the kills"
             )
         dying: list[int] = []
-        while self._due and view.time >= self._due[0].time - 1e-9:
+        while self._due and view.time >= self._due[0].time - TIME_SLACK:
             kill = self._due.pop(0)
             if kill.machine_index is not None:
                 alive = [

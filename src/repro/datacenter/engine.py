@@ -105,6 +105,12 @@ from repro.datacenter.controlplane.applier import (
 )
 from repro.datacenter.faults import FaultPlan, FaultRecord, RetryRecord
 from repro.datacenter.tenants import TenantReport, TenantSpec, TenantStats
+from repro.datacenter.tolerances import (
+    SETTLE_SLACK,
+    TARGET_SLACK,
+    TIME_SLACK,
+    WATT_SLACK,
+)
 from repro.hardware.machine import Machine
 from repro.hardware.power import PowerError
 from repro.heartbeats.health import (
@@ -764,7 +770,7 @@ class DatacenterEngine:
                 for entry_time, snapshot in reversed(
                     self._view_log.get(machine_index, [])
                 ):
-                    if entry_time <= now - fault.delay + 1e-9:
+                    if entry_time <= now - fault.delay + TIME_SLACK:
                         source = snapshot
                         age = now - entry_time
                         break
@@ -808,7 +814,7 @@ class DatacenterEngine:
                 )
                 health = HEALTH_STALE
             elif machine_index in self._reintegrate_at:
-                if now + 1e-9 >= self._reintegrate_at[machine_index]:
+                if now + TIME_SLACK >= self._reintegrate_at[machine_index]:
                     del self._reintegrate_at[machine_index]
                     health = HEALTH_FRESH
                 else:
@@ -909,7 +915,7 @@ class DatacenterEngine:
             if pending is not None:
                 if (
                     target is not None
-                    and abs(target - pending.target_watts) > 1e-12
+                    and abs(target - pending.target_watts) > TARGET_SLACK
                 ):
                     # A new command supersedes the retry loop: fresh
                     # target, fresh deadline, fresh backoff.
@@ -917,7 +923,7 @@ class DatacenterEngine:
                     self._abandoned.pop(machine_index, None)
                     pending = None
                     attempt_target = target
-                elif now + 1e-9 >= pending.next_attempt_at:
+                elif now + TIME_SLACK >= pending.next_attempt_at:
                     attempt_target = pending.target_watts
                     attempt_number = pending.attempts + 1
                 # else: backing off — leave the actuator alone.
@@ -926,7 +932,7 @@ class DatacenterEngine:
                 if (
                     abandoned is not None
                     and fault is not None
-                    and abs(target - abandoned) <= 1e-12
+                    and abs(target - abandoned) <= TARGET_SLACK
                 ):
                     # Gave up on this exact target; don't bang on the
                     # broken actuator until the fault clears or the
@@ -964,7 +970,7 @@ class DatacenterEngine:
                 )
                 applied[machine_index] = landed
                 self._applied_watts[machine_index] = landed
-            if landed is not None and abs(landed - attempt_target) <= 1e-9:
+            if landed is not None and abs(landed - attempt_target) <= WATT_SLACK:
                 record_retry(
                     machine_index,
                     attempt_target,
@@ -975,7 +981,7 @@ class DatacenterEngine:
                 self._retries.pop(machine_index, None)
             elif (
                 pending is not None
-                and now - started + 1e-9 >= fault_plan.retry_deadline_seconds
+                and now - started + TIME_SLACK >= fault_plan.retry_deadline_seconds
             ):
                 record_retry(
                     machine_index, attempt_target, landed, attempt_number,
@@ -1294,7 +1300,7 @@ class DatacenterEngine:
         if host.index in self.dead_machines:
             return
         machine = host.machine
-        while machine.now < until - 1e-12:
+        while machine.now < until - SETTLE_SLACK:
             instance = host.next_runnable()
             if instance is None:
                 energy_before = machine.meter.energy_joules

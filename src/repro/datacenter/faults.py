@@ -48,6 +48,8 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
+from repro.datacenter.tolerances import TIME_SLACK
+
 __all__ = [
     "ACTUATOR_MODES",
     "ActuatorFault",
@@ -74,8 +76,6 @@ ACTUATOR_MODES = ("drop", "partial")
 
 RETRY_OUTCOMES = ("failed", "partial", "succeeded", "abandoned")
 """Outcomes a journaled applier retry attempt may record."""
-
-_EPS = 1e-9
 
 
 class FaultError(ValueError):
@@ -426,7 +426,7 @@ class FaultPlan:
         for fault in faults:
             if (
                 fault.machine_index == machine_index
-                and fault.start - _EPS <= now < fault.end - _EPS
+                and fault.start - TIME_SLACK <= now < fault.end - TIME_SLACK
             ):
                 return fault
         return None

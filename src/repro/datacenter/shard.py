@@ -218,9 +218,8 @@ def _final_payload(
         "machine_energy": machine_energy,
         "machine_idle": machine_idle,
         "machine_now": machine_now,
-        # Shard CPU seconds (barrier waits excluded by construction)
-        # — the bench harness uses it to project multi-core
-        # wall-clock from single-core hosts.
+        # Shard CPU seconds (barrier waits excluded by construction),
+        # published as the engine's ``shard_busy_seconds``.
         "busy_seconds": time.process_time() - started,
     }
 
@@ -956,7 +955,7 @@ def run_sharded(engine: "DatacenterEngine") -> "DatacenterResult":
         machine_energy.update(payload["machine_energy"])
         machine_idle.update(payload["machine_idle"])
         machine_now.update(payload["machine_now"])
-    # Telemetry for the bench harness: per-shard CPU seconds, the
+    # Telemetry (perfbench's shard.* metrics): per-shard CPU seconds, the
     # coordinator's own CPU seconds, and the barrier-plane breakdown.
     engine.shard_busy_seconds = [p["busy_seconds"] for p in payloads]
     engine.coordinator_busy_seconds = time.process_time() - cpu_started

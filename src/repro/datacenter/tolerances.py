@@ -1,0 +1,19 @@
+"""Named float tolerances of the datacenter layer.
+
+Budgets, caps and barrier times are sums of floats, so comparing them
+exactly would let summation noise decide a branch.  Each comparison that
+must not flip on that noise uses one of these constants.  Their values
+choose branches, so changing one can move result bytes.
+"""
+
+WATT_SLACK = 1e-9
+"""Watts a budget, cap or grant may miss a floor, ceiling or target by."""
+
+TIME_SLACK = 1e-9
+"""Seconds a barrier may fall short of a fault, kill or retry instant by."""
+
+TARGET_SLACK = 1e-12
+"""Watts within which two commanded cap targets are the same command."""
+
+SETTLE_SLACK = 1e-12
+"""Seconds short of its horizon at which a machine counts as settled."""

@@ -57,7 +57,7 @@ def experiment_machine(frequency_ghz: float = 2.4) -> Machine:
 def format_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> str:
-    """Render an aligned plain-text table (the bench harness's output)."""
+    """Render an aligned plain-text table."""
     materialized = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in materialized:

@@ -1,57 +1,42 @@
-"""Reference scenarios the perf-tracking bench harness times.
+"""Seeded datacenter pool scenarios shared by the engine tests.
 
 One scenario family, parameterized by pool size: ``machines`` servers,
 one Poisson-driven :class:`~repro.datacenter.service.ServiceApp` tenant
 per machine at modest utilization.  Mostly-idle pools are exactly the
 regime the lazy scheduler targets (an idle machine costs nothing per
-event), and one-tenant-per-machine keeps the
-virtual workload identical across pool sizes so wall-clock differences
-measure the engine, not the workload.
+event), and one tenant per machine keeps the virtual workload identical
+across pool sizes.
 
-Six scenario kinds:
+Seven scenario kinds:
 
 * ``open`` — no control policy, pure event scheduling;
-* ``arbitrated`` — an SLA-aware cap policy at every barrier (tracks
-  barrier cost);
+* ``arbitrated`` — an SLA-aware cap policy at every barrier;
 * ``budget_shock`` — arbitrated plus a fleet-wide budget drop at a
   third of the horizon and recovery at two-thirds (the §5.4 cap event
-  fleet-wide, via the control plane's ``SetBudget`` path); every timed
-  run still has to pass the billing conservation audit, so this
-  scenario keeps the invariant honest under mid-run budget changes;
+  fleet-wide, via the control plane's ``SetBudget`` path);
 * ``consolidation`` — diurnal traffic (trough at both ends of the
   horizon, peak mid-run) under the ``consolidating`` policy: tenants
   get packed onto fewer machines with warm migrations in the troughs,
   parked machines sit at their cap floor, and the peak spreads them
-  back out — so the timed run exercises multi-step warm placement and
-  the conservation audit across it;
+  back out;
 * ``chaos`` — arbitrated plus seeded mid-run machine kills
   (:class:`~repro.datacenter.controlplane.policy.ChaosPolicy`): a
   victim machine fail-stops at each kill barrier and its tenants are
-  rebuilt on survivors from that barrier's checkpoints, so the timed
-  run covers checkpoint capture, fail-stop teardown, and crash
-  re-placement — with the billing conservation audit still enforced
-  across the failures;
-* ``scale`` — the 1024-machine standing scenario: hierarchical
-  arbitration (``hier-arbitrated``) at a low per-tenant rate, the
-  regime the shard barrier-protocol v2's delta barriers and O(groups)
-  arbitration target — this is the scenario where the sharded backend
-  must beat serial;
+  rebuilt on survivors from that barrier's checkpoints;
+* ``scale`` — hierarchical arbitration (``hier-arbitrated``) at a low
+  per-tenant rate, the large-pool configuration;
 * ``grayfail`` — arbitrated plus a full seeded
   :class:`~repro.datacenter.faults.FaultPlan`: sensor dropout windows,
   actuator drop windows, a straggler, and one fail-stop kill, with the
   policy stack wrapped in a :class:`~repro.datacenter.controlplane.
-  policy.DegradedModePolicy` — so the timed run exercises faulted
-  observation, applier retries with backoff, quarantine/reintegration,
-  and the conservation audit under all of it.
+  policy.DegradedModePolicy`.
 
 Scenarios are fully seeded: the same :class:`PoolScenario` always
-builds the same traces, requests, and calibration, so timings across
-PRs compare like for like.
+builds the same traces, requests, calibration and faults.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.powerdial import measure_baseline_rate
@@ -61,7 +46,6 @@ from repro.datacenter.controlplane import (
     ChaosPolicy,
     DegradedModePolicy,
     build_policy,
-    chaos_kill_times,
 )
 from repro.datacenter.engine import DatacenterEngine, InstanceBinding
 from repro.datacenter.faults import FaultPlan
@@ -74,8 +58,6 @@ from repro.datacenter.tenants import LatencySLA, TenantSpec
 from repro.datacenter.traffic import diurnal_trace, poisson_trace
 from repro.experiments.common import experiment_machine
 from repro.experiments.registry import built_service_system
-
-__all__ = ["PoolScenario", "build_pool_engine", "count_events"]
 
 BUDGET_WATTS_PER_MACHINE = 200.0
 """Arbitrated-scenario budget per machine (floor ~183 W, ceiling 220 W)."""
@@ -92,7 +74,7 @@ quiet ends of the horizon trigger packing and the peak spreads back)."""
 
 @dataclass(frozen=True)
 class PoolScenario:
-    """One timed engine scenario.
+    """One seeded engine scenario.
 
     Attributes:
         machines: Pool size (one tenant per machine).
@@ -136,7 +118,7 @@ class PoolScenario:
 
     @property
     def label(self) -> str:
-        """Stable scenario name used in the bench JSON."""
+        """Stable scenario name: its kind and pool size."""
         if self.hier:
             return f"scale-{self.machines}m"
         if self.grayfail:
@@ -185,8 +167,7 @@ class PoolScenario:
         """The seeded gray-failure plan, or None unless ``grayfail``.
 
         A pure function of the scenario (seeded by ``chaos_seed``), so
-        the same :class:`PoolScenario` always injects the same faults
-        and timings stay comparable across PRs.
+        the same :class:`PoolScenario` always injects the same faults.
         """
         if not self.grayfail:
             return None
@@ -287,43 +268,3 @@ def build_pool_engine(
         faults=plan,
     )
 
-
-def count_events(scenario: PoolScenario) -> int:
-    """Global events (arrivals + control barriers) a scenario processes.
-
-    Computed from the traces alone — no engine (with its runtimes and
-    calibration) is built just to count.  Mirrors the engine's barrier
-    merge: periodic ticks plus the budget schedule's change instants,
-    deduplicated.
-    """
-    arrivals = sum(
-        scenario.tenant_trace(index).count for index in range(scenario.machines)
-    )
-    ticks: set[float] = set()
-    if (
-        scenario.arbitrated
-        or scenario.budget_shock
-        or scenario.consolidation
-        or scenario.chaos_kills
-        or scenario.grayfail
-        or scenario.hier
-    ):
-        periods = int(math.floor(scenario.horizon / scenario.control_period))
-        ticks.update(
-            k * scenario.control_period for k in range(1, periods + 1)
-        )
-        schedule = scenario.budget_schedule()
-        if schedule is not None:
-            ticks.update(
-                t for t in schedule.times if 0.0 < t <= scenario.horizon
-            )
-        if scenario.chaos_kills:
-            ticks.update(
-                chaos_kill_times(
-                    scenario.horizon, scenario.chaos_kills, scenario.chaos_seed
-                )
-            )
-        plan = scenario.fault_plan()
-        if plan is not None:
-            ticks.update(plan.barrier_times(scenario.horizon))
-    return arrivals + len(ticks)

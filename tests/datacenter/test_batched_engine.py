@@ -16,7 +16,6 @@ import json
 
 import pytest
 
-from repro.bench.scenarios import PoolScenario, build_pool_engine
 from repro.core.runtime import PowerDialRuntime
 from repro.datacenter.engine import DatacenterEngine, EngineError
 from repro.datacenter.journal.codec import canonical_json
@@ -27,6 +26,7 @@ from repro.datacenter.journal.replay import (
     result_payload,
 )
 from repro.datacenter.journal.writer import JournalWriter
+from tests.datacenter.pool_scenario import PoolScenario, build_pool_engine
 
 HORIZON = 20.0
 

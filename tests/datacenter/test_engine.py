@@ -261,7 +261,7 @@ class TestLazyScheduling:
         count is exact — a per-event sweep of the pool would make it
         grow with machines x events.
         """
-        from repro.bench.scenarios import PoolScenario, build_pool_engine
+        from tests.datacenter.pool_scenario import PoolScenario, build_pool_engine
 
         scenario = PoolScenario(machines=64, horizon=30.0, rate=0.1)
         engine = build_pool_engine(scenario)

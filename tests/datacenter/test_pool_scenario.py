@@ -1,22 +1,21 @@
-"""Bench-scenario tests: labels, event counts, and the budget_shock run.
+"""Pool-scenario tests: labels, the budget schedule, and conservation.
 
-The bench harness trusts ``count_events`` to describe a scenario
-without building it and hard-fails timed runs on the billing
-conservation invariant, so both are pinned here at fast-tier scale.
+The engine parity tests build their engines from :class:`PoolScenario`,
+so its shape is pinned here.  The budget-shock and hierarchical runs
+must pass the billing conservation audit: per-tenant billed energy plus
+unattributed idle energy reproduces the metered pool energy across
+mid-run budget changes and two-level arbitration.
 """
-
-import math
 
 import pytest
 
-from repro.bench.scenarios import (
+from repro.datacenter.billing import CONSERVATION_TOLERANCE
+from tests.datacenter.pool_scenario import (
     BUDGET_WATTS_PER_MACHINE,
     SHOCK_FRACTION,
     PoolScenario,
     build_pool_engine,
-    count_events,
 )
-from repro.datacenter.billing import CONSERVATION_TOLERANCE
 
 
 class TestScenarioShape:
@@ -39,43 +38,10 @@ class TestScenarioShape:
             (20.0, 2 * BUDGET_WATTS_PER_MACHINE),
         )
 
-    def test_count_events_includes_schedule_barriers(self):
-        open_scenario = PoolScenario(machines=2, horizon=30.0)
-        arbitrated = PoolScenario(machines=2, horizon=30.0, arbitrated=True)
-        shocked = PoolScenario(
-            machines=2, horizon=30.0, arbitrated=True, budget_shock=True
-        )
-        arrivals = count_events(open_scenario)
-        periodic = int(math.floor(30.0 / 10.0))
-        assert count_events(arbitrated) == arrivals + periodic
-        # The two schedule instants (10 s, 20 s) coincide with periodic
-        # ticks at the default period, so they must not double-count.
-        assert count_events(shocked) == arrivals + periodic
-
-    def test_count_events_dedups_partial_overlap(self):
-        shocked = PoolScenario(
-            machines=2,
-            horizon=30.0,
-            arbitrated=True,
-            budget_shock=True,
-            control_period=7.0,
-        )
-        arrivals = sum(
-            shocked.tenant_trace(i).count for i in range(shocked.machines)
-        )
-        # Periodic: 7, 14, 21, 28; schedule: 10, 20 — six distinct barriers.
-        assert count_events(shocked) == arrivals + 6
-
 
 class TestScaleScenario:
     def test_scale_label(self):
         assert PoolScenario(machines=1024, hier=True).label == "scale-1024m"
-
-    def test_count_events_includes_hier_barriers(self):
-        open_scenario = PoolScenario(machines=2, horizon=30.0)
-        hier = PoolScenario(machines=2, horizon=30.0, hier=True)
-        periodic = int(math.floor(30.0 / 10.0))
-        assert count_events(hier) == count_events(open_scenario) + periodic
 
     def test_hier_run_conserves_energy(self):
         scenario = PoolScenario(machines=4, horizon=12.0, hier=True)

@@ -69,13 +69,13 @@ class TestBenchDoc:
     def test_bench_doc_covers_schema_fields(self):
         text = (DOCS / "BENCH.md").read_text()
         for field in (
-            "cpu_count",
-            "sharded_note",
-            "projected_parallel_seconds",
-            "projected_speedup_vs_serial",
-            "conservation_rel_error",
-            "events_per_sec",
-            "schema_version",
+            "python tools/perf_gate.py",
+            "tools/perf_baseline.json",
+            "BENCHMARK.json",
+            "fresh > base × (1 + bound)",
+            "fresh < base × (1 − bound)",
+            "cp perf-gate.json tools/perf_baseline.json",
+            "Baselines are per interpreter",
         ):
             assert field in text, f"docs/BENCH.md does not document {field!r}"
 

@@ -1,7 +1,7 @@
 """Public-API docstring coverage gate for the documented packages.
 
-``repro.datacenter`` (including the ``controlplane`` subpackage) and
-``repro.bench`` ship with a documented public API (module, class, and
+``repro.datacenter`` (including the ``controlplane`` and ``journal``
+subpackages) ships with a documented public API (module, class, and
 public-method/function level); CI runs this
 walker so a PR cannot silently regress that coverage.  The walker uses
 ``inspect.getdoc``, so overriding a *documented* base-class method
@@ -20,7 +20,6 @@ DOCUMENTED_PACKAGES = (
     "repro.datacenter",
     "repro.datacenter.controlplane",
     "repro.datacenter.journal",
-    "repro.bench",
 )
 
 
