@@ -193,10 +193,10 @@ def compose_bill(
     weighted by a knob setting.  ``machine_index`` is the tenant's
     final placement.
 
-    Pure function of its inputs: the serial backend calls it in
-    ``_collect_result`` and the sharded parent calls it on the
-    reassembled worker payloads, so identical inputs yield bit-identical
-    bills on both backends.
+    Pure function of its inputs: the engine's one result assembly calls
+    it on the host groups' closing payloads (one group serial, one per
+    shard worker), so identical inputs yield bit-identical bills on both
+    backends.
     """
     segments: Sequence[RunResult]
     if isinstance(run, RunResult):

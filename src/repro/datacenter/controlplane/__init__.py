@@ -45,12 +45,10 @@ from repro.datacenter.controlplane.applier import (
     MigrantState,
     RetryState,
     absorb,
-    apply_failures,
     emigrate,
     enforce_caps,
     machine_limits,
     merge_run_results,
-    migrate_instance,
     plan_actions,
     plan_failures,
     retry_backoff_seconds,
@@ -94,12 +92,10 @@ __all__ = [
     "MigrantState",
     "RetryState",
     "absorb",
-    "apply_failures",
     "emigrate",
     "enforce_caps",
     "machine_limits",
     "merge_run_results",
-    "migrate_instance",
     "plan_actions",
     "plan_failures",
     "retry_backoff_seconds",

@@ -13,16 +13,19 @@ backend:
   coordinator both plan through this function.
 * :func:`enforce_caps` — cap -> DVFS application (the §5.4 mechanism).
 * :func:`emigrate` / :func:`absorb` — the two halves of a migration,
-  cold or warm.  Serial runs them back to back in process; the sharded
-  backend runs :func:`emigrate` in the source worker, ships the
-  returned :class:`MigrantState` through the coordinator, and runs
-  :func:`absorb` in the destination worker.  A warm move additionally
+  cold or warm, run through the engine's
+  :class:`~repro.datacenter.engine.HostGroup`.  Serial runs them back
+  to back in process; the sharded backend runs :func:`emigrate` in the
+  source worker, ships the returned :class:`MigrantState` through the
+  coordinator, and runs :func:`absorb` in the destination worker.  A warm move additionally
   carries the source runtime's
   :class:`~repro.core.runtime.RuntimeSnapshot` inside the migrant
   state and replays it into the destination runtime.  Because both
   backends execute the same functions on identically-settled machine
   state, the results — ledgers, stats, run segments — are
   byte-identical.
+* :func:`plan_failures` — where a failed machine's tenants go; the
+  engine's barrier step places them and its transport restores them.
 * :func:`merge_run_results` — stitches a migrated tenant's per-host
   run segments into the single :class:`~repro.core.runtime.RunResult`
   exposed by ``DatacenterResult.run_results``.
@@ -46,9 +49,7 @@ from repro.datacenter.controlplane.actions import (
     ClusterView,
     ControlError,
     FailMachine,
-    FailureRecord,
     Migrate,
-    MigrationRecord,
     SetBudget,
     SetCaps,
 )
@@ -66,9 +67,7 @@ __all__ = [
     "retry_backoff_seconds",
     "emigrate",
     "absorb",
-    "migrate_instance",
     "plan_failures",
-    "apply_failures",
     "merge_run_results",
 ]
 
@@ -447,41 +446,6 @@ def absorb(
     binding.ledger.charge(0.0, cost_seconds)
 
 
-def migrate_instance(
-    engine: "DatacenterEngine",
-    migration: Migrate,
-    now: float,
-) -> MigrationRecord:
-    """In-process migration: emigrate and absorb back to back.
-
-    The serial backend uses this directly; the sharded
-    backend runs the same :func:`emigrate`/:func:`absorb` pair split
-    across its source and destination workers.  In process the
-    tenant's arrival stream stays where it is (dispatch re-routes
-    through the binding's updated ``machine_index``), so the
-    ``trace_pos`` recorded in the intermediate migrant state is unused
-    and reported as 0 — only shard workers, where the arrival cursor
-    really changes hands, track it.
-    """
-    binding = next(
-        b for b in engine.bindings if b.tenant.name == migration.tenant
-    )
-    source = binding.machine_index
-    migrant = emigrate(engine, binding, trace_pos=0, warm=migration.warm)
-    absorb(
-        engine, binding, migrant, migration.dest_machine_index,
-        migration.cost_seconds,
-    )
-    return MigrationRecord(
-        time=now,
-        tenant=migration.tenant,
-        source_machine_index=source,
-        dest_machine_index=migration.dest_machine_index,
-        cost_seconds=migration.cost_seconds,
-        warm=migration.warm,
-    )
-
-
 def plan_failures(
     placements: Sequence[tuple[str, int]],
     machine_count: int,
@@ -490,8 +454,8 @@ def plan_failures(
 ) -> list[tuple[int, list[tuple[str, int]]]]:
     """Deterministically re-place the victims of this barrier's failures.
 
-    Pure placement math shared by the serial applier and the sharded
-    coordinator, so both compute identical destinations.  ``placements``
+    Pure placement math, run once per failure barrier by the engine's
+    barrier step on every backend.  ``placements``
     is ``(tenant, machine_index)`` in engine binding order; the victims
     of each failed machine are re-placed, in that order, onto the
     surviving machine with the fewest resident tenants (ties break to
@@ -519,66 +483,6 @@ def plan_failures(
             machine_moves.append((tenant, dest))
         moves.append((index, machine_moves))
     return moves
-
-
-def apply_failures(
-    engine: "DatacenterEngine",
-    failed: Sequence[int],
-    now: float,
-) -> list[FailureRecord]:
-    """Fail-stop machines in process and re-place their tenants.
-
-    The serial backend uses this directly (the sharded
-    coordinator runs the same :func:`plan_failures` math and ships the
-    checkpoints to destination workers instead).  All failing machines
-    are marked dead first — their meters and clocks freeze at the
-    already-settled barrier instant — then each victim is rebuilt on
-    its surviving destination from the checkpoint captured at this
-    barrier via
-    :func:`~repro.datacenter.checkpoint.restore_from_checkpoint`.
-    """
-    from repro.datacenter.checkpoint import restore_from_checkpoint
-
-    checkpoints = engine._last_checkpoints
-    if checkpoints is None:
-        raise ControlError(
-            "FailMachine requires barrier checkpoints: run with a journal "
-            "attached or a policy declaring may_fail_machines (e.g. "
-            "ChaosPolicy)"
-        )
-    placements = [
-        (binding.tenant.name, binding.machine_index)
-        for binding in engine.bindings
-    ]
-    moves = plan_failures(
-        placements, len(engine.machines), set(engine.dead_machines), failed
-    )
-    engine.dead_machines.update(failed)
-    by_name = {binding.tenant.name: binding for binding in engine.bindings}
-    records = []
-    for index, machine_moves in moves:
-        engine.hosts[index].instances.clear()
-        replacements = []
-        for tenant, dest in machine_moves:
-            restore_from_checkpoint(
-                engine, by_name[tenant], checkpoints[tenant], dest
-            )
-            replacements.append(
-                MigrationRecord(
-                    time=now,
-                    tenant=tenant,
-                    source_machine_index=index,
-                    dest_machine_index=dest,
-                    cost_seconds=0.0,
-                    warm=True,
-                )
-            )
-        records.append(
-            FailureRecord(
-                time=now, machine_index=index, replacements=tuple(replacements)
-            )
-        )
-    return records
 
 
 def merge_run_results(segments: Sequence[RunResult]) -> RunResult:

@@ -22,28 +22,40 @@ Completion times are measured on the machine clock against global
 arrival times, giving end-to-end request latencies for the tenant SLA
 accounting.
 
-**Control plane.**  The engine itself makes no cluster-level decisions.
-When constructed with a ``policy`` (any
-:class:`~repro.datacenter.controlplane.actions.ControlPolicy`), it
-schedules control barriers — every ``control_period`` seconds plus any
-policy-requested instants (e.g. budget-trace timestamps) — settles
-every machine to the barrier, hands the policy an immutable
-:class:`~repro.datacenter.controlplane.actions.ClusterView`, and
-applies the returned actions (``SetCaps``, ``SetBudget``, ``Migrate``)
-through the shared control-plane applier, which validates them against
-the pool's hard limits first.  The legacy power arbiter is now just one
-such policy (:meth:`repro.datacenter.arbiter.PowerArbiter.decide`).
+**Scheduling** is *lazy*: an arrival advances only its own host, and a
+control barrier settles the pool, since it may change DVFS states, the
+budget, or placement, and reads every tenant's SLA signal.  A machine
+with nothing to do is not visited per event — its idle time is settled
+in a single O(1) ``idle_until`` when it next matters — so the cost of a
+run scales with the number of events, not events × machines.  Arrivals
+come from an :class:`_EventPump`, an incremental merge of the
+per-tenant traces whose membership changes when a tenant leaves or
+joins a :class:`HostGroup` (the machines one process advances).
 
-Scheduling is *lazy*: an event only advances the machine it concerns
-(arrivals touch one host; control barriers synchronize the pool, since
-they may change DVFS states, the budget, or placement, and read every
-tenant's SLA signal).  A machine with nothing to do is not visited per
-event — its idle time is settled in a single O(1) ``idle_until`` when
-it next matters — so the cost of a run scales with the number of
-events, not events × machines.  Arrival streams are consumed through an
-incremental merge of the per-tenant traces (each already sorted) whose
-membership can change at barriers — which is how a migrated tenant's
-arrival cursor moves with it, including across shard workers.
+**One barrier loop.**  The engine makes no cluster-level decisions
+itself: a ``policy`` (any
+:class:`~repro.datacenter.controlplane.actions.ControlPolicy`) does, at
+control barriers — every ``control_period`` seconds plus any instants
+the policy or the fault plan requests.  :meth:`DatacenterEngine.run` is
+the same loop on every backend::
+
+    for now in barrier times:
+        gather    settle every host to ``now``; read tenant views and,
+                  when the run checkpoints, every tenant and machine
+                  checkpoint
+        barrier   view -> decide -> record -> actuate -> place failures
+                  and migrations -> effect -> journal
+
+A *transport* supplies the two ends that touch live instances:
+``gather`` and the effect (``apply``: fail-stops, caps, victim
+restores, migrations).  The serial backend's transport is one
+:class:`HostGroup` over the whole pool, in process; the sharded
+backend's (:mod:`repro.datacenter.shard`) runs one group per forked
+worker and carries the same state over shared memory and pipes.  The
+time-zero barrier runs in process on both, before any fork.  Every
+worker's closing payload (:func:`_final_payload`) feeds one result
+assembly, in binding and machine order, so the backends agree byte for
+byte.
 
 Every dispatched ``step()`` is metered for billing: the machine meter's
 energy delta and the clock delta across the step are charged to the
@@ -51,24 +63,18 @@ stepping tenant's :class:`~repro.datacenter.billing.TenantLedger`,
 while lazily settled idle gaps accumulate per machine as unattributed
 idle energy — so :attr:`DatacenterResult.bills` attributes every
 watt-second of pool energy to a tenant or to the idle floor (the
-conservation invariant the billing tests pin, which survives both
-migrations and mid-run budget changes).
-
-Two execution backends share these semantics:
-
-* ``"serial"`` — the lazy single-process scheduler (default);
-* ``"sharded"`` — machines partitioned across ``workers`` forked
-  processes which run independently between control barriers (see
-  :mod:`repro.datacenter.shard`); identical results to ``"serial"``.
+conservation invariant the billing tests pin, which survives
+migrations, failures and mid-run budget changes).
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.runtime import PowerDialRuntime, RunResult, StepStatus
 from repro.datacenter.billing import (
@@ -82,10 +88,12 @@ from repro.datacenter.checkpoint import (
     TenantCheckpoint,
     capture_machine_checkpoint,
     capture_tenant_checkpoint,
+    restore_from_checkpoint,
 )
 from repro.datacenter.controlplane.actions import (
     Action,
     ClusterView,
+    ControlError,
     ControlPolicy,
     FailureRecord,
     MachineView,
@@ -94,13 +102,15 @@ from repro.datacenter.controlplane.actions import (
 )
 from repro.datacenter.controlplane.applier import (
     ControlPlan,
+    MigrantState,
     RetryState,
-    apply_failures,
+    absorb,
+    emigrate,
     enforce_caps,
     machine_limits,
     merge_run_results,
-    migrate_instance,
     plan_actions,
+    plan_failures,
     retry_backoff_seconds,
 )
 from repro.datacenter.faults import FaultPlan, FaultRecord, RetryRecord
@@ -127,10 +137,8 @@ __all__ = [
     "DatacenterResult",
     "DatacenterEngine",
     "ENGINE_BACKENDS",
+    "HostGroup",
 ]
-
-_ARRIVAL = 0
-_BARRIER = 1
 
 ENGINE_BACKENDS = ("serial", "sharded")
 """Recognized ``DatacenterEngine`` backends."""
@@ -297,14 +305,14 @@ class _Host:
 class _EventPump:
     """Incremental merge of per-tenant arrival streams.
 
-    Replaces a one-shot ``heapq.merge`` so that stream *membership* can
-    change at control barriers: a migrated tenant's cursor is
-    ``remove``d from the pump that loses it and ``add``ed (at the same
-    trace position) to the pump that gains it — the mechanism by which
-    arrivals follow an instance across sharded workers.  The heap holds
-    one live entry per tenant (its next arrival); ties order by the
-    tenant's global binding index then trace position, reproducing the
-    original merged-stream dispatch order exactly.
+    Stream *membership* can change at control barriers: a tenant that
+    leaves a :class:`HostGroup` (migration, or its machine failing) has
+    its cursor ``remove``d, and the group that gains it ``add``s it at
+    the same trace position — the mechanism by which arrivals follow an
+    instance, across sharded workers too.  The heap holds one live
+    entry per tenant (its next arrival); ties order by the tenant's
+    global binding index then trace position, so simultaneous arrivals
+    dispatch in binding order on every backend.
 
     A cursor is a mutable ``[order, arrivals, pos, binding]`` list;
     ``remove`` invalidates the cursor object itself (``binding = None``)
@@ -377,6 +385,225 @@ class _EventPump:
                 heappop(heap)
             advance(hosts[binding.machine_index], time)
             dispatch(binding, time)
+
+
+def _final_payload(
+    engine: "DatacenterEngine",
+    machine_indices: Sequence[int],
+    resident: Sequence[InstanceBinding],
+    started: float,
+) -> dict[str, Any]:
+    """A host group's closing report: tenants served, machines metered.
+
+    Plain picklable data, so a shard worker returns it over its pipe;
+    :meth:`DatacenterEngine._compose_result` merges every group's
+    payload.  Dead machines' meters are frozen at their death barrier,
+    so their values are the same whenever they are read.
+    """
+    machine_power: dict[int, float] = {}
+    machine_energy: dict[int, float] = {}
+    machine_idle: dict[int, float] = {}
+    machine_now: dict[int, float] = {}
+    for index in machine_indices:
+        machine = engine.machines[index]
+        try:
+            machine_power[index] = machine.meter.mean_power()
+        except PowerError:  # no samples yet
+            machine_power[index] = 0.0
+        machine_energy[index] = machine.meter.energy_joules
+        machine_idle[index] = engine.idle_energy_joules[index]
+        machine_now[index] = machine.now
+    return {
+        "reports": {
+            b.tenant.name: b.stats.report(b.tenant.name, b.tenant.sla)
+            for b in resident
+        },
+        "stats": {b.tenant.name: b.stats for b in resident},
+        "ledgers": {b.tenant.name: b.ledger for b in resident},
+        "run_segments": {
+            b.tenant.name: (*b.run_segments, b.runtime.finish())
+            for b in resident
+        },
+        "machine_power": machine_power,
+        "machine_energy": machine_energy,
+        "machine_idle": machine_idle,
+        "machine_now": machine_now,
+        # CPU seconds of the process that ran the group (barrier waits
+        # burn none), published as the engine's ``shard_busy_seconds``.
+        "busy_seconds": time.process_time() - started,
+    }
+
+
+class HostGroup:
+    """The machines one process advances, with their resident tenants.
+
+    The serial backend runs one group over the whole pool and uses it
+    as its transport (``gather``/``apply``/``finish``, in process); each
+    shard worker runs one over its partition and the sharded transport
+    carries the same calls' inputs and outputs over the wire.  So every
+    barrier effect on live instances — settling, checkpoint capture,
+    tenant views, fail-stops, caps, restores and migrations — runs the
+    same code on both backends.  A group's residents are the instances
+    on its hosts; its pump dispatches exactly their arrivals.
+    """
+
+    def __init__(
+        self, engine: "DatacenterEngine", machine_indices: Iterable[int]
+    ) -> None:
+        self.engine = engine
+        self.machine_indices = list(machine_indices)
+        self.hosts = [engine.hosts[index] for index in self.machine_indices]
+        self._owned = set(self.machine_indices)
+        self._order = {b.tenant.name: i for i, b in enumerate(engine.bindings)}
+        self._pump = _EventPump(engine, self.residents())
+        self._started = time.process_time()
+
+    def residents(self) -> list[InstanceBinding]:
+        """The instances on this group's hosts, host by host."""
+        return [binding for host in self.hosts for binding in host.instances]
+
+    def settle(self, until: float) -> None:
+        """Dispatch arrivals up to ``until``, then settle every host to it.
+
+        Each host advances its residents in round-robin order
+        (co-resident instances share one clock, so reordering them
+        would change the interleaving the engine defines).
+        """
+        self._pump.run_until(until)
+        advance = self.engine._advance
+        for host in self.hosts:
+            advance(host, until)
+
+    def checkpoints(
+        self,
+    ) -> tuple[dict[str, TenantCheckpoint], dict[int, MachineCheckpoint]] | None:
+        """Every resident's and owned machine's checkpoint, if the run
+        checkpoints (a journal, or a policy that may kill machines).
+
+        Captured before the barrier's views are read, so the state is
+        exactly what the policy's view summarizes and what a failure at
+        this barrier restores from.
+        """
+        engine = self.engine
+        if not engine._checkpointing:
+            return None
+        return (
+            {
+                binding.tenant.name: capture_tenant_checkpoint(binding)
+                for binding in self.residents()
+            },
+            {
+                index: capture_machine_checkpoint(engine, index)
+                for index in self.machine_indices
+            },
+        )
+
+    def views(self, now: float) -> list[tuple[int, TenantView]]:
+        """``(binding index, view)`` for every resident."""
+        view = self.engine._tenant_view
+        order = self._order
+        return [(order[b.tenant.name], view(b, now)) for b in self.residents()]
+
+    def read(self, now: float) -> tuple[tuple[TenantView, ...], Any]:
+        """The barrier's views, in binding order, and its checkpoints.
+
+        Only for a group over the whole pool (the serial transport, and
+        the in-process time-zero barrier of both backends).
+        """
+        checkpoints = self.checkpoints()
+        view = self.engine._tenant_view
+        return tuple(view(b, now) for b in self.engine.bindings), checkpoints
+
+    def gather(self, seq: int, now: float) -> tuple[tuple[TenantView, ...], Any]:
+        """The serial transport's gather: settle to ``now``, then read."""
+        self.settle(now)
+        return self.read(now)
+
+    def kill(self, dead: Iterable[int]) -> None:
+        """Fail-stop the owned machines in ``dead``.
+
+        Their clocks and meters freeze at this barrier; their residents
+        leave the pump, to be restored wherever the coordinator placed
+        them.
+        """
+        for index in dead:
+            if index in self._owned:
+                self.engine.dead_machines.add(index)
+                host = self.engine.hosts[index]
+                for binding in host.instances:
+                    self._pump.remove(binding)
+                host.instances.clear()
+
+    def enforce(self, caps: Iterable[tuple[int, float]]) -> None:
+        """Apply ``(machine index, watts)`` caps; dead machines keep
+        their frozen DVFS state."""
+        engine = self.engine
+        live = [(i, watts) for i, watts in caps if i not in engine.dead_machines]
+        enforce_caps(
+            [engine.machines[i] for i, _ in live], [watts for _, watts in live]
+        )
+
+    def restore(
+        self, tenant: str, checkpoint: TenantCheckpoint, dest: int
+    ) -> None:
+        """Rebuild a failed machine's tenant on owned machine ``dest``."""
+        binding = self.engine._by_name[tenant]
+        restore_from_checkpoint(self.engine, binding, checkpoint, dest)
+        # offered == the tenant's arrival-stream cursor.
+        self._pump.add(binding, checkpoint.offered)
+
+    def emigrate(self, record: MigrationRecord) -> MigrantState:
+        """The source half of a migration, from an owned machine."""
+        binding = self.engine._by_name[record.tenant]
+        trace_pos = self._pump.remove(binding)
+        return emigrate(self.engine, binding, trace_pos, warm=record.warm)
+
+    def absorb(self, migrant: MigrantState, record: MigrationRecord) -> None:
+        """The destination half of a migration, onto an owned machine."""
+        binding = self.engine._by_name[migrant.tenant]
+        absorb(
+            self.engine, binding, migrant, record.dest_machine_index,
+            record.cost_seconds,
+        )
+        self._pump.add(binding, migrant.trace_pos)
+
+    def apply(
+        self,
+        caps: tuple[float | None, ...] | None,
+        dead: Sequence[int],
+        restores: Sequence[tuple[str, int, TenantCheckpoint]],
+        migrations: Sequence[MigrationRecord],
+    ) -> None:
+        """The serial transport's effect: the barrier's plan, in process.
+
+        Fail-stops first (a dying machine keeps its pre-barrier
+        frequency), then caps (a None entry leaves that machine alone),
+        then victim restores, then each migration's two halves back to
+        back, in plan order.
+        """
+        self.kill(dead)
+        if caps is not None:
+            self.enforce(
+                (i, watts) for i, watts in enumerate(caps) if watts is not None
+            )
+        for tenant, dest, checkpoint in restores:
+            self.restore(tenant, checkpoint, dest)
+        for record in migrations:
+            self.absorb(self.emigrate(record), record)
+
+    def finish(self, final_time: float) -> list[dict[str, Any]]:
+        """Settle to the last event, close input, drain: the payloads."""
+        self.settle(final_time)
+        resident = self.residents()
+        for binding in resident:
+            binding.runtime.close_input()
+        for host in self.hosts:
+            self.engine._drain(host)
+        return [
+            _final_payload(
+                self.engine, self.machine_indices, resident, self._started
+            )
+        ]
 
 
 class DatacenterEngine:
@@ -496,6 +723,8 @@ class DatacenterEngine:
         self._caps: tuple[float, ...] | None = None
         # (time, watts) per budget level, starting with the initial one.
         self.budget_history: list[tuple[float, float]] = []
+        # (time, per-machine caps) per applied SetCaps.
+        self.cap_history: list[tuple[float, tuple[float, ...]]] = []
         # Applied migrations, in application order.
         self.migration_history: list[MigrationRecord] = []
         # Applied machine failures (chaos injection), in order.
@@ -540,8 +769,10 @@ class DatacenterEngine:
         self._checkpointing = journal is not None or bool(
             getattr(policy, "may_fail_machines", False)
         )
+        # The latest barrier's checkpoints: what a failure restores from,
+        # what the journal records and what resume attests.
         self._last_checkpoints: dict[str, TenantCheckpoint] | None = None
-        self._last_machine_checkpoints: list[MachineCheckpoint] | None = None
+        self._last_machine_checkpoints: dict[int, MachineCheckpoint] = {}
         # The previous journaled barrier's tenant checkpoints, so each
         # barrier record stores completions as an append-only delta.
         self._journaled_checkpoints: dict[str, TenantCheckpoint] = {}
@@ -551,17 +782,19 @@ class DatacenterEngine:
         #   sum(binding.ledger.energy_joules) + sum(idle_energy_joules)
         #       == total metered pool energy.
         self.idle_energy_joules: list[float] = [0.0] * len(self.machines)
+        self._by_name = {binding.tenant.name: binding for binding in self.bindings}
         # Filled by the sharded backend after run(): per-shard CPU
         # seconds, barrier waits excluded (bench-harness telemetry).
         self.shard_busy_seconds: list[float] | None = None
         # Barrier-plane telemetry, filled by run(): the coordinator's
-        # own CPU seconds and a per-run breakdown of the barrier
-        # plane (payload bytes, serialize/wait/apply seconds).  The
-        # serial backend fills the same keys with no wire (zero bytes).
+        # own CPU seconds (sharded only) and a per-run breakdown of the
+        # barrier plane — barriers carried by the transport, wire bytes,
+        # serialize/wait seconds, and the barrier step's own seconds.
+        # The serial transport counts the time-zero barrier and has no
+        # wire (zero bytes); the sharded one counts only the barriers
+        # after the fork.
         self.coordinator_busy_seconds: float | None = None
-        self.barrier_stats: dict[str, object] | None = None
-        self._barrier_apply_seconds = 0.0
-        self._barrier_count = 0
+        self.barrier_stats: dict[str, Any] | None = None
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -638,16 +871,11 @@ class DatacenterEngine:
         )
 
     def _control_view(
-        self, now: float, tenants: tuple[TenantView, ...] | None = None
+        self, now: float, tenants: tuple[TenantView, ...]
     ) -> ClusterView:
-        """Assemble the immutable snapshot handed to the policy.
-
-        ``tenants`` overrides the in-process snapshot (the sharded
-        coordinator passes tenant views gathered from its workers,
-        reassembled in binding order).
-        """
-        if tenants is None:
-            tenants = tuple(self._tenant_view(b, now) for b in self.bindings)
+        """Assemble the immutable snapshot handed to the policy from the
+        transport's tenant views (in binding order) and the engine's own
+        machine state."""
         machines = tuple(
             MachineView(
                 index=index,
@@ -1045,48 +1273,58 @@ class DatacenterEngine:
             return None, fault_records, retries_out
         return tuple(applied), fault_records, retries_out
 
-    def _capture_checkpoints(self) -> None:
-        """Checkpoint every tenant and machine at a settled barrier.
+    def _place_failures(
+        self, plan: ControlPlan, now: float
+    ) -> tuple[list[FailureRecord], list[tuple[str, int, TenantCheckpoint]]]:
+        """Fail-stop the plan's machines and re-place their tenants.
 
-        Called before the policy decides, so the captured state is
-        exactly what the policy's view summarizes — and exactly what a
-        failure at this barrier restores from.
+        :func:`~repro.datacenter.controlplane.applier.plan_failures`
+        picks each victim's surviving destination; the failing machines
+        are marked dead here, so the effect's caps skip them.  Returns
+        the failure records and the ``(tenant, dest, checkpoint)``
+        restores the transport's effect carries out, from the
+        checkpoints captured at this same barrier.
         """
-        self._last_checkpoints = {
-            binding.tenant.name: capture_tenant_checkpoint(binding)
-            for binding in self.bindings
-        }
-        self._last_machine_checkpoints = [
-            capture_machine_checkpoint(self, index)
-            for index in range(len(self.machines))
-        ]
-
-    def _enforce_live_caps(
-        self,
-        caps: tuple[float | None, ...],
-        dying: frozenset[int] | set[int] = frozenset(),
-    ) -> None:
-        """Apply validated caps, skipping dead and dying machines.
-
-        A machine failing at this same barrier keeps its pre-barrier
-        frequency — it will never run again, and skipping it keeps the
-        frozen DVFS state identical across backends (the sharded
-        coordinator marks deaths before its workers enforce caps).
-        A None entry (an actuator fault dropped the command, or the
-        applier is backing off before a retry) likewise leaves that
-        machine's DVFS state untouched.
-        """
-        alive = [
-            index
-            for index in range(len(self.machines))
-            if index not in self.dead_machines
-            and index not in dying
-            and caps[index] is not None
-        ]
-        enforce_caps(
-            [self.machines[index] for index in alive],
-            [caps[index] for index in alive],
+        if not plan.failures:
+            return [], []
+        if not self._checkpointing:
+            raise ControlError(
+                "FailMachine requires barrier checkpoints: run with a journal "
+                "attached or a policy declaring may_fail_machines (e.g. "
+                "ChaosPolicy)"
+            )
+        failed = [failure.machine_index for failure in plan.failures]
+        moves = plan_failures(
+            [(b.tenant.name, b.machine_index) for b in self.bindings],
+            len(self.machines),
+            set(self.dead_machines),
+            failed,
         )
+        self.dead_machines.update(failed)
+        failures = []
+        restores = []
+        for index, machine_moves in moves:
+            replacements = tuple(
+                MigrationRecord(
+                    time=now,
+                    tenant=tenant,
+                    source_machine_index=index,
+                    dest_machine_index=dest,
+                    cost_seconds=0.0,
+                    warm=True,
+                )
+                for tenant, dest in machine_moves
+            )
+            failures.append(
+                FailureRecord(
+                    time=now, machine_index=index, replacements=replacements
+                )
+            )
+            restores.extend(
+                (tenant, dest, self._last_checkpoints[tenant])
+                for tenant, dest in machine_moves
+            )
+        return failures, restores
 
     def _journal_barrier(
         self,
@@ -1110,6 +1348,7 @@ class DatacenterEngine:
         from repro.datacenter.journal import codec
 
         checkpoints = self._last_checkpoints or {}
+        machine_checkpoints = self._last_machine_checkpoints
         record = {
             "kind": "barrier",
             "index": self._barrier_index,
@@ -1125,8 +1364,8 @@ class DatacenterEngine:
                 for binding in self.bindings
             ],
             "machines": [
-                codec.encode_machine_checkpoint(checkpoint)
-                for checkpoint in self._last_machine_checkpoints or []
+                codec.encode_machine_checkpoint(machine_checkpoints[index])
+                for index in range(len(machine_checkpoints))
             ],
             "migrations": [
                 codec.encode_migration_record(record)
@@ -1146,143 +1385,65 @@ class DatacenterEngine:
         self._journaled_checkpoints = dict(checkpoints)
         self._barrier_index += 1
 
-    def _record_plan(
-        self,
-        plan: ControlPlan,
-        now: float,
-        cap_history: list[tuple[float, tuple[float, ...]]],
-    ) -> None:
+    def _record_plan(self, plan: ControlPlan, now: float) -> None:
         """Book-keep a validated plan (budget level, cap history)."""
         if plan.budget_watts is not None:
             self._budget = plan.budget_watts
             self.budget_history.append((now, plan.budget_watts))
         if plan.caps is not None:
             self._caps = plan.caps
-            cap_history.append((now, plan.caps))
+            self.cap_history.append((now, plan.caps))
 
-    def _control_tick(
-        self,
-        now: float,
-        cap_history: list[tuple[float, tuple[float, ...]]],
-    ) -> None:
-        """Run one in-process control barrier: view -> plan -> apply.
+    def _barrier(self, now: float, gathered: tuple[Any, Any], transport) -> None:
+        """Run one control barrier; the same step on every backend.
 
-        Application order is canonical — budget, then caps, then
-        failures, then migrations — so a migration's source-host drain
-        always runs under the freshly enforced caps and never races a
-        machine dying at the same barrier, on every backend.  When
-        checkpointing is on, the cluster checkpoint is captured before
-        the policy decides; the journal record (actions, applied
-        effects, checkpoint) is written after everything applied.
+        ``gathered`` is the transport's ``(tenant views, checkpoints)``
+        for the settled barrier.  Then: view -> decide -> record ->
+        actuate -> place failures and migrations -> the transport's
+        effect -> journal.  Application order is canonical — budget,
+        then caps, then failures, then migrations — so a migration's
+        source-host drain always runs under the freshly enforced caps
+        and never races a machine dying at the same barrier.  The
+        journal record (actions, applied effects, checkpoints) is
+        written after everything applied.
         """
-        ticked = time.perf_counter()
-        if self._checkpointing:
-            self._capture_checkpoints()
-        actions, plan = self._decide_plan(self._control_view(now))
-        self._record_plan(plan, now, cap_history)
+        started = time.perf_counter()
+        views, checkpoints = gathered
+        if checkpoints is not None:
+            self._last_checkpoints, self._last_machine_checkpoints = checkpoints
+        actions, plan = self._decide_plan(self._control_view(now, views))
+        self._record_plan(plan, now)
         applied, fault_records, retry_records = self._actuate(now, plan)
-        if applied is not None:
-            self._enforce_live_caps(
-                applied, {f.machine_index for f in plan.failures}
+        failures, restores = self._place_failures(plan, now)
+        migrations = [
+            MigrationRecord(
+                time=now,
+                tenant=migration.tenant,
+                source_machine_index=self._by_name[migration.tenant].machine_index,
+                dest_machine_index=migration.dest_machine_index,
+                cost_seconds=migration.cost_seconds,
+                warm=migration.warm,
             )
-        failures: list[FailureRecord] = []
-        if plan.failures:
-            failures = apply_failures(
-                self, [f.machine_index for f in plan.failures], now
-            )
-            self.failure_history.extend(failures)
-        migrations: list[MigrationRecord] = []
-        for migration in plan.migrations:
-            record = migrate_instance(self, migration, now)
-            self.migration_history.append(record)
-            migrations.append(record)
+            for migration in plan.migrations
+        ]
+        transport.apply(
+            applied, [f.machine_index for f in failures], restores, migrations
+        )
+        # The coordinator's placement follows what was applied (in
+        # process the effect already moved these very bindings).
+        for record in (
+            *(move for failure in failures for move in failure.replacements),
+            *migrations,
+        ):
+            self._by_name[record.tenant].machine_index = record.dest_machine_index
+        self.failure_history.extend(failures)
+        self.migration_history.extend(migrations)
         self._journal_barrier(
             now, actions, migrations, failures, fault_records, retry_records
         )
-        self._barrier_apply_seconds += time.perf_counter() - ticked
-        self._barrier_count += 1
-
-    # ------------------------------------------------------------------
-    # Event plumbing for the serial backend
-    # ------------------------------------------------------------------
-    def _event_stream(
-        self,
-        bindings: Sequence[InstanceBinding],
-        tick_times: Sequence[float],
-    ) -> Iterator[tuple[float, int, int, int, InstanceBinding | None]]:
-        """Lazily merge pre-sorted per-tenant arrival streams and barriers.
-
-        Events are ``(time, kind, binding_index, seq, binding)`` tuples
-        ordered by time; arrivals sort before a control barrier at the
-        same instant, and simultaneous arrivals dispatch in binding
-        order.  ``heapq.merge`` keeps this O(log k) per event over k
-        already-sorted streams — no per-request heap entries are
-        materialized.  Stream membership is fixed, which is fine for the
-        serial backend: an in-process migration keeps the binding in
-        this same stream and simply re-routes dispatch through its
-        updated ``machine_index`` (shard workers, where a migrated
-        tenant really leaves or joins, use :class:`_EventPump` instead).
-        """
-        index_of = {id(b): i for i, b in enumerate(self.bindings)}
-
-        def arrivals(binding: InstanceBinding) -> Iterable[
-            tuple[float, int, int, int, InstanceBinding | None]
-        ]:
-            bindex = index_of[id(binding)]
-            for seq, at in enumerate(binding.tenant.trace.arrivals):
-                yield (at, _ARRIVAL, bindex, seq, binding)
-
-        def ticks() -> Iterable[tuple[float, int, int, int, InstanceBinding | None]]:
-            for seq, at in enumerate(tick_times):
-                yield (at, _BARRIER, -1, seq, None)
-
-        streams = [arrivals(binding) for binding in bindings]
-        if tick_times:
-            streams.append(ticks())
-        return heapq.merge(*streams)
-
-    def _pump_stream(
-        self,
-        events: Iterator[tuple[float, int, int, int, InstanceBinding | None]],
-        hosts: Sequence[_Host],
-        final_time: float,
-        on_tick: Callable[[float], None],
-    ) -> None:
-        """Drive ``hosts`` through the event stream, lazily.
-
-        An arrival advances only its own host (idle neighbours are left
-        alone — their gap is settled in one ``idle_until`` when they next
-        matter); a control barrier settles every host in ``hosts`` to
-        the barrier time, because DVFS states, the budget, or placement
-        are about to change and every tenant's SLA signal is read.
-        After the last event, every host settles to ``final_time`` so
-        pool-level accounting (makespan, idle energy) is independent of
-        per-host event density.
-        """
-        for time, kind, _, _, binding in events:
-            if kind == _ARRIVAL:
-                if binding is None:
-                    raise EngineError("arrival event lost its tenant binding")
-                self._advance(self.hosts[binding.machine_index], time)
-                self._dispatch_arrival(binding, time)
-            else:
-                self._advance_barrier(hosts, time)
-                on_tick(time)
-        self._advance_barrier(hosts, final_time)
-
-    # ------------------------------------------------------------------
-    def _advance_barrier(self, hosts: Sequence[_Host], until: float) -> None:
-        """Settle every host in ``hosts`` to a barrier instant.
-
-        The one dispatch point where a whole group of instances is known
-        to be due at the same time — serial barriers, the trailing
-        settle, and the shard workers' per-tick loops all funnel through
-        here.  Each host advances its residents in round-robin order
-        (co-resident instances share one clock, so cross-instance
-        reordering would change the interleaving the engine defines).
-        """
-        for host in hosts:
-            self._advance(host, until)
+        stats = self.barrier_stats
+        stats["apply_seconds"] += time.perf_counter() - started
+        stats["barriers"] += 1
 
     def _advance(self, host: _Host, until: float) -> None:
         """Run ``host`` cooperatively until its clock reaches ``until``.
@@ -1364,8 +1525,24 @@ class DatacenterEngine:
     # ------------------------------------------------------------------
     # Run orchestration
     # ------------------------------------------------------------------
-    def _begin_run(self) -> list[tuple[float, tuple[float, ...]]]:
-        """Arm every runtime and run the time-zero control barrier."""
+    def run(self) -> DatacenterResult:
+        """Execute the scenario and collect per-tenant results.
+
+        One loop for both backends: arm every runtime, run the
+        time-zero barrier in process, then for each barrier time let
+        the transport gather the settled barrier and run
+        :meth:`_barrier` over it; finally the transport settles to the
+        last event, drains, and returns the payloads the result is
+        composed from.
+        """
+        if self._ran:
+            raise EngineError("engine scenarios are single-use; build a new one")
+        self._ran = True
+        # Barrier times first: a policy may derive per-run state (e.g.
+        # a chaos kill schedule) in barrier_times(), which the
+        # time-zero decide already relies on.
+        tick_times = self._tick_times()
+        final_time = self._final_event_time(tick_times)
         for index, machine in enumerate(self.machines):
             # Energy already on a meter (a machine reused after e.g. a
             # calibration run) predates every tenant: fold it into the
@@ -1374,77 +1551,77 @@ class DatacenterEngine:
                 self.idle_energy_joules[index] += machine.meter.energy_joules
         for binding in self.bindings:
             binding.runtime.begin()
-        cap_history: list[tuple[float, tuple[float, ...]]] = []
+        self.barrier_stats = _barrier_stats()
+        local = HostGroup(self, range(len(self.machines)))
         if self.policy is not None:
             if self._budget is not None:
                 self.budget_history.append((0.0, self._budget))
-            # Enforce the budget from time zero (no SLA signal yet).
-            self._control_tick(0.0, cap_history)
-        return cap_history
+            # Enforce the budget from time zero (no SLA signal yet, and
+            # no arrival dispatched, so nothing settles).  Shard workers
+            # fork from its outcome.
+            self._barrier(0.0, local.read(0.0), local)
+        context = contextlib.nullcontext(local)
+        if self.backend == "sharded":
+            from repro.datacenter.shard import run_sharded
 
-    def _finalize(self) -> None:
-        """Close every input stream and drain the remaining work."""
+            # The sharded stats describe the wire's barriers only.
+            self.barrier_stats = _barrier_stats()
+            context = run_sharded(self, tick_times, final_time)
+        with context as transport:
+            for seq, now in enumerate(tick_times, start=1):
+                self._barrier(now, transport.gather(seq, now), transport)
+            payloads = transport.finish(final_time)
+        return self._compose_result(payloads)
+
+    def _compose_result(self, payloads: Sequence[dict[str, Any]]) -> DatacenterResult:
+        """Assemble the :class:`DatacenterResult` from host-group payloads.
+
+        Every piece is reassembled in binding or machine order, so each
+        float is summed in the same order whichever backend — and
+        however many groups — produced it.  The engine's bindings and
+        idle account are updated to match, so callers inspecting the
+        engine after ``run()`` see the same data on every backend.
+        """
+        parts: dict[str, dict] = {
+            key: {}
+            for key in (
+                "reports", "stats", "ledgers", "run_segments",
+                "machine_power", "machine_energy", "machine_idle",
+                "machine_now",
+            )
+        }
+        for payload in payloads:
+            for key, part in parts.items():
+                part.update(payload[key])
         for binding in self.bindings:
-            binding.runtime.close_input()
-        for host in self.hosts:
-            self._drain(host)
-
-    def _collect_result(
-        self, cap_history: list[tuple[float, tuple[float, ...]]]
-    ) -> DatacenterResult:
-        """Assemble the :class:`DatacenterResult` from engine state."""
-        segments = {
-            binding.tenant.name: (
-                *binding.run_segments,
-                binding.runtime.finish(),
-            )
-            for binding in self.bindings
-        }
-        run_results = {
-            name: merge_run_results(parts) for name, parts in segments.items()
-        }
-        reports = [
-            binding.stats.report(binding.tenant.name, binding.tenant.sla)
-            for binding in self.bindings
-        ]
-        bills = [
-            compose_bill(
-                binding.machine_index,
-                report,
-                binding.ledger,
-                segments[binding.tenant.name],
-            )
-            for binding, report in zip(self.bindings, reports)
-        ]
-        machine_power = []
-        for machine in self.machines:
-            try:
-                machine_power.append(machine.meter.mean_power())
-            except PowerError:  # no samples yet
-                machine_power.append(0.0)
-        # In-process barrier telemetry: no wire, so the whole barrier
-        # cost is "apply" and the payload is zero bytes.  Same keys as
-        # the sharded backend's breakdown so bench consumers need no
-        # per-backend cases.
-        self.barrier_stats = {
-            "barriers": self._barrier_count,
-            "payload_bytes": 0,
-            "serialize_seconds": 0.0,
-            "wait_seconds": 0.0,
-            "apply_seconds": self._barrier_apply_seconds,
-        }
+            binding.stats = parts["stats"][binding.tenant.name]
+            binding.ledger = parts["ledgers"][binding.tenant.name]
+        machines = range(len(self.machines))
+        for index in machines:
+            self.idle_energy_joules[index] = parts["machine_idle"][index]
+        segments = parts["run_segments"]
+        reports = [parts["reports"][b.tenant.name] for b in self.bindings]
         return DatacenterResult(
             tenant_reports=reports,
-            run_results=run_results,
-            bills=bills,
+            run_results={
+                b.tenant.name: merge_run_results(segments[b.tenant.name])
+                for b in self.bindings
+            },
+            bills=[
+                compose_bill(
+                    binding.machine_index,
+                    report,
+                    binding.ledger,
+                    segments[binding.tenant.name],
+                )
+                for binding, report in zip(self.bindings, reports)
+            ],
             idle_energy_joules=list(self.idle_energy_joules),
-            machine_mean_power=machine_power,
-            total_energy_joules=sum(
-                machine.meter.energy_joules for machine in self.machines
-            ),
-            makespan=max(machine.now for machine in self.machines),
+            machine_mean_power=[parts["machine_power"][i] for i in machines],
+            total_energy_joules=sum(parts["machine_energy"][i] for i in machines),
+            makespan=max(parts["machine_now"][i] for i in machines),
             budget_watts=self._budget,
-            cap_history=cap_history,
+            cap_history=list(self.cap_history),
             budget_history=list(self.budget_history),
             migrations=list(self.migration_history),
             failures=list(self.failure_history),
@@ -1452,35 +1629,13 @@ class DatacenterEngine:
             retries=list(self.retry_history),
         )
 
-    def run(self) -> DatacenterResult:
-        """Execute the scenario and collect per-tenant results."""
-        if self._ran:
-            raise EngineError("engine scenarios are single-use; build a new one")
-        self._ran = True
-        if self.backend == "sharded":
-            from repro.datacenter.shard import run_sharded
 
-            return run_sharded(self)
-        return self._run_serial()
-
-    def _run_serial(self) -> DatacenterResult:
-        """The lazy single-process scheduler (see module docstring)."""
-        # Barrier times first: a policy may derive per-run state (e.g.
-        # a chaos kill schedule) in barrier_times(), which the time-zero
-        # decide inside _begin_run() already relies on.
-        tick_times = self._tick_times()
-        cap_history = self._begin_run()
-
-        def on_tick(now: float) -> None:
-            # No pump: in-process migrations keep the binding in the
-            # one merged stream (see _event_stream).
-            self._control_tick(now, cap_history)
-
-        self._pump_stream(
-            self._event_stream(self.bindings, tick_times),
-            self.hosts,
-            self._final_event_time(tick_times),
-            on_tick,
-        )
-        self._finalize()
-        return self._collect_result(cap_history)
+def _barrier_stats() -> dict[str, Any]:
+    """Zeroed barrier-plane telemetry (see ``barrier_stats``)."""
+    return {
+        "barriers": 0,
+        "payload_bytes": 0,
+        "serialize_seconds": 0.0,
+        "wait_seconds": 0.0,
+        "apply_seconds": 0.0,
+    }

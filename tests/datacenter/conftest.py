@@ -1,8 +1,21 @@
-"""Shared fixtures for the datacenter tests."""
+"""Shared fixtures and helpers for the datacenter tests."""
 
 import pytest
 
 from repro.datacenter.engine import DatacenterEngine
+from repro.datacenter.journal import canonical_json, result_payload
+
+
+def assert_same_result(left, right):
+    """Whole-result byte parity of two runs.
+
+    Compares the canonical result record — bills, reports, every
+    history, pool energy and a digest of every heartbeat sample — so a
+    parity test misses no field a replay would check.
+    """
+    assert canonical_json(result_payload(left)) == canonical_json(
+        result_payload(right)
+    )
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ import pytest
 
 from repro.datacenter import engine as engine_module
 from repro.datacenter import fork_available
-from repro.datacenter import shard as shard_module
 from repro.datacenter.checkpoint import (
     TenantCheckpoint,
     capture_machine_checkpoint,
@@ -110,8 +109,9 @@ class TestIncrementalCapture:
                 checks.value += 1
             return checkpoint
 
+        # The one capture path on both backends: shard workers capture
+        # through their host group, which reads the engine module.
         monkeypatch.setattr(engine_module, "capture_tenant_checkpoint", checked)
-        monkeypatch.setattr(shard_module, "capture_tenant_checkpoint", checked)
         path = tmp_path / f"{name}.ndjson"
         result = record_golden(name, path, backend)
         assert result.migrations if name == "migrating" else result.failures

@@ -63,6 +63,7 @@ from repro.datacenter.controlplane import (
 )
 from repro.experiments.common import experiment_machine
 from repro.experiments.registry import built_service_system
+from tests.datacenter.conftest import assert_same_result
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -940,6 +941,7 @@ class TestConsolidationParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sharded_byte_identical(self, serial_result, workers):
         sharded = build_consolidation_scenario("sharded", workers=workers).run()
+        assert_same_result(sharded, serial_result)
         assert sharded.bills == serial_result.bills
         assert sharded.tenant_reports == serial_result.tenant_reports
         assert sharded.cap_history == serial_result.cap_history
@@ -964,6 +966,7 @@ class TestMigrationAndShockParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sharded_byte_identical(self, serial_result, workers):
         sharded = build_migration_scenario("sharded", workers=workers).run()
+        assert_same_result(sharded, serial_result)
         assert sharded.bills == serial_result.bills
         assert sharded.tenant_reports == serial_result.tenant_reports
         assert sharded.cap_history == serial_result.cap_history

@@ -66,6 +66,7 @@ from repro.heartbeats import (
     HEALTH_UNRESPONSIVE,
     classify_heartbeat_age,
 )
+from tests.datacenter.conftest import assert_same_result
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -546,6 +547,7 @@ class TestFaultedParity:
         config = faulted_config(FAULT_PLANS[name])
         serial = run_config(config)
         sharded = run_config(config, backend="sharded", workers=2)
+        assert_same_result(serial, sharded)
         assert serial.bills == sharded.bills
         assert serial.cap_history == sharded.cap_history
         assert serial.faults == sharded.faults
@@ -557,6 +559,7 @@ class TestFaultedParity:
         config = faulted_config(FAULT_PLANS["everything"])
         serial = run_config(config)
         sharded = run_config(config, backend="sharded", workers=workers)
+        assert_same_result(serial, sharded)
         assert serial.bills == sharded.bills
         assert serial.faults == sharded.faults
         assert serial.retries == sharded.retries
@@ -612,9 +615,7 @@ class TestFaultedJournal:
         record_run(path, faulted_config(FAULT_PLANS["everything"]))
         serial = replay(str(path))
         sharded = replay(str(path), backend="sharded", workers=2)
-        assert canonical_json(result_payload(serial)) == canonical_json(
-            result_payload(sharded)
-        )
+        assert_same_result(serial, sharded)
 
     def test_resume_finishes_truncated_faulted_run(self, tmp_path):
         path = tmp_path / "gray.ndjson"

@@ -23,6 +23,7 @@ from repro.datacenter.caps import ArbiterError
 from repro.datacenter.faults import ActuatorFault, FaultPlan, SensorFault
 from repro.datacenter.journal import JournalWriter, journaled_run, replay
 from repro.experiments.common import experiment_machine
+from tests.datacenter.conftest import assert_same_result
 from repro.experiments.datacenter import (
     TenantScenario,
     build_engine_from_config,
@@ -85,6 +86,7 @@ def make_config(scenario="plain", machines=4, budget=840.0):
 
 def assert_identical(left, right):
     """Byte-identical result comparison (dataclass equality is exact)."""
+    assert_same_result(left, right)
     assert left.tenant_reports == right.tenant_reports
     assert left.bills == right.bills
     assert left.idle_energy_joules == right.idle_energy_joules

@@ -41,10 +41,17 @@ from repro.experiments.datacenter import (
     build_engine_from_config,
     scenario_config,
 )
+from tests.datacenter.conftest import assert_same_result
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
 )
+
+# Where a crashed run resumes: it must finish identically on either.
+RESUME_BACKENDS = [
+    pytest.param("serial", None, id="serial"),
+    pytest.param("sharded", 2, id="sharded-2", marks=needs_fork),
+]
 
 HORIZON = 24.0
 
@@ -184,6 +191,7 @@ class TestReplayParity:
     def test_sharded_replay_reproduces_the_run(self, recorded, workers):
         path, live = recorded
         replayed = replay(str(path), backend="sharded", workers=workers)
+        assert_same_result(replayed, live)
         assert replayed.bills == live.bills
         assert replayed.tenant_reports == live.tenant_reports
 
@@ -240,16 +248,18 @@ class TestChaosAndResume:
             chaos_config, backend="sharded", workers=2
         )
         sharded = engine.run()
+        assert_same_result(sharded, serial)
         assert sharded.failures == serial.failures
         assert sharded.bills == serial.bills
         assert sharded.tenant_reports == serial.tenant_reports
 
+    @pytest.mark.parametrize("backend, workers", RESUME_BACKENDS)
     def test_crash_at_every_barrier_resumes_identically(
-        self, chaos_recorded, tmp_path
+        self, chaos_recorded, tmp_path, backend, workers
     ):
         """Truncate the journal after each barrier (with a torn final
-        write) and resume: bills must equal the uncrashed run's and
-        conservation must hold."""
+        write) and resume: the result must equal the uncrashed run's
+        and conservation must hold."""
         path, reference = chaos_recorded
         lines = path.read_text().splitlines()
         barrier_lines = [
@@ -263,13 +273,15 @@ class TestChaosAndResume:
             crashed.write_text(
                 "\n".join(lines[: keep + 1] + ['{"kind":"barr']) + "\n"
             )
-            resumed = resume(str(crashed))
+            resumed = resume(str(crashed), backend=backend, workers=workers)
+            assert_same_result(resumed, reference)
             assert resumed.bills == reference.bills
             assert resumed.failures == reference.failures
             assert resumed.energy_conservation_rel_error() <= 1e-12
 
+    @pytest.mark.parametrize("backend, workers", RESUME_BACKENDS)
     def test_resume_can_record_a_fresh_replayable_journal(
-        self, chaos_recorded, tmp_path
+        self, chaos_recorded, tmp_path, backend, workers
     ):
         path, reference = chaos_recorded
         lines = path.read_text().splitlines()
@@ -281,7 +293,10 @@ class TestChaosAndResume:
         crashed = tmp_path / "crashed.ndjson"
         crashed.write_text("\n".join(lines[: first_barrier + 1]) + "\n")
         fresh = tmp_path / "resumed.ndjson"
-        resumed = resume(str(crashed), journal_path=str(fresh))
+        resumed = resume(
+            str(crashed), backend=backend, workers=workers,
+            journal_path=str(fresh),
+        )
         assert resumed.bills == reference.bills
         replayed = replay(str(fresh))
         assert replayed.bills == reference.bills

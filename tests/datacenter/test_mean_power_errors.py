@@ -20,7 +20,7 @@ from repro.datacenter import (
     request_stream,
     service_training_jobs,
 )
-from repro.datacenter.shard import _final_payload
+from repro.datacenter.engine import _final_payload
 from repro.experiments.common import experiment_machine
 
 

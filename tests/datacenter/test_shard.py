@@ -32,6 +32,7 @@ from repro.datacenter import (
 )
 from repro.experiments.common import experiment_machine
 from repro.experiments.registry import built_service_system
+from tests.datacenter.conftest import assert_same_result
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -94,6 +95,7 @@ def build_scenario(backend, workers=None, arbitrated=True):
 
 def assert_identical(left, right):
     """Byte-identical result comparison (dataclass equality is exact)."""
+    assert_same_result(left, right)
     assert left.tenant_reports == right.tenant_reports
     assert left.bills == right.bills
     assert left.idle_energy_joules == right.idle_energy_joules
@@ -363,3 +365,30 @@ class TestSegmentLifecycle:
         assert stats["wait_seconds"] >= 0.0
         assert engine.coordinator_busy_seconds is not None
         assert engine.coordinator_busy_seconds > 0.0
+
+
+class TestTransportBoundary:
+    """``shard.py`` is transport and supervision only.
+
+    The barrier loop, the barrier step and the result assembly live in
+    the engine; the shard module drives a :class:`HostGroup` and reads
+    public engine state.  An ``engine._<name>`` access there would mean
+    engine logic leaking back into the transport.
+    """
+
+    def test_shard_reads_no_engine_private(self):
+        import ast
+
+        from repro.datacenter import shard
+
+        with open(shard.__file__, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        leaks = [
+            f"line {node.lineno}: engine.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "engine"
+        ]
+        assert leaks == []
