@@ -22,8 +22,8 @@ Module map:
   ``ScheduledBudgetPolicy``, and the ``build_policy`` registry behind
   the CLI's ``--policy`` flag.
 * :mod:`~repro.datacenter.controlplane.applier` — central validation
-  (``plan_actions``), cap enforcement, and the ``emigrate``/``absorb``
-  halves of cold migration shared by all backends.
+  (``plan_actions``), cap enforcement, failure placement, and the
+  ``MigrantState`` a migration carries between its two halves.
 """
 
 from repro.datacenter.controlplane.actions import (
@@ -44,8 +44,6 @@ from repro.datacenter.controlplane.applier import (
     ControlPlan,
     MigrantState,
     RetryState,
-    absorb,
-    emigrate,
     enforce_caps,
     machine_limits,
     merge_run_results,
@@ -91,8 +89,6 @@ __all__ = [
     "ControlPlan",
     "MigrantState",
     "RetryState",
-    "absorb",
-    "emigrate",
     "enforce_caps",
     "machine_limits",
     "merge_run_results",

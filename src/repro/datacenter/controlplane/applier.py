@@ -12,18 +12,13 @@ backend:
   and real destinations.  The serial engine and the sharded
   coordinator both plan through this function.
 * :func:`enforce_caps` — cap -> DVFS application (the §5.4 mechanism).
-* :func:`emigrate` / :func:`absorb` — the two halves of a migration,
-  cold or warm, run through the engine's
-  :class:`~repro.datacenter.engine.HostGroup`.  Serial runs them back
-  to back in process; the sharded backend runs :func:`emigrate` in the
-  source worker, ships the returned :class:`MigrantState` through the
-  coordinator, and runs :func:`absorb` in the destination worker.  A warm move additionally
-  carries the source runtime's
-  :class:`~repro.core.runtime.RuntimeSnapshot` inside the migrant
-  state and replays it into the destination runtime.  Because both
-  backends execute the same functions on identically-settled machine
-  state, the results — ledgers, stats, run segments — are
-  byte-identical.
+* :class:`MigrantState` — everything that moves with a tenant between
+  the two halves of a migration
+  (:meth:`~repro.datacenter.engine.HostGroup.emigrate` and
+  :meth:`~repro.datacenter.engine.HostGroup.absorb`).  Serial runs
+  them back to back in process; the sharded backend ships the migrant
+  from the source worker through the coordinator to the destination
+  worker.
 * :func:`plan_failures` — where a failed machine's tenants go; the
   engine's barrier step places them and its transport restores them.
 * :func:`merge_run_results` — stitches a migrated tenant's per-host
@@ -35,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
-from repro.core.runtime import RunResult, SampleColumns, StepStatus
+from repro.core.runtime import RunResult, SampleColumns
 from repro.datacenter.caps import (
     ArbiterError,
     frequency_for_cap,
@@ -54,9 +49,6 @@ from repro.datacenter.controlplane.actions import (
     SetCaps,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.datacenter.engine import DatacenterEngine, InstanceBinding
-
 __all__ = [
     "ControlPlan",
     "MigrantState",
@@ -65,8 +57,6 @@ __all__ = [
     "plan_actions",
     "enforce_caps",
     "retry_backoff_seconds",
-    "emigrate",
-    "absorb",
     "plan_failures",
     "merge_run_results",
 ]
@@ -348,102 +338,6 @@ class MigrantState:
     next_request: int
     trace_pos: int
     snapshot: Any | None = None
-
-
-def emigrate(
-    engine: "DatacenterEngine",
-    binding: "InstanceBinding",
-    trace_pos: int,
-    warm: bool = False,
-) -> MigrantState:
-    """Run the source half of a migration; returns the migrant.
-
-    Queued-but-unstarted requests are extracted to move with the
-    tenant; the request in flight (if any) is then drained to
-    completion on the source host — every drain ``step()`` metered to
-    the tenant exactly like scheduled steps — before the runtime is
-    finished and its segment banked.  For a warm move the drained
-    runtime's control state (controller integrator, plan cache,
-    heartbeat window, quantum phase) is captured *after* the drain, so
-    the destination resumes from the last operating point the source
-    actually ran at.
-    """
-    host = engine.hosts[binding.machine_index]
-    runtime = binding.runtime
-    pending = tuple(runtime.extract_pending())
-    runtime.close_input()
-    while not binding.finished:
-        if engine._metered_step(host, binding) is StepStatus.FINISHED:
-            binding.finished = True
-    segment = runtime.finish()
-    host.instances.remove(binding)
-    return MigrantState(
-        tenant=binding.tenant.name,
-        source_machine_index=binding.machine_index,
-        pending=pending,
-        stats=binding.stats,
-        ledger=binding.ledger,
-        run_segments=tuple(binding.run_segments) + (segment,),
-        next_request=binding.next_request,
-        trace_pos=trace_pos,
-        snapshot=runtime.snapshot() if warm else None,
-    )
-
-
-def absorb(
-    engine: "DatacenterEngine",
-    binding: "InstanceBinding",
-    migrant: MigrantState,
-    dest_machine_index: int,
-    cost_seconds: float,
-) -> None:
-    """Run the destination half of a migration.
-
-    Rebuilds the tenant's runtime on the destination machine via the
-    binding's ``runtime_factory``, restores the shipped stats/ledger/
-    segments, re-feeds the moved pending requests (completion hooks
-    re-attached to the shipped stats), and charges ``cost_seconds`` to
-    the tenant's ledger (time only — migration conserves energy).  When
-    the migrant carries a warm snapshot, it is replayed into the fresh
-    runtime before any request runs, so the destination's first control
-    period continues from the source's last instead of the baseline.
-    """
-    if binding.runtime_factory is None:
-        raise ControlError(
-            f"tenant {binding.tenant.name!r} has no runtime_factory; "
-            "migration requires one to rebuild the instance on the "
-            "destination machine"
-        )
-    machine = engine.machines[dest_machine_index]
-    runtime = binding.runtime_factory(machine)
-    if runtime.machine is not machine:
-        raise ControlError(
-            f"runtime_factory for tenant {binding.tenant.name!r} returned a "
-            "runtime bound to the wrong machine"
-        )
-    binding.runtime = runtime
-    binding.machine_index = dest_machine_index
-    binding.stats = migrant.stats
-    binding.ledger = migrant.ledger
-    binding.run_segments = list(migrant.run_segments)
-    binding.next_request = migrant.next_request
-    binding.finished = False
-    binding.starved = False
-    runtime.begin()
-    if migrant.snapshot is not None:
-        runtime.restore(migrant.snapshot)
-    stats = binding.stats
-    for job, tag in migrant.pending:
-        _, arrival = tag
-        runtime.feed(
-            job,
-            on_complete=lambda completion, arrival=arrival: (
-                stats.record_completion(arrival, completion)
-            ),
-            tag=tag,
-        )
-    engine.hosts[dest_machine_index].instances.append(binding)
-    binding.ledger.charge(0.0, cost_seconds)
 
 
 def plan_failures(

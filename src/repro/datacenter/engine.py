@@ -51,8 +51,10 @@ A *transport* supplies the two ends that touch live instances:
 restores, migrations).  The serial backend's transport is one
 :class:`HostGroup` over the whole pool, in process; the sharded
 backend's (:mod:`repro.datacenter.shard`) runs one group per forked
-worker and carries the same state over shared memory and pipes.  The
-time-zero barrier runs in process on both, before any fork.  Every
+worker and carries the same state in pickled pipe frames.  The
+barrier step hands both the same effect: a cap equal to the watts
+last sent to its machine is dropped before either transport sees it.
+The time-zero barrier runs in process on both, before any fork.  Every
 worker's closing payload (:func:`_final_payload`) feeds one result
 assembly, in binding and machine order, so the backends agree byte for
 byte.
@@ -104,8 +106,6 @@ from repro.datacenter.controlplane.applier import (
     ControlPlan,
     MigrantState,
     RetryState,
-    absorb,
-    emigrate,
     enforce_caps,
     machine_limits,
     merge_run_results,
@@ -514,7 +514,7 @@ class HostGroup:
         view = self.engine._tenant_view
         return tuple(view(b, now) for b in self.engine.bindings), checkpoints
 
-    def gather(self, seq: int, now: float) -> tuple[tuple[TenantView, ...], Any]:
+    def gather(self, now: float) -> tuple[tuple[TenantView, ...], Any]:
         """The serial transport's gather: settle to ``now``, then read."""
         self.settle(now)
         return self.read(now)
@@ -553,18 +553,94 @@ class HostGroup:
         self._pump.add(binding, checkpoint.offered)
 
     def emigrate(self, record: MigrationRecord) -> MigrantState:
-        """The source half of a migration, from an owned machine."""
-        binding = self.engine._by_name[record.tenant]
+        """The source half of a migration, from an owned machine.
+
+        Queued-but-unstarted requests are extracted to move with the
+        tenant; the request in flight (if any) is then drained to
+        completion on the source host — every drain ``step()`` metered
+        to the tenant exactly like scheduled steps — before the runtime
+        is finished and its segment banked.  For a warm move the
+        drained runtime's control state (controller integrator, plan
+        cache, heartbeat window, quantum phase) is captured *after* the
+        drain, so the destination resumes from the last operating point
+        the source actually ran at.
+        """
+        engine = self.engine
+        binding = engine._by_name[record.tenant]
         trace_pos = self._pump.remove(binding)
-        return emigrate(self.engine, binding, trace_pos, warm=record.warm)
+        host = engine.hosts[binding.machine_index]
+        runtime = binding.runtime
+        pending = tuple(runtime.extract_pending())
+        runtime.close_input()
+        while not binding.finished:
+            if engine._metered_step(host, binding) is StepStatus.FINISHED:
+                binding.finished = True
+        segment = runtime.finish()
+        host.instances.remove(binding)
+        return MigrantState(
+            tenant=binding.tenant.name,
+            source_machine_index=binding.machine_index,
+            pending=pending,
+            stats=binding.stats,
+            ledger=binding.ledger,
+            run_segments=tuple(binding.run_segments) + (segment,),
+            next_request=binding.next_request,
+            trace_pos=trace_pos,
+            snapshot=runtime.snapshot() if record.warm else None,
+        )
 
     def absorb(self, migrant: MigrantState, record: MigrationRecord) -> None:
-        """The destination half of a migration, onto an owned machine."""
-        binding = self.engine._by_name[migrant.tenant]
-        absorb(
-            self.engine, binding, migrant, record.dest_machine_index,
-            record.cost_seconds,
-        )
+        """The destination half of a migration, onto an owned machine.
+
+        Rebuilds the tenant's runtime on the destination via the
+        binding's ``runtime_factory``, restores the shipped stats,
+        ledger and segments, re-feeds the moved pending requests
+        (completion hooks re-attached to the shipped stats), and
+        charges the move's ``cost_seconds`` to the tenant's ledger
+        (time only — migration conserves energy).  A warm migrant's
+        snapshot is replayed into the fresh runtime before any request
+        runs, so the destination's first control period continues from
+        the source's last instead of the baseline.
+        """
+        engine = self.engine
+        binding = engine._by_name[migrant.tenant]
+        dest = record.dest_machine_index
+        if binding.runtime_factory is None:
+            raise ControlError(
+                f"tenant {binding.tenant.name!r} has no runtime_factory; "
+                "migration requires one to rebuild the instance on the "
+                "destination machine"
+            )
+        machine = engine.machines[dest]
+        runtime = binding.runtime_factory(machine)
+        if runtime.machine is not machine:
+            raise ControlError(
+                f"runtime_factory for tenant {binding.tenant.name!r} returned a "
+                "runtime bound to the wrong machine"
+            )
+        binding.runtime = runtime
+        binding.machine_index = dest
+        binding.stats = migrant.stats
+        binding.ledger = migrant.ledger
+        binding.run_segments = list(migrant.run_segments)
+        binding.next_request = migrant.next_request
+        binding.finished = False
+        binding.starved = False
+        runtime.begin()
+        if migrant.snapshot is not None:
+            runtime.restore(migrant.snapshot)
+        stats = binding.stats
+        for job, tag in migrant.pending:
+            _, arrival = tag
+            runtime.feed(
+                job,
+                on_complete=lambda completion, arrival=arrival: (
+                    stats.record_completion(arrival, completion)
+                ),
+                tag=tag,
+            )
+        engine.hosts[dest].instances.append(binding)
+        binding.ledger.charge(0.0, record.cost_seconds)
         self._pump.add(binding, migrant.trace_pos)
 
     def apply(
@@ -754,6 +830,9 @@ class DatacenterEngine:
         # distinct from self._caps (the *commanded* caps) while
         # actuator faults or stragglers are active.
         self._applied_watts: dict[int, float] = {}
+        # Watts last handed to each machine's transport, so a barrier
+        # sends only the caps that change.
+        self._sent_watts: list[float | None] = [None] * len(self.machines)
         self._straggling: set[int] = set()
         # Fault windows already journaled (announced once, at the
         # first barrier where they bite).
@@ -788,11 +867,12 @@ class DatacenterEngine:
         self.shard_busy_seconds: list[float] | None = None
         # Barrier-plane telemetry, filled by run(): the coordinator's
         # own CPU seconds (sharded only) and a per-run breakdown of the
-        # barrier plane — barriers carried by the transport, wire bytes,
-        # serialize/wait seconds, and the barrier step's own seconds.
-        # The serial transport counts the time-zero barrier and has no
-        # wire (zero bytes); the sharded one counts only the barriers
-        # after the fork.
+        # barrier plane — barriers carried by the transport, the
+        # pickled bytes, pickling and waiting seconds of every wire
+        # frame, and the barrier step's own seconds.  The serial
+        # transport counts the time-zero barrier and has no wire (zero
+        # bytes); the sharded one counts only the barriers after the
+        # fork.
         self.coordinator_busy_seconds: float | None = None
         self.barrier_stats: dict[str, Any] | None = None
         self._ran = False
@@ -1273,6 +1353,28 @@ class DatacenterEngine:
             return None, fault_records, retries_out
         return tuple(applied), fault_records, retries_out
 
+    def _changed_caps(
+        self, caps: tuple[float | None, ...] | None
+    ) -> tuple[float | None, ...] | None:
+        """``caps`` with each entry equal to the watts last sent to its
+        machine replaced by None.
+
+        Re-applying a machine's current cap selects the P-state it is
+        already in, so every transport is handed only the caps that
+        change; a machine's first cap is always sent.
+        """
+        if caps is None:
+            return None
+        sent = self._sent_watts
+        changed: list[float | None] = []
+        for index, watts in enumerate(caps):
+            if watts is None or watts == sent[index]:
+                changed.append(None)
+            else:
+                sent[index] = watts
+                changed.append(watts)
+        return tuple(changed)
+
     def _place_failures(
         self, plan: ControlPlan, now: float
     ) -> tuple[list[FailureRecord], list[tuple[str, int, TenantCheckpoint]]]:
@@ -1414,6 +1516,7 @@ class DatacenterEngine:
         actions, plan = self._decide_plan(self._control_view(now, views))
         self._record_plan(plan, now)
         applied, fault_records, retry_records = self._actuate(now, plan)
+        caps = self._changed_caps(applied)
         failures, restores = self._place_failures(plan, now)
         migrations = [
             MigrationRecord(
@@ -1427,7 +1530,7 @@ class DatacenterEngine:
             for migration in plan.migrations
         ]
         transport.apply(
-            applied, [f.machine_index for f in failures], restores, migrations
+            caps, [f.machine_index for f in failures], restores, migrations
         )
         # The coordinator's placement follows what was applied (in
         # process the effect already moved these very bindings).
@@ -1568,8 +1671,8 @@ class DatacenterEngine:
             self.barrier_stats = _barrier_stats()
             context = run_sharded(self, tick_times, final_time)
         with context as transport:
-            for seq, now in enumerate(tick_times, start=1):
-                self._barrier(now, transport.gather(seq, now), transport)
+            for now in tick_times:
+                self._barrier(now, transport.gather(now), transport)
             payloads = transport.finish(final_time)
         return self._compose_result(payloads)
 

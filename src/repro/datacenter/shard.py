@@ -12,28 +12,25 @@ only the transport that carries each barrier's state between the
 coordinator (the parent, the only process that runs the policy) and
 the workers, plus the workers' supervision.
 
-**Barrier protocol v2.**  Bulk state rides preallocated
-``multiprocessing.shared_memory`` segments as O(changes) typed deltas
-(the :mod:`repro.datacenter.deltas` codec); pipes carry small control
-frames:
+**Barrier protocol.**  One channel per worker: a Pipe whose frames
+are pickled plain data.
 
-1. *gather* — every worker settles its hosts to the barrier, encodes
-   the :class:`~repro.datacenter.controlplane.actions.TenantView`
-   records of its residents *that changed since it last published*
-   into its upstream segment, stamps the segment header's barrier
-   ordinal, and sends a ``ready`` frame carrying the barrier's tenant
-   and machine checkpoints when the run checkpoints (``None``
-   otherwise).  The coordinator blocks on that frame, reads the header
-   once, and overlays the deltas on its resident view table;
+1. *gather* — every worker settles its hosts to the barrier and sends
+   a ``ready`` frame: the
+   :class:`~repro.datacenter.controlplane.actions.TenantView` of every
+   resident, keyed by binding index, and the barrier's tenant and
+   machine checkpoints when the run checkpoints (``None`` otherwise).
+   The coordinator puts the views in binding order; a binding missing
+   from every frame, or sent twice, is a protocol error;
 2. *effect* — after the engine's barrier step decides and places, the
-   coordinator writes the *changed* applied caps into each worker's
-   downstream segment and sends each worker a ``plan`` frame: the
-   machines failing now, the victim restores (with their checkpoints)
-   whose destination it owns, and the migrations leaving it;
+   coordinator sends each worker a ``plan`` frame: the machines
+   failing now, the caps for its machines (only those the barrier step
+   changed), the victim restores (with their checkpoints) whose
+   destination it owns, and the migrations leaving it;
 3. if the plan migrates anyone, source workers return the picklable
    :class:`~repro.datacenter.controlplane.applier.MigrantState`
-   objects in a ``migrants`` frame, and the coordinator routes them to the
-   destination workers in ``absorb`` frames — machines never change
+   objects in a ``migrants`` frame, and the coordinator routes them to
+   the destination workers in ``absorb`` frames — machines never change
    shards, tenants do.
 
 When a run checkpoints, every barrier's checkpoints reach the
@@ -42,33 +39,28 @@ failure restores, the journal and ``resume``'s attestation all read.
 
 Determinism: every worker dispatches exactly the arrivals the serial
 scheduler would on its machines, settles at the same barrier instants,
-and applies the plan through the same :class:`HostGroup` methods; a
-delta is shipped precisely when its packed bytes changed, so the
-overlay table equals freshly computed views bit for bit.  At the
-``done`` barrier each worker returns its group's closing payload, and
-the engine composes the result from all payloads exactly as it does
-from the serial group's — so a sharded run is byte-identical to a
-serial one (asserted by the parity tests).  A worker whose machines
-have all failed stays in the protocol with nothing to run.
+and applies the plan through the same :class:`HostGroup` methods.
+Pickle carries every float as its IEEE-754 bits, so the coordinator's
+views are the workers' views.  At the ``done`` barrier each worker
+returns its group's closing payload, and the engine composes the result
+from all payloads exactly as it does from the serial group's — so a
+sharded run is byte-identical to a serial one (asserted by the parity
+tests).  A worker whose machines have all failed stays in the protocol
+with nothing to run.
 
-Lifecycle: :func:`run_sharded` creates the ``reproshard_*`` segments
-before forking and owns their teardown — close + unlink in a
-``finally`` that also covers every worker-death :class:`EngineError`
-path, so crashed runs leak nothing into ``/dev/shm`` (pinned by the
-shard tests).  Workers only close their inherited mappings, and each
-closes the coordinator's ends of every Pipe it inherited, so closing
-those ends at teardown reaches a worker blocked in ``recv`` as EOF.
-Supervision is one blocking wait: every frame — ready frames included
-— is awaited on the Pipe and the worker's process sentinel together,
-under :data:`_WORKER_BARRIER_TIMEOUT_SECONDS`, and a worker that dies,
-raises, or wedges mid-segment-write raises an :class:`EngineError`
-naming the worker, its machines, and the barrier.
+Supervision: each worker closes the coordinator's ends of every Pipe it
+inherited, so closing those ends at teardown reaches a worker blocked
+in ``recv`` as EOF.  Every frame from a worker is awaited on its Pipe
+and its process sentinel together, under
+:data:`_WORKER_BARRIER_TIMEOUT_SECONDS`, and a worker that dies,
+raises, or wedges raises an :class:`EngineError` naming the worker, its
+machines, and the barrier.
 
 The backend requires the ``fork`` start method (workers inherit the
 armed engine — closures, generators and all — without pickling); the
 engine raises :class:`~repro.datacenter.engine.EngineError` on
-platforms without it.  Only plain-data control frames, checkpoints,
-migrant states, and closing payloads cross the Pipes.
+platforms without it.  Only plain-data frames — views, caps,
+checkpoints, migrant states, and closing payloads — cross the Pipes.
 """
 
 from __future__ import annotations
@@ -78,19 +70,17 @@ import gc
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import time
 import traceback
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.datacenter import deltas
 from repro.datacenter.engine import EngineError, HostGroup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.datacenter.engine import DatacenterEngine
 
 __all__ = [
-    "SEGMENT_PREFIX",
     "fork_available",
     "partition_machines",
     "run_sharded",
@@ -98,13 +88,9 @@ __all__ = [
 ]
 
 _WORKER_BARRIER_TIMEOUT_SECONDS = 120.0
-"""How long the coordinator waits for a worker's barrier message or
-ready flag before declaring it hung.  Generous — barriers are
-milliseconds apart in practice — and read at call time, so tests
-shrink it."""
-
-SEGMENT_PREFIX = "reproshard"
-"""Shared-memory segment name prefix; the leak tests glob for it."""
+"""How long the coordinator waits for a worker's next frame before
+declaring it hung.  Generous — barriers are milliseconds apart in
+practice — and read at call time, so tests shrink it."""
 
 
 def fork_available() -> bool:
@@ -137,16 +123,6 @@ def partition_machines(machine_count: int, workers: int) -> list[list[int]]:
     return [list(range(start, machine_count, workers)) for start in range(workers)]
 
 
-def _publish_upstream(segment, seq: int, records: Sequence[bytes]) -> int:
-    """Publish one barrier's upstream delta payload and stamp its flag.
-
-    A module-level seam on purpose: the supervision tests monkeypatch
-    it before forking (workers inherit the patched module) to simulate
-    a worker dying or wedging mid-segment-write.
-    """
-    return deltas.publish(segment.buf, seq, records)
-
-
 def _expect(message: tuple, kind: str) -> tuple:
     """A worker's protocol guard: the coordinator's next frame kind."""
     if message[0] != kind:  # pragma: no cover - protocol guard
@@ -161,8 +137,6 @@ def _worker_main(
     final_time: float,
     conn,
     inherited: Sequence[Any],
-    upstream,
-    downstream,
 ) -> None:
     """Advance one shard to completion, carrying its barriers over the wire.
 
@@ -181,35 +155,15 @@ def _worker_main(
         # allocate dies with them, so cyclic GC is pure overhead here.
         gc.disable()
         group = HostGroup(engine, machine_indices)
-        # Delta baseline: the packed bytes last published per resident
-        # binding.  A record ships exactly when its bytes changed, so
-        # the coordinator's table stays bitwise equal to a fresh view;
-        # a tenant that leaves drops out, so if it ever comes back it
-        # is republished in full.
-        last_sent: dict[int, bytes] = {}
-        for seq, now in enumerate(tick_times, start=1):
+        for now in tick_times:
             group.settle(now)
             checkpoints = group.checkpoints()
-            records = []
-            sent = {}
-            for bindex, view in group.views(now):
-                record = sent[bindex] = deltas.encode_tenant_record(bindex, view)
-                if last_sent.get(bindex) != record:
-                    records.append(record)
-            last_sent = sent
-            _publish_upstream(upstream, seq, records)
-            conn.send(("ready", checkpoints))
-
-            _, dead, restores, emigrations, migrating = _expect(
+            conn.send(("ready", group.views(now), checkpoints))
+            _, dead, caps, restores, emigrations, migrating = _expect(
                 conn.recv(), "plan"
             )
             group.kill(dead)
-            cap_seq, cap_count = deltas.read_header(downstream.buf)
-            if cap_seq == seq and cap_count:
-                # Only this shard's live machines whose applied watts
-                # changed: everything else keeps its DVFS state, exactly
-                # like the serial backend's idempotent re-application.
-                group.enforce(deltas.decode_cap_records(downstream.buf, cap_count))
+            group.enforce(caps)
             for tenant, dest, checkpoint in restores:
                 group.restore(tenant, checkpoint, dest)
             if migrating:
@@ -224,19 +178,15 @@ def _worker_main(
             pass
     finally:
         conn.close()
-        for segment in (upstream, downstream):
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
 
 
 class _Wire:
     """The coordinator's transport: one barrier exchange with every worker.
 
     ``gather``/``apply``/``finish`` are the transport calls the engine's
-    barrier loop makes; ``receive``/``dispatch``/``await_upstream`` are
-    the supervision every frame passes through.
+    barrier loop makes; every frame passes through ``receive`` or
+    ``dispatch``, which supervise the worker and count the frame in the
+    engine's ``barrier_stats`` (bytes, pickling and waiting seconds).
     """
 
     def __init__(self, engine: "DatacenterEngine", shards: list[list[int]]):
@@ -249,20 +199,6 @@ class _Wire:
         }
         self.connections: list[Any] = []
         self.processes: list[Any] = []
-        self.upstreams: list[shared_memory.SharedMemory] = []
-        self.downstreams: list[shared_memory.SharedMemory] = []
-        self.names = [b.tenant.name for b in engine.bindings]
-        self.weights = [b.tenant.weight for b in engine.bindings]
-        # Resident overlay table: the last decoded record per binding.
-        # Workers ship deltas against it, so between updates an entry
-        # is bitwise the sender's current state.
-        self.views: list[Any] = [None] * len(engine.bindings)
-        # Last cap record published per worker per machine — the
-        # downstream delta baseline.  The cache always equals the watts
-        # the worker last enforced, so skipping an unchanged record is
-        # exactly the serial backend's idempotent re-application.
-        self.sent_caps: list[dict[int, bytes]] = [{} for _ in shards]
-        self.seq = 0
         self.now = 0.0
         self.cpu_started = time.process_time()
 
@@ -273,43 +209,43 @@ class _Wire:
             f"at barrier t={barrier_time:g}"
         )
 
-    def receive(
-        self,
-        worker: int,
-        expected: str,
-        barrier_time: float,
-        awaited: str | None = None,
-        lost: str = "without reporting",
-    ) -> Any:
+    def receive(self, worker: int, expected: str, barrier_time: float) -> Any:
         """Await one frame from ``worker``, supervising it meanwhile.
 
         Blocks in the kernel until the frame arrives, the pipe hits EOF
         or the process exits, or the timeout runs out — a worker that
         fail-stops, raises or wedges is named, never waited on forever,
-        and a waiting coordinator burns no CPU.
+        and a waiting coordinator burns no CPU.  Returns the frame's
+        body (everything after its kind).
         """
         conn = self.connections[worker]
         process = self.processes[worker]
+        stats = self.engine.barrier_stats
         timeout = _WORKER_BARRIER_TIMEOUT_SECONDS
+        waited = time.perf_counter()
         if not multiprocessing.connection.wait([conn, process.sentinel], timeout):
             # Named hung: no grace period at teardown.
             process.terminate()
             raise EngineError(
-                f"{self.label(worker, barrier_time)} hung: no "
-                f"{awaited or repr(expected) + ' message'} within "
-                f"{timeout:g}s (pid {process.pid})"
+                f"{self.label(worker, barrier_time)} hung: no {expected!r} "
+                f"message within {timeout:g}s (pid {process.pid})"
             )
         try:
-            message = conn.recv()
+            frame = conn.recv_bytes()
         except (EOFError, OSError):
             # EOFError once the worker exits (it held the only other
             # end); OSError (e.g. ECONNRESET) when it dies while a read
             # is in flight — which surfaces is a race.
             process.join(timeout=1.0)
             raise EngineError(
-                f"{self.label(worker, barrier_time)} died {lost} "
-                f"(exit code {process.exitcode!r})"
+                f"{self.label(worker, barrier_time)} died without sending "
+                f"its {expected!r} message (exit code {process.exitcode!r})"
             ) from None
+        decoding = time.perf_counter()
+        message = pickle.loads(frame)
+        stats["wait_seconds"] += decoding - waited
+        stats["serialize_seconds"] += time.perf_counter() - decoding
+        stats["payload_bytes"] += len(frame)
         if message[0] == "error":
             raise EngineError(
                 f"{self.label(worker, barrier_time)} failed:\n{message[1]}"
@@ -319,15 +255,20 @@ class _Wire:
                 f"shard protocol error: expected {expected!r}, "
                 f"got {message[0]!r}"
             )
-        return message[1]
+        return message[1:]
 
     def dispatch(self, worker: int, message: tuple) -> None:
         """Send one frame; a worker that died since its last report
         surfaces here as a broken pipe, named the way ``receive`` names
         it."""
+        stats = self.engine.barrier_stats
+        encoding = time.perf_counter()
+        frame = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        stats["serialize_seconds"] += time.perf_counter() - encoding
+        stats["payload_bytes"] += len(frame)
         process = self.processes[worker]
         try:
-            self.connections[worker].send(message)
+            self.connections[worker].send_bytes(frame)
         except (BrokenPipeError, OSError):
             process.join(timeout=1.0)
             raise EngineError(
@@ -335,53 +276,34 @@ class _Wire:
                 f"{message[0]!r} message (exit code {process.exitcode!r})"
             ) from None
 
-    def await_upstream(self, worker: int) -> tuple[int, Any]:
-        """Await a worker's ready frame; its delta count and checkpoints.
-
-        The worker sends the frame right after stamping its upstream
-        header, so the coordinator sleeps in ``receive`` and reads the
-        header once, never polling the segment.
-        """
-        checkpoints = self.receive(
-            worker,
-            "ready",
-            self.now,
-            awaited=f"barrier-ready flag (seq {self.seq})",
-            lost="without publishing its barrier delta",
-        )
-        got, count = deltas.read_header(self.upstreams[worker].buf)
-        if got != self.seq:  # pragma: no cover - protocol guard
-            raise EngineError(
-                f"shard protocol error: {self.label(worker, self.now)} "
-                f"stamped barrier seq {got}, expected {self.seq}"
-            )
-        return count, checkpoints
-
-    def gather(self, seq: int, now: float) -> tuple[tuple[Any, ...], Any]:
-        """Every worker's barrier: view deltas overlaid, checkpoints merged."""
-        self.seq, self.now = seq, now
-        stats = self.engine.barrier_stats
+    def gather(self, now: float) -> tuple[tuple[Any, ...], Any]:
+        """Every worker's ready frame: views in binding order,
+        checkpoints merged."""
+        self.now = now
+        views: list[Any] = [None] * len(self.engine.bindings)
         tenant_cps: dict[str, Any] = {}
         machine_cps: dict[int, Any] = {}
         checkpointing = False
         for worker in range(len(self.shards)):
-            waited = time.perf_counter()
-            count, checkpoints = self.await_upstream(worker)
-            stats["wait_seconds"] += time.perf_counter() - waited
-            decoded = time.perf_counter()
-            for bindex, view in deltas.decode_tenant_records(
-                self.upstreams[worker].buf, count, self.names, self.weights
-            ):
-                self.views[bindex] = view
-            stats["payload_bytes"] += (
-                deltas.HEADER.size + count * deltas.TENANT_RECORD.size
-            )
-            stats["serialize_seconds"] += time.perf_counter() - decoded
+            shipped, checkpoints = self.receive(worker, "ready", now)
+            for bindex, view in shipped:
+                if views[bindex] is not None:
+                    raise EngineError(
+                        f"shard protocol error: binding {bindex} sent twice "
+                        f"at barrier t={now:g}"
+                    )
+                views[bindex] = view
             if checkpoints is not None:
                 checkpointing = True
                 tenant_cps.update(checkpoints[0])
                 machine_cps.update(checkpoints[1])
-        return tuple(self.views), (
+        missing = [bindex for bindex, view in enumerate(views) if view is None]
+        if missing:
+            raise EngineError(
+                f"shard protocol error: no worker sent bindings {missing} "
+                f"at barrier t={now:g}"
+            )
+        return tuple(views), (
             (tenant_cps, machine_cps) if checkpointing else None
         )
 
@@ -392,34 +314,17 @@ class _Wire:
         restores: Sequence[tuple[str, int, Any]],
         migrations: Sequence[Any],
     ) -> None:
-        """The effect over the wire: caps down, plan frames, migrants."""
-        stats = self.engine.barrier_stats
-        dead_machines = self.engine.dead_machines
+        """The effect over the wire: plan frames, then migrants."""
         for worker, shard in enumerate(self.shards):
-            # Downstream deltas: only this shard's live machines whose
-            # applied watts changed since the last publish.
-            encoding = time.perf_counter()
-            records = []
-            cache = self.sent_caps[worker]
-            if caps is not None:
-                for index in shard:
-                    watts = caps[index]
-                    if watts is None or index in dead_machines:
-                        continue
-                    record = deltas.encode_cap_record(index, watts)
-                    if cache.get(index) != record:
-                        cache[index] = record
-                        records.append(record)
-            count = deltas.publish(self.downstreams[worker].buf, self.seq, records)
-            stats["payload_bytes"] += (
-                deltas.HEADER.size + count * deltas.CAP_RECORD.size
-            )
-            stats["serialize_seconds"] += time.perf_counter() - encoding
             self.dispatch(
                 worker,
                 (
                     "plan",
                     dead,
+                    [] if caps is None else [
+                        (index, caps[index]) for index in shard
+                        if caps[index] is not None
+                    ],
                     [r for r in restores if self.shard_of[r[1]] == worker],
                     [
                         m for m in migrations
@@ -432,7 +337,7 @@ class _Wire:
             migrants = {
                 migrant.tenant: migrant
                 for worker in range(len(self.shards))
-                for migrant in self.receive(worker, "migrants", self.now)
+                for migrant in self.receive(worker, "migrants", self.now)[0]
             }
             for worker in range(len(self.shards)):
                 self.dispatch(
@@ -450,7 +355,7 @@ class _Wire:
         """Every worker's closing payload, plus the CPU telemetry."""
         payloads = []
         for worker in range(len(self.shards)):
-            payloads.extend(self.receive(worker, "done", final_time))
+            payloads.extend(self.receive(worker, "done", final_time)[0])
         self.engine.shard_busy_seconds = [p["busy_seconds"] for p in payloads]
         self.engine.coordinator_busy_seconds = (
             time.process_time() - self.cpu_started
@@ -469,8 +374,7 @@ def run_sharded(
     Entered by :meth:`~repro.datacenter.engine.DatacenterEngine.run`
     after the in-process time-zero barrier, so the workers inherit the
     armed engine.  On exit — normal or an :class:`EngineError` naming a
-    dead or hung worker — every pipe is closed, every worker reaped,
-    and every segment closed and unlinked.
+    dead or hung worker — every pipe is closed and every worker reaped.
     """
     if not fork_available():
         raise EngineError(
@@ -482,24 +386,8 @@ def run_sharded(
         len(engine.machines), engine.workers or usable_cpu_count()
     )
     wire = _Wire(engine, shards)
-    # Preallocated segments, one pair per worker, sized for the worst
-    # case (every binding resident in one shard; caps for every
-    # machine), created before forking so workers inherit the mappings.
-    sizes = {
-        "up": deltas.HEADER.size + len(engine.bindings) * deltas.TENANT_RECORD.size,
-        "down": deltas.HEADER.size + len(engine.machines) * deltas.CAP_RECORD.size,
-    }
-    run_token = f"{SEGMENT_PREFIX}_{os.getpid()}_{os.urandom(4).hex()}"
-    segments: list[shared_memory.SharedMemory] = []
     try:
-        for worker in range(len(shards)):
-            for end, streams in (("up", wire.upstreams), ("down", wire.downstreams)):
-                segment = shared_memory.SharedMemory(
-                    name=f"{run_token}_{worker}_{end}", create=True, size=sizes[end]
-                )
-                segments.append(segment)
-                streams.append(segment)
-        for worker, shard in enumerate(shards):
+        for shard in shards:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_worker_main,
@@ -510,8 +398,6 @@ def run_sharded(
                     final_time,
                     child_conn,
                     [*wire.connections, parent_conn],
-                    wire.upstreams[worker],
-                    wire.downstreams[worker],
                 ),
                 daemon=True,
             )
@@ -528,10 +414,6 @@ def run_sharded(
         # these ends, so its recv sees EOF and it exits); terminate(),
         # then kill(), is the last resort for a worker wedged outside
         # the protocol, so teardown never waits without a bound.
-        # Segments are closed and unlinked here and nowhere else — the
-        # parent owns the /dev/shm lifetime, so even a run aborted by a
-        # worker-death EngineError leaves no stray reproshard_*
-        # segments behind.
         for conn in wire.connections:
             conn.close()
         for process in wire.processes:
@@ -542,12 +424,3 @@ def run_sharded(
             if process.is_alive():  # pragma: no cover - ignores SIGTERM
                 process.kill()
                 process.join()
-        for segment in segments:
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass

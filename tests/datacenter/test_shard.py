@@ -9,6 +9,7 @@ worker counts (1 worker; more workers than machines).
 """
 
 import os
+import re
 import time
 
 import pytest
@@ -30,9 +31,12 @@ from repro.datacenter import (
     request_stream,
     service_training_jobs,
 )
+from repro.datacenter.engine import HostGroup
+from repro.datacenter.journal import JournalWriter
 from repro.experiments.common import experiment_machine
 from repro.experiments.registry import built_service_system
 from tests.datacenter.conftest import assert_same_result
+from tests.datacenter.test_controlplane import build_migration_scenario
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -41,7 +45,7 @@ needs_fork = pytest.mark.skipif(
 HORIZON = 18.0
 
 
-def build_scenario(backend, workers=None, arbitrated=True):
+def build_scenario(backend, workers=None, arbitrated=True, journal=None):
     """4 machines, 6 tenants (2 machines doubly loaded), mixed traffic."""
     system = built_service_system()
     machines = [experiment_machine() for _ in range(4)]
@@ -90,6 +94,7 @@ def build_scenario(backend, workers=None, arbitrated=True):
         control_period=5.0,
         backend=backend,
         workers=workers,
+        journal=journal,
     )
 
 
@@ -187,173 +192,153 @@ class TestBackendValidation:
             DatacenterEngine(machines, [binding], backend="sharded", workers=0)
 
 
-def stray_segments():
-    """The ``reproshard_*`` segments currently live in ``/dev/shm``."""
-    from repro.datacenter import shard
+def inject(mode):
+    """Fail the calling worker: fail-stop, wedge, or raise."""
+    if mode == "die":
+        os._exit(3)
+    if mode == "wedge":
+        time.sleep(60.0)
+    raise RuntimeError("injected worker failure")
 
-    try:
-        return [
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(shard.SEGMENT_PREFIX)
-        ]
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs hosts
-        return []
+
+# What the coordinator reports for each injected failure, awaiting
+# ``frame`` from the worker.
+OUTCOMES = {
+    "die": r"died without sending its '{frame}' message \(exit code 3\)",
+    "wedge": r"hung: no '{frame}' message within 2s \(pid \d+\)",
+    "raise": r"failed:\n.*RuntimeError: injected worker failure",
+}
+MODES = sorted(OUTCOMES)
+
+
+def names_worker(worker, machines, barrier, mode, frame):
+    """The :class:`EngineError` that names the failed worker."""
+    return pytest.raises(
+        EngineError,
+        match=(
+            rf"(?s)shard worker {worker} \(machines {re.escape(str(machines))}\) "
+            rf"at barrier t={barrier:g} " + OUTCOMES[mode].format(frame=frame)
+        ),
+    )
 
 
 @needs_fork
 class TestWorkerSupervision:
-    """The coordinator must detect dead and hung workers at barriers.
+    """The coordinator names dead, hung and failing workers.
 
-    The tests replace ``shard._publish_upstream`` before the engine
-    forks (the fork start method inherits the patched module), so the
-    failure happens inside a real worker process mid-protocol — and
-    assert the supervisor raises an :class:`EngineError` naming the
-    worker, its machines, and the barrier, instead of blocking forever
-    on a ready flag that will never be stamped.  The death test also
-    pins the shared-memory lifecycle: a run killed mid-protocol must
-    still unlink every ``reproshard_*`` segment.
+    Each test patches one :class:`HostGroup` method before the engine
+    forks (the fork start method inherits the patched class), so the
+    failure happens inside a real worker process at one protocol phase:
+    ``settle`` before its ``ready`` frame, ``kill`` after its ``plan``
+    frame, ``emigrate`` inside the ``migrants`` exchange.  Every case
+    must raise an :class:`EngineError` naming the worker, its machines
+    and the barrier, instead of blocking forever.  In
+    :func:`build_scenario` the barriers fall at t=5, 10 and 15, and
+    worker 1 of 2 owns machines 1 and 3.
     """
 
-    def test_worker_death_mid_run_is_named(self, monkeypatch):
+    @pytest.fixture
+    def fail(self, monkeypatch):
+        """``fail(method, mode, when)``: make ``HostGroup.<method>``
+        fail in any worker where ``when(group, *args)`` holds."""
         from repro.datacenter import shard
-
-        real_publish = shard._publish_upstream
-        state = {"published": 0}
-
-        def dying_publish(segment, seq, records):
-            # Worker 1 fail-stops on entry to its third barrier
-            # publish: flag never stamped, coordinator must notice.
-            if segment.name.endswith("_1_up"):
-                state["published"] += 1
-                if state["published"] > 2:
-                    os._exit(3)
-            return real_publish(segment, seq, records)
-
-        monkeypatch.setattr(shard, "_publish_upstream", dying_publish)
-        engine = build_scenario("sharded", workers=2)
-        with pytest.raises(
-            EngineError,
-            match=r"shard worker 1 \(machines \[.*\]\) at barrier "
-            r"t=\S+ died without publishing its barrier delta "
-            r"\(exit code 3\)",
-        ):
-            engine.run()
-        assert stray_segments() == []
-
-    def test_hung_worker_is_named_with_timeout(self, monkeypatch):
-        from repro.datacenter import shard
-
-        real_publish = shard._publish_upstream
-
-        def wedged_publish(segment, seq, records):
-            # Worker 1 wedges mid-segment-write before stamping the
-            # ready flag — the shared-memory half of the supervisor
-            # must time out and name it.
-            if segment.name.endswith("_1_up"):
-                time.sleep(60.0)
-            return real_publish(segment, seq, records)
-
-        monkeypatch.setattr(shard, "_publish_upstream", wedged_publish)
-        monkeypatch.setattr(shard, "_WORKER_BARRIER_TIMEOUT_SECONDS", 2.0)
-        engine = build_scenario("sharded", workers=2)
-        with pytest.raises(
-            EngineError,
-            match=r"shard worker 1 \(machines \[.*\]\) at barrier "
-            r"t=\S+ hung: no barrier-ready flag \(seq \d+\) within 2s "
-            r"\(pid \d+\)",
-        ):
-            engine.run()
-        assert stray_segments() == []
-
-    def test_death_after_stamping_flag_is_named(self, monkeypatch):
-        from repro.datacenter import shard
-
-        real_publish = shard._publish_upstream
-
-        def stamp_then_die(segment, seq, records):
-            # Worker 1 stamps its third barrier's seq header, then
-            # fail-stops before its ready frame is sent: the header
-            # alone must not pass for a live worker.
-            count = real_publish(segment, seq, records)
-            if segment.name.endswith("_1_up") and seq == 3:
-                os._exit(3)
-            return count
-
-        monkeypatch.setattr(shard, "_publish_upstream", stamp_then_die)
-        engine = build_scenario("sharded", workers=2)
-        with pytest.raises(
-            EngineError,
-            match=r"shard worker 1 \(machines \[.*\]\) at barrier "
-            r"t=\S+ died .*\(exit code 3\)",
-        ):
-            engine.run()
-        assert stray_segments() == []
-
-    def test_error_in_barrier_step_is_named(self, monkeypatch):
-        from repro.datacenter import shard
-
-        real_publish = shard._publish_upstream
-
-        def failing_publish(segment, seq, records):
-            # Worker 1 raises inside its third barrier step: it must
-            # ship the traceback as an ``error`` frame in place of its
-            # ready frame.
-            if segment.name.endswith("_1_up") and seq == 3:
-                raise RuntimeError("injected barrier-step failure")
-            return real_publish(segment, seq, records)
-
-        monkeypatch.setattr(shard, "_publish_upstream", failing_publish)
-        engine = build_scenario("sharded", workers=2)
-        with pytest.raises(
-            EngineError,
-            match=r"(?s)shard worker 1 \(machines \[.*\]\) at barrier "
-            r"t=\S+ failed:\n.*RuntimeError: injected barrier-step failure",
-        ):
-            engine.run()
-        assert stray_segments() == []
-
-
-@needs_fork
-class TestBlockingBarrierWait:
-    """The coordinator blocks on ready frames instead of spinning."""
-
-    def test_each_upstream_header_is_read_once(self, monkeypatch):
-        from repro.datacenter import deltas, shard
 
         parent = os.getpid()
-        reads = {"parent": 0}
-        real_read_header = deltas.read_header
-        real_publish = shard._publish_upstream
 
-        def counting_read_header(buffer):
-            # Forked workers inherit this wrapper; count only the
-            # coordinator's reads.
-            if os.getpid() == parent:
-                reads["parent"] += 1
-            return real_read_header(buffer)
+        def arm(method, mode, when):
+            real = getattr(HostGroup, method)
 
-        def slow_publish(segment, seq, records):
-            # A straggler: a polling coordinator would re-read the
-            # header throughout this delay.
-            if segment.name.endswith("_1_up") and seq == 2:
-                time.sleep(0.3)
-            return real_publish(segment, seq, records)
+            def failing(group, *args):
+                if os.getpid() != parent and when(group, *args):
+                    inject(mode)
+                return real(group, *args)
 
-        monkeypatch.setattr(deltas, "read_header", counting_read_header)
-        monkeypatch.setattr(shard, "_publish_upstream", slow_publish)
-        engine = build_scenario("sharded", workers=2)
-        engine.run()
-        assert reads["parent"] == 2 * engine.barrier_stats["barriers"]
+            monkeypatch.setattr(HostGroup, method, failing)
+            monkeypatch.setattr(shard, "_WORKER_BARRIER_TIMEOUT_SECONDS", 2.0)
+
+        return arm
+
+    @staticmethod
+    def settling(until):
+        """Worker 1 settling to barrier ``until``."""
+        return lambda group, now: group.machine_indices == [1, 3] and now == until
+
+    def test_worker_death_mid_run_is_named(self, fail):
+        fail("settle", "die", self.settling(15.0))
+        with names_worker(1, [1, 3], 15.0, "die", "ready"):
+            build_scenario("sharded", workers=2).run()
+
+    def test_hung_worker_is_named_with_timeout(self, fail):
+        fail("settle", "wedge", self.settling(15.0))
+        with names_worker(1, [1, 3], 15.0, "wedge", "ready"):
+            build_scenario("sharded", workers=2).run()
+
+    def test_error_in_barrier_step_is_named(self, fail):
+        fail("settle", "raise", self.settling(15.0))
+        with names_worker(1, [1, 3], 15.0, "raise", "ready"):
+            build_scenario("sharded", workers=2).run()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_failure_after_plan_is_named(self, fail, mode):
+        # Worker 1 fails applying its second barrier's plan (t=10); the
+        # coordinator finds out awaiting its next ready frame (t=15).
+        kills = []
+
+        def second_plan(group, dead):
+            if group.machine_indices != [1, 3]:
+                return False
+            kills.append(dead)
+            return len(kills) == 2
+
+        fail("kill", mode, second_plan)
+        with names_worker(1, [1, 3], 15.0, mode, "ready"):
+            build_scenario("sharded", workers=2).run()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_failure_in_migrants_exchange_is_named(self, fail, mode):
+        # The scenario's one migration moves t0 off machine 0 (worker 0
+        # of 2, which owns machines 0 and 2) at t=8.
+        fail("emigrate", mode, lambda group, record: True)
+        with names_worker(0, [0, 2], 8.0, mode, "migrants"):
+            build_migration_scenario("sharded", workers=2).run()
 
 
 @needs_fork
-class TestSegmentLifecycle:
-    """Shared-memory segments never outlive the run that created them."""
+class TestReadyFrameGuard:
+    """Every binding's view arrives exactly once per barrier."""
 
-    def test_completed_run_leaves_no_segments(self):
-        build_scenario("sharded", workers=2).run()
-        assert stray_segments() == []
+    def corrupt_views(self, monkeypatch, corrupt):
+        parent = os.getpid()
+        real = HostGroup.views
+
+        def views(group, now):
+            shipped = real(group, now)
+            if os.getpid() != parent and group.machine_indices == [1, 3]:
+                return corrupt(shipped)
+            return shipped
+
+        monkeypatch.setattr(HostGroup, "views", views)
+
+    def test_missing_binding_is_a_protocol_error(self, monkeypatch):
+        # Worker 1 hosts tenant-2 (machine 1) and tenant-5 (machine 3).
+        self.corrupt_views(monkeypatch, lambda shipped: [])
+        with pytest.raises(
+            EngineError,
+            match=r"no worker sent bindings \[2, 5\] at barrier t=5",
+        ):
+            build_scenario("sharded", workers=2).run()
+
+    def test_duplicate_binding_is_a_protocol_error(self, monkeypatch):
+        self.corrupt_views(monkeypatch, lambda shipped: shipped + shipped[:1])
+        with pytest.raises(
+            EngineError, match=r"binding 2 sent twice at barrier t=5"
+        ):
+            build_scenario("sharded", workers=2).run()
+
+
+@needs_fork
+class TestWireTelemetry:
+    """``barrier_stats`` counts every frame the coordinator pickles."""
 
     def test_barrier_stats_populated(self):
         engine = build_scenario("sharded", workers=2)
@@ -362,33 +347,52 @@ class TestSegmentLifecycle:
         assert stats is not None
         assert stats["barriers"] > 0
         assert stats["payload_bytes"] > 0
+        assert stats["serialize_seconds"] > 0.0
         assert stats["wait_seconds"] >= 0.0
         assert engine.coordinator_busy_seconds is not None
         assert engine.coordinator_busy_seconds > 0.0
 
+    def test_checkpoints_are_counted_on_the_wire(self, tmp_path):
+        # A journal makes every barrier ship checkpoints in its ready
+        # frames; the run's results are otherwise the same.
+        plain = build_scenario("sharded", workers=2)
+        plain.run()
+        with JournalWriter(str(tmp_path / "run.ndjson"), {}) as journal:
+            journaled = build_scenario("sharded", workers=2, journal=journal)
+            journaled.run()
+        assert journaled.barrier_stats["barriers"] == plain.barrier_stats["barriers"]
+        assert (
+            journaled.barrier_stats["payload_bytes"]
+            > plain.barrier_stats["payload_bytes"]
+        )
+
 
 class TestTransportBoundary:
-    """``shard.py`` is transport and supervision only.
+    """No module outside ``engine.py`` reads an engine private.
 
     The barrier loop, the barrier step and the result assembly live in
-    the engine; the shard module drives a :class:`HostGroup` and reads
-    public engine state.  An ``engine._<name>`` access there would mean
-    engine logic leaking back into the transport.
+    the engine; the shard transport drives a :class:`HostGroup` and the
+    applier works on data and machines, both through public engine
+    state.  An ``engine._<name>`` access there would mean engine logic
+    leaking out of the engine.
     """
 
     def test_shard_reads_no_engine_private(self):
         import ast
 
         from repro.datacenter import shard
+        from repro.datacenter.controlplane import applier
 
-        with open(shard.__file__, encoding="utf-8") as source:
-            tree = ast.parse(source.read())
-        leaks = [
-            f"line {node.lineno}: engine.{node.attr}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr.startswith("_")
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "engine"
-        ]
+        leaks = []
+        for module in (shard, applier):
+            with open(module.__file__, encoding="utf-8") as source:
+                tree = ast.parse(source.read())
+            leaks.extend(
+                f"{module.__name__} line {node.lineno}: engine.{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "engine"
+            )
         assert leaks == []
