@@ -33,7 +33,8 @@ Module map:
 * :mod:`~repro.datacenter.shard` — the multiprocess backend: machines
   partitioned across forked workers that run independently between
   control barriers and exchange only tenant views, validated plans,
-  and migrant states, with results identical to the serial scheduler.
+  and tenant checkpoints, with results identical to the serial
+  scheduler.
 * :mod:`~repro.datacenter.billing` — the per-tenant metering layer:
   ledgers the engine charges per dispatched ``step()``, end-of-run
   :class:`~repro.datacenter.billing.TenantBill` composition (energy,
@@ -92,7 +93,6 @@ from repro.datacenter.controlplane import (
     SetCaps,
     TenantView,
     build_policy,
-    chaos_kill_times,
     load_budget_trace,
     parse_budget_trace,
 )
@@ -180,7 +180,6 @@ __all__ = [
     "TenantCheckpoint",
     "TenantView",
     "build_policy",
-    "chaos_kill_times",
     "load_budget_trace",
     "parse_budget_trace",
     "BillingError",

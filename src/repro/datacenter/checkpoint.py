@@ -1,28 +1,31 @@
-"""Per-barrier cluster checkpoints: the unit of crash recovery.
+"""Per-barrier cluster checkpoints: the one tenant state record.
 
-PR 5's warm migration proved a tenant instance is fully described by
-plain data — a :class:`~repro.core.runtime.RuntimeSnapshot`, the queued
-``(job, tag)`` pairs, the stats/ledger values, and the arrival-stream
-cursor.  This module generalizes that observation from "one migrating
-instance" to "every tenant, every barrier": a
-:class:`TenantCheckpoint` / :class:`MachineCheckpoint` pair captures
-the whole cluster's recoverable state at a control barrier, *without*
-disturbing the live run (the runtime is peeked, never drained).
+A tenant instance is fully described by plain data — a
+:class:`~repro.core.runtime.RuntimeSnapshot`, the queued requests'
+``(index, arrival)`` tags, the stats/ledger values, and the
+arrival-stream cursor.  A :class:`TenantCheckpoint` /
+:class:`MachineCheckpoint` pair captures the whole cluster's
+recoverable state at a control barrier, *without* disturbing the live
+run (the runtime is peeked, never drained).
 
-Two consumers:
+Three consumers:
 
 * the run journal (:mod:`repro.datacenter.journal`) writes the
   checkpoints into every barrier record, which is what makes a crashed
   run resumable and a chaos run explainable;
 * machine-failure injection (:class:`~repro.datacenter.controlplane.
   actions.FailMachine`) re-places a dead machine's tenants from the
-  checkpoint captured at the same barrier, via
-  :func:`restore_from_checkpoint`.
+  checkpoint captured at the same barrier;
+* migration: :meth:`~repro.datacenter.engine.HostGroup.emigrate`
+  returns the drained tenant as a checkpoint (the extracted pending
+  tags, a snapshot only for a warm move).
 
-Checkpoints are captured *before* the barrier's control decision runs,
-with every host settled to the barrier instant — so the values are
-exact on every backend, and a restore rebuilds precisely the state the
-policy saw.
+Both moves land through one rebuild,
+:meth:`~repro.datacenter.engine.HostGroup.restore`.  Barrier
+checkpoints are captured *before* the control decision runs, with
+every host settled to the barrier instant — so the values are exact on
+every backend, and a restore rebuilds precisely the state the policy
+saw.
 
 Rebuilding pending requests relies on the tenant's ``job_factory``
 being a pure function of the request index (true for every factory in
@@ -42,8 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.datacenter.tenants import CompletedRequest, TenantStats
-from repro.datacenter.billing import TenantLedger
 from repro.hardware.power import PowerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,7 +55,6 @@ __all__ = [
     "MachineCheckpoint",
     "capture_tenant_checkpoint",
     "capture_machine_checkpoint",
-    "restore_from_checkpoint",
 ]
 
 
@@ -70,7 +70,7 @@ class TenantCheckpoint:
         machine_index: Placement at the barrier.
         offered: Arrivals dispatched so far — also the tenant's
             arrival-stream cursor (every dispatched arrival records an
-            offer exactly once, so ``trace_pos == offered``).
+            offer exactly once), where a restore resumes its arrivals.
         rejected: Admission rejections so far.
         completions: ``(arrival, completion)`` pairs of every served
             request so far, in completion order.  Consecutive captures
@@ -85,7 +85,8 @@ class TenantCheckpoint:
         steps: Billing-ledger step count at the barrier.
         finished: Whether the instance had drained.
         snapshot: The runtime's warm control state
-            (:class:`~repro.core.runtime.RuntimeSnapshot`).
+            (:class:`~repro.core.runtime.RuntimeSnapshot`), or None for
+            a cold migration.
     """
 
     tenant: str
@@ -168,76 +169,3 @@ def capture_machine_checkpoint(
         mean_power=mean_power,
         alive=index not in engine.dead_machines,
     )
-
-
-def restore_from_checkpoint(
-    engine: "DatacenterEngine",
-    binding: "InstanceBinding",
-    checkpoint: TenantCheckpoint,
-    dest_machine_index: int,
-) -> None:
-    """Rebuild a tenant on ``dest_machine_index`` from a checkpoint.
-
-    The crash-recovery half of machine failure: a fresh runtime is
-    built via the binding's ``runtime_factory``, the checkpoint's warm
-    snapshot restores the control state, stats and ledger are rebuilt
-    to the checkpointed values, and the pending queue is re-fed from
-    the checkpoint's ``(index, arrival)`` tags with fresh completion
-    hooks.  The request that was in flight on the dead machine (if
-    any) is lost — fail-stop semantics — but every joule it burned
-    stayed metered and billed on the dead machine, so billing
-    conservation is unaffected.  Identical code runs on the serial and
-    sharded backends (in the destination worker), which is what keeps
-    post-failure runs byte-identical across backends.
-    """
-    from repro.datacenter.controlplane.actions import ControlError
-
-    if binding.runtime_factory is None:
-        raise ControlError(
-            f"tenant {binding.tenant.name!r} has no runtime_factory; "
-            "failure recovery requires one to rebuild the instance on a "
-            "surviving machine"
-        )
-    machine = engine.machines[dest_machine_index]
-    runtime = binding.runtime_factory(machine)
-    if runtime.machine is not machine:
-        raise ControlError(
-            f"runtime_factory for tenant {binding.tenant.name!r} returned "
-            "a runtime bound to the wrong machine"
-        )
-    stats = TenantStats(
-        offered=checkpoint.offered,
-        rejected=checkpoint.rejected,
-        completions=[
-            CompletedRequest(arrival, completion)
-            for arrival, completion in checkpoint.completions
-        ],
-    )
-    binding.runtime = runtime
-    binding.machine_index = dest_machine_index
-    binding.stats = stats
-    binding.ledger = TenantLedger(
-        energy_joules=checkpoint.energy_joules,
-        busy_seconds=checkpoint.busy_seconds,
-        steps=checkpoint.steps,
-    )
-    # The dead machine's runtime segment died with it: queued samples
-    # from the lost segment are unrecoverable by design (the billing
-    # ledger, not the segment, is the source of truth for charges).
-    binding.run_segments = []
-    binding.next_request = checkpoint.next_request
-    binding.finished = False
-    binding.starved = False
-    runtime.begin()
-    if checkpoint.snapshot is not None:
-        runtime.restore(checkpoint.snapshot)
-    for index, arrival in checkpoint.pending:
-        job = binding.tenant.job_factory(index)
-        runtime.feed(
-            job,
-            on_complete=lambda completion, arrival=arrival: (
-                stats.record_completion(arrival, completion)
-            ),
-            tag=(index, arrival),
-        )
-    engine.hosts[dest_machine_index].instances.append(binding)

@@ -23,7 +23,10 @@ Module map:
   the CLI's ``--policy`` flag.
 * :mod:`~repro.datacenter.controlplane.applier` — central validation
   (``plan_actions``), cap enforcement, failure placement, and the
-  ``MigrantState`` a migration carries between its two halves.
+  merge of a migrated tenant's run segments.  A migration's state
+  travels as the same
+  :class:`~repro.datacenter.checkpoint.TenantCheckpoint` a failure
+  restore lands from.
 """
 
 from repro.datacenter.controlplane.actions import (
@@ -42,7 +45,6 @@ from repro.datacenter.controlplane.actions import (
 )
 from repro.datacenter.controlplane.applier import (
     ControlPlan,
-    MigrantState,
     RetryState,
     enforce_caps,
     machine_limits,
@@ -70,7 +72,6 @@ from repro.datacenter.controlplane.policy import (
     MigratingPolicy,
     ScheduledBudgetPolicy,
     build_policy,
-    chaos_kill_times,
 )
 
 __all__ = [
@@ -87,7 +88,6 @@ __all__ = [
     "SetCaps",
     "TenantView",
     "ControlPlan",
-    "MigrantState",
     "RetryState",
     "enforce_caps",
     "machine_limits",
@@ -109,5 +109,4 @@ __all__ = [
     "MigratingPolicy",
     "ScheduledBudgetPolicy",
     "build_policy",
-    "chaos_kill_times",
 ]

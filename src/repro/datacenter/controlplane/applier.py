@@ -12,15 +12,10 @@ backend:
   and real destinations.  The serial engine and the sharded
   coordinator both plan through this function.
 * :func:`enforce_caps` — cap -> DVFS application (the §5.4 mechanism).
-* :class:`MigrantState` — everything that moves with a tenant between
-  the two halves of a migration
-  (:meth:`~repro.datacenter.engine.HostGroup.emigrate` and
-  :meth:`~repro.datacenter.engine.HostGroup.absorb`).  Serial runs
-  them back to back in process; the sharded backend ships the migrant
-  from the source worker through the coordinator to the destination
-  worker.
 * :func:`plan_failures` — where a failed machine's tenants go; the
-  engine's barrier step places them and its transport restores them.
+  engine's barrier step places them and its transport restores them
+  (:meth:`~repro.datacenter.engine.HostGroup.restore`, which also
+  lands every migrant).
 * :func:`merge_run_results` — stitches a migrated tenant's per-host
   run segments into the single :class:`~repro.core.runtime.RunResult`
   exposed by ``DatacenterResult.run_results``.
@@ -51,7 +46,6 @@ from repro.datacenter.controlplane.actions import (
 
 __all__ = [
     "ControlPlan",
-    "MigrantState",
     "RetryState",
     "machine_limits",
     "plan_actions",
@@ -302,42 +296,6 @@ def retry_backoff_seconds(
     backend (and every replay) schedules byte-identical retries.
     """
     return min(base_seconds * (2.0 ** (attempt - 1)), cap_seconds)
-
-
-@dataclass(frozen=True)
-class MigrantState:
-    """Everything that moves with a tenant in a migration.
-
-    Plain data (picklable) so the sharded backend can ship it between
-    the source and destination workers through the coordinator.
-
-    Attributes:
-        tenant: The moving tenant's name.
-        source_machine_index: Machine the instance left.
-        pending: ``(job, tag)`` pairs extracted from the source
-            runtime's queue — requests admitted but not yet started.
-        stats: The tenant's SLA/admission accounting (moves by value).
-        ledger: The tenant's billing ledger (moves by value).
-        run_segments: Completed :class:`RunResult` segments, one per
-            host the instance has run on so far.
-        next_request: The tenant's next request index.
-        trace_pos: How many of the tenant's trace arrivals have been
-            dispatched — the destination resumes its arrival cursor
-            here.
-        snapshot: The source runtime's warm control state
-            (:class:`~repro.core.runtime.RuntimeSnapshot`) for a warm
-            move, or None for a cold restart.
-    """
-
-    tenant: str
-    source_machine_index: int
-    pending: tuple[tuple[Any, Any], ...]
-    stats: Any
-    ledger: Any
-    run_segments: tuple[RunResult, ...]
-    next_request: int
-    trace_pos: int
-    snapshot: Any | None = None
 
 
 def plan_failures(

@@ -72,7 +72,6 @@ __all__ = [
     "MigratingPolicy",
     "ScheduledBudgetPolicy",
     "build_policy",
-    "chaos_kill_times",
 ]
 
 POLICY_NAMES = (
@@ -454,37 +453,12 @@ class ConsolidatingPolicy:
         return actions
 
 
-def chaos_kill_times(
-    horizon: float,
-    kills: int,
-    seed: int,
-    start_fraction: float = 0.3,
-    end_fraction: float = 0.8,
-) -> tuple[float, ...]:
-    """The seeded, sorted machine-kill instants for a chaos run.
-
-    A pure function of ``(horizon, kills, seed)`` so every consumer —
-    :class:`ChaosPolicy` and a resumed run re-deriving its schedule —
-    computes identical floats.
-    Kills land in the ``[start_fraction, end_fraction]`` span of the
-    horizon: late enough that tenants have warm state worth losing,
-    early enough that the recovered run still serves traffic.
-    """
-    # The schedule math lives in repro.datacenter.faults (shared with
-    # FaultPlan.generate, so --chaos and a kills-only fault plan compute
-    # byte-identical instants); this wrapper keeps the control plane's
-    # error type.
-    try:
-        return kill_schedule(horizon, kills, seed, start_fraction, end_fraction)
-    except FaultPlanError as error:
-        raise ControlError(str(error)) from None
-
-
 class ChaosPolicy:
     """Fault injection: fail-stop machines at seeded instants mid-run.
 
-    Wraps any policy stack.  :func:`chaos_kill_times` schedules the
-    kill instants (each becomes a control barrier, so the failure
+    Wraps any policy stack.
+    :func:`~repro.datacenter.faults.kill_schedule` schedules the kill
+    instants (each becomes a control barrier, so the failure
     lands exactly when scheduled, not at the next periodic tick); at
     each one the policy picks a seeded victim among the machines still
     alive — preferring machines that actually host unfinished tenants,
@@ -539,7 +513,10 @@ class ChaosPolicy:
         kill_times: Sequence[KillFault | float] | None = None,
     ) -> None:
         # Validate eagerly (barrier_times may be a while away).
-        chaos_kill_times(1.0, kills, seed, start_fraction, end_fraction)
+        try:
+            kill_schedule(1.0, kills, seed, start_fraction, end_fraction)
+        except FaultPlanError as error:
+            raise ControlError(str(error)) from None
         self.inner = inner
         self.seed = seed
         self.start_fraction = start_fraction

@@ -90,7 +90,6 @@ from repro.datacenter.checkpoint import (
     TenantCheckpoint,
     capture_machine_checkpoint,
     capture_tenant_checkpoint,
-    restore_from_checkpoint,
 )
 from repro.datacenter.controlplane.actions import (
     Action,
@@ -104,7 +103,6 @@ from repro.datacenter.controlplane.actions import (
 )
 from repro.datacenter.controlplane.applier import (
     ControlPlan,
-    MigrantState,
     RetryState,
     enforce_caps,
     machine_limits,
@@ -114,7 +112,12 @@ from repro.datacenter.controlplane.applier import (
     retry_backoff_seconds,
 )
 from repro.datacenter.faults import FaultPlan, FaultRecord, RetryRecord
-from repro.datacenter.tenants import TenantReport, TenantSpec, TenantStats
+from repro.datacenter.tenants import (
+    CompletedRequest,
+    TenantReport,
+    TenantSpec,
+    TenantStats,
+)
 from repro.datacenter.tolerances import (
     SETTLE_SLACK,
     TARGET_SLACK,
@@ -342,11 +345,10 @@ class _EventPump:
                 self._heap, (arrivals[pos], cursor[0], pos, self._seq, cursor)
             )
 
-    def remove(self, binding: InstanceBinding) -> int:
-        """Stop pumping ``binding``; returns its resume position."""
+    def remove(self, binding: InstanceBinding) -> None:
+        """Stop pumping ``binding``."""
         cursor = self._cursors.pop(id(binding))
         cursor[3] = None  # invalidate: its heap entry is now stale
-        return cursor[2]
 
     def run_until(self, barrier: float | None) -> None:
         """Dispatch arrivals up to and including ``barrier`` (None: all).
@@ -544,104 +546,136 @@ class HostGroup:
         )
 
     def restore(
-        self, tenant: str, checkpoint: TenantCheckpoint, dest: int
+        self,
+        tenant: str,
+        checkpoint: TenantCheckpoint,
+        dest: int,
+        segments: Sequence[RunResult] = (),
     ) -> None:
-        """Rebuild a failed machine's tenant on owned machine ``dest``."""
-        binding = self.engine._by_name[tenant]
-        restore_from_checkpoint(self.engine, binding, checkpoint, dest)
-        # offered == the tenant's arrival-stream cursor.
+        """Rebuild ``tenant`` on owned machine ``dest`` from a checkpoint.
+
+        The one rebuild for both kinds of move.  A failure victim lands
+        from this barrier's checkpoint without its dead segment (the
+        request in flight there is lost, fail-stop, but every joule it
+        burned stays billed on the dead machine); a migrant lands from
+        :meth:`emigrate`'s checkpoint with its ``segments``.  The
+        binding's ``runtime_factory`` builds the runtime and a warm
+        snapshot is replayed into it; stats and ledger take the
+        checkpointed values; pending requests are re-fed from their tags
+        through ``job_factory`` (a pure function of the index); arrivals
+        resume at ``offered``.
+        """
+        engine = self.engine
+        binding = engine._by_name[tenant]
+        if binding.runtime_factory is None:
+            raise ControlError(
+                f"tenant {tenant!r} has no runtime_factory; moving it to "
+                f"machine {dest} requires one to rebuild the instance there"
+            )
+        machine = engine.machines[dest]
+        runtime = binding.runtime_factory(machine)
+        if runtime.machine is not machine:
+            raise ControlError(
+                f"runtime_factory for tenant {tenant!r} returned a runtime "
+                f"bound to the wrong machine (moving it to machine {dest})"
+            )
+        stats = TenantStats(
+            offered=checkpoint.offered,
+            rejected=checkpoint.rejected,
+            completions=[
+                CompletedRequest(arrival, completion)
+                for arrival, completion in checkpoint.completions
+            ],
+        )
+        binding.runtime = runtime
+        binding.machine_index = dest
+        binding.stats = stats
+        binding.ledger = TenantLedger(
+            energy_joules=checkpoint.energy_joules,
+            busy_seconds=checkpoint.busy_seconds,
+            steps=checkpoint.steps,
+        )
+        binding.run_segments = list(segments)
+        binding.next_request = checkpoint.next_request
+        binding.finished = False
+        binding.starved = False
+        runtime.begin()
+        if checkpoint.snapshot is not None:
+            runtime.restore(checkpoint.snapshot)
+        for index, arrival in checkpoint.pending:
+            runtime.feed(
+                binding.tenant.job_factory(index),
+                on_complete=lambda completion, arrival=arrival: (
+                    stats.record_completion(arrival, completion)
+                ),
+                tag=(index, arrival),
+            )
+        engine.hosts[dest].instances.append(binding)
         self._pump.add(binding, checkpoint.offered)
 
-    def emigrate(self, record: MigrationRecord) -> MigrantState:
+    def emigrate(
+        self, record: MigrationRecord
+    ) -> tuple[TenantCheckpoint, tuple[RunResult, ...]]:
         """The source half of a migration, from an owned machine.
 
         Queued-but-unstarted requests are extracted to move with the
         tenant; the request in flight (if any) is then drained to
         completion on the source host — every drain ``step()`` metered
         to the tenant exactly like scheduled steps — before the runtime
-        is finished and its segment banked.  For a warm move the
-        drained runtime's control state (controller integrator, plan
-        cache, heartbeat window, quantum phase) is captured *after* the
+        is finished and its segment banked.  Returns the drained tenant
+        as a checkpoint (``pending`` holds the extracted tags;
+        ``snapshot`` is set only for a warm move, captured *after* the
         drain, so the destination resumes from the last operating point
-        the source actually ran at.
+        the source actually ran at) and its run segments, for
+        :meth:`absorb`.
         """
         engine = self.engine
         binding = engine._by_name[record.tenant]
-        trace_pos = self._pump.remove(binding)
+        self._pump.remove(binding)
         host = engine.hosts[binding.machine_index]
         runtime = binding.runtime
-        pending = tuple(runtime.extract_pending())
+        pending = tuple(tag for _, tag in runtime.extract_pending())
         runtime.close_input()
         while not binding.finished:
             if engine._metered_step(host, binding) is StepStatus.FINISHED:
                 binding.finished = True
-        segment = runtime.finish()
+        segments = (*binding.run_segments, runtime.finish())
         host.instances.remove(binding)
-        return MigrantState(
-            tenant=binding.tenant.name,
-            source_machine_index=binding.machine_index,
-            pending=pending,
-            stats=binding.stats,
-            ledger=binding.ledger,
-            run_segments=tuple(binding.run_segments) + (segment,),
+        stats, ledger = binding.stats, binding.ledger
+        # Not capture_tenant_checkpoint: the queue is already extracted,
+        # and a cold move takes no snapshot (its controller need not
+        # support one).
+        checkpoint = TenantCheckpoint(
+            tenant=record.tenant,
+            machine_index=binding.machine_index,
+            offered=stats.offered,
+            rejected=stats.rejected,
+            completions=stats.completion_pairs(),
             next_request=binding.next_request,
-            trace_pos=trace_pos,
+            pending=pending,
+            energy_joules=ledger.energy_joules,
+            busy_seconds=ledger.busy_seconds,
+            steps=ledger.steps,
+            finished=True,
             snapshot=runtime.snapshot() if record.warm else None,
         )
+        return checkpoint, segments
 
-    def absorb(self, migrant: MigrantState, record: MigrationRecord) -> None:
-        """The destination half of a migration, onto an owned machine.
-
-        Rebuilds the tenant's runtime on the destination via the
-        binding's ``runtime_factory``, restores the shipped stats,
-        ledger and segments, re-feeds the moved pending requests
-        (completion hooks re-attached to the shipped stats), and
-        charges the move's ``cost_seconds`` to the tenant's ledger
-        (time only — migration conserves energy).  A warm migrant's
-        snapshot is replayed into the fresh runtime before any request
-        runs, so the destination's first control period continues from
-        the source's last instead of the baseline.
-        """
-        engine = self.engine
-        binding = engine._by_name[migrant.tenant]
+    def absorb(
+        self,
+        checkpoint: TenantCheckpoint,
+        segments: Sequence[RunResult],
+        record: MigrationRecord,
+    ) -> None:
+        """The destination half of a migration: :meth:`restore`, then
+        the move's ``cost_seconds`` charged to the tenant's ledger (time
+        only — migration conserves energy; a failure restore charges
+        nothing, since a charge counts a step)."""
         dest = record.dest_machine_index
-        if binding.runtime_factory is None:
-            raise ControlError(
-                f"tenant {binding.tenant.name!r} has no runtime_factory; "
-                "migration requires one to rebuild the instance on the "
-                "destination machine"
-            )
-        machine = engine.machines[dest]
-        runtime = binding.runtime_factory(machine)
-        if runtime.machine is not machine:
-            raise ControlError(
-                f"runtime_factory for tenant {binding.tenant.name!r} returned a "
-                "runtime bound to the wrong machine"
-            )
-        binding.runtime = runtime
-        binding.machine_index = dest
-        binding.stats = migrant.stats
-        binding.ledger = migrant.ledger
-        binding.run_segments = list(migrant.run_segments)
-        binding.next_request = migrant.next_request
-        binding.finished = False
-        binding.starved = False
-        runtime.begin()
-        if migrant.snapshot is not None:
-            runtime.restore(migrant.snapshot)
-        stats = binding.stats
-        for job, tag in migrant.pending:
-            _, arrival = tag
-            runtime.feed(
-                job,
-                on_complete=lambda completion, arrival=arrival: (
-                    stats.record_completion(arrival, completion)
-                ),
-                tag=tag,
-            )
-        engine.hosts[dest].instances.append(binding)
-        binding.ledger.charge(0.0, record.cost_seconds)
-        self._pump.add(binding, migrant.trace_pos)
+        self.restore(record.tenant, checkpoint, dest, segments)
+        self.engine._by_name[record.tenant].ledger.charge(
+            0.0, record.cost_seconds
+        )
 
     def apply(
         self,
@@ -665,7 +699,7 @@ class HostGroup:
         for tenant, dest, checkpoint in restores:
             self.restore(tenant, checkpoint, dest)
         for record in migrations:
-            self.absorb(self.emigrate(record), record)
+            self.absorb(*self.emigrate(record), record)
 
     def finish(self, final_time: float) -> list[dict[str, Any]]:
         """Settle to the last event, close input, drain: the payloads."""

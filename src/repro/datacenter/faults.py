@@ -278,9 +278,9 @@ def kill_schedule(
 ) -> tuple[float, ...]:
     """The seeded, sorted fail-stop instants of a generated plan.
 
-    The pure schedule function shared by :meth:`FaultPlan.generate`
-    and :func:`~repro.datacenter.controlplane.policy.chaos_kill_times`
-    (which delegates here), so ``--chaos`` and a kills-only
+    The pure schedule function behind :meth:`FaultPlan.generate`,
+    which :class:`~repro.datacenter.controlplane.policy.ChaosPolicy`
+    runs for ``--chaos``, so ``--chaos`` and a kills-only
     :class:`FaultPlan` compute identical floats for the same seed.
     Kills land in the ``[start_fraction, end_fraction]`` span of the
     horizon: late enough that tenants have warm state worth losing,

@@ -27,11 +27,11 @@ are pickled plain data.
    failing now, the caps for its machines (only those the barrier step
    changed), the victim restores (with their checkpoints) whose
    destination it owns, and the migrations leaving it;
-3. if the plan migrates anyone, source workers return the picklable
-   :class:`~repro.datacenter.controlplane.applier.MigrantState`
-   objects in a ``migrants`` frame, and the coordinator routes them to
-   the destination workers in ``absorb`` frames — machines never change
-   shards, tenants do.
+3. if the plan migrates anyone, source workers drain the leaving
+   tenants into ``(TenantCheckpoint, run segments)`` pairs in a
+   ``migrants`` frame, and the coordinator routes each pair with its
+   migration record to the destination worker in an ``absorb`` frame
+   — machines never change shards, tenants do.
 
 When a run checkpoints, every barrier's checkpoints reach the
 coordinator exactly as the serial backend captures them, which is what
@@ -60,7 +60,7 @@ The backend requires the ``fork`` start method (workers inherit the
 armed engine — closures, generators and all — without pickling); the
 engine raises :class:`~repro.datacenter.engine.EngineError` on
 platforms without it.  Only plain-data frames — views, caps,
-checkpoints, migrant states, and closing payloads — cross the Pipes.
+checkpoints, run segments, and closing payloads — cross the Pipes.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def _worker_main(
                 group.restore(tenant, checkpoint, dest)
             if migrating:
                 conn.send(("migrants", [group.emigrate(r) for r in emigrations]))
-                for migrant, record in _expect(conn.recv(), "absorb")[1]:
-                    group.absorb(migrant, record)
+                for move in _expect(conn.recv(), "absorb")[1]:
+                    group.absorb(*move)
         conn.send(("done", group.finish(final_time)))
     except BaseException:
         try:
@@ -335,9 +335,11 @@ class _Wire:
             )
         if migrations:
             migrants = {
-                migrant.tenant: migrant
+                checkpoint.tenant: (checkpoint, segments)
                 for worker in range(len(self.shards))
-                for migrant in self.receive(worker, "migrants", self.now)[0]
+                for checkpoint, segments in self.receive(
+                    worker, "migrants", self.now
+                )[0]
             }
             for worker in range(len(self.shards)):
                 self.dispatch(
@@ -345,7 +347,7 @@ class _Wire:
                     (
                         "absorb",
                         [
-                            (migrants[m.tenant], m) for m in migrations
+                            (*migrants[m.tenant], m) for m in migrations
                             if self.shard_of[m.dest_machine_index] == worker
                         ],
                     ),

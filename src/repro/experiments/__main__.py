@@ -54,6 +54,7 @@ from repro.experiments.catalog import ARTIFACTS, PER_APP_ARTIFACTS
 from repro.experiments.common import Scale
 from repro.experiments.datacenter import (
     DEFAULT_BUDGET_WATTS,
+    default_tenant_mix,
     format_datacenter,
     format_datacenter_bills,
     format_replay,
@@ -315,6 +316,19 @@ def main(argv: list[str] | None = None) -> int:
     if workers is not None and workers < 1:
         print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
         return 2
+    machines = getattr(args, "machines", None)
+    fewest = 1 + max(tenant.machine_index for tenant in default_tenant_mix())
+    if machines is not None and machines < fewest:
+        print(
+            f"error: --machines must be >= {fewest} (the tenant mix places "
+            f"tenants on machines 0-{fewest - 1}), got {machines}",
+            file=sys.stderr,
+        )
+        return 2
+    chaos = getattr(args, "chaos", 0)
+    if chaos < 0:
+        print(f"error: --chaos must be >= 0, got {chaos}", file=sys.stderr)
+        return 2
     budget_trace = None
     trace_path = getattr(args, "budget_trace", None)
     if trace_path is not None:
@@ -351,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
             getattr(args, "policy", "sla-aware"),
             budget_trace,
             journal_path,
-            getattr(args, "chaos", 0),
+            chaos,
             getattr(args, "chaos_seed", 0),
             getattr(args, "resume", False),
             faults,

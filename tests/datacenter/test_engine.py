@@ -1,5 +1,7 @@
 """Integration tests for the event-driven datacenter engine."""
 
+import re
+
 import pytest
 
 from repro.core.powerdial import build_powerdial, measure_baseline_rate
@@ -15,11 +17,17 @@ from repro.datacenter import (
     ServiceApp,
     TenantSpec,
     burst_trace,
+    fork_available,
     poisson_trace,
     request_stream,
     service_training_jobs,
 )
+from repro.datacenter.controlplane import ControlError, FailMachine, Migrate
 from repro.experiments.common import experiment_machine
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="sharded backend requires fork start method"
+)
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +287,84 @@ class TestLazyScheduling:
             len(binding.tenant.trace.arrivals) for binding in engine.bindings
         )
         assert calls == arrivals + scenario.machines
+
+
+class _MoveAtFirstBarrier:
+    """Moves tenant ``a`` off machine 0 at t=4 by ``action``."""
+
+    def __init__(self, action):
+        self.action = action
+        self.may_fail_machines = isinstance(action, FailMachine)
+
+    def initial_budget_watts(self):
+        return None
+
+    def barrier_times(self, horizon):
+        return ()
+
+    def decide(self, view):
+        return [self.action] if view.time == 4.0 else []
+
+
+class TestMoveRebuildGuards:
+    """A migration and a failure restore land through one rebuild, so
+    both refuse a binding it cannot rebuild with the same message."""
+
+    REFUSALS = {
+        "missing": "tenant 'a' has no runtime_factory; moving it to machine "
+        "1 requires one to rebuild the instance there",
+        "wrong-machine": "runtime_factory for tenant 'a' returned a runtime "
+        "bound to the wrong machine (moving it to machine 1)",
+    }
+
+    @pytest.mark.parametrize("factory", ["missing", "wrong-machine"])
+    @pytest.mark.parametrize(
+        "action", [Migrate("a", 1), FailMachine(0)], ids=["migrate", "fail"]
+    )
+    @pytest.mark.parametrize(
+        "backend", ["serial", pytest.param("sharded-2", marks=needs_fork)]
+    )
+    def test_unrebuildable_tenant_is_refused(
+        self, system, backend, action, factory
+    ):
+        message = self.REFUSALS[factory]
+        machines = [experiment_machine(), experiment_machine()]
+        bindings = [
+            make_binding(
+                system,
+                machines[index],
+                index,
+                name,
+                poisson_trace(1.0, 12.0, seed=20 + index),
+                seed=index,
+            )
+            for index, name in enumerate("ab")
+        ]
+        if factory == "wrong-machine":
+            # Always builds on the source machine, whatever it is asked.
+            bindings[0].runtime_factory = lambda machine: PowerDialRuntime(
+                app=ServiceApp(),
+                table=system.table,
+                machine=machines[0],
+                target_rate=1.0,
+            )
+        engine = DatacenterEngine(
+            machines,
+            bindings,
+            policy=_MoveAtFirstBarrier(action),
+            control_period=4.0,
+            backend="serial" if backend == "serial" else "sharded",
+            workers=2,
+        )
+        if backend == "serial":
+            with pytest.raises(ControlError, match=re.escape(message)):
+                engine.run()
+        else:
+            # Machine 1 is worker 1's: the destination worker's restore
+            # raises, and the coordinator names that worker.
+            with pytest.raises(
+                EngineError,
+                match=r"shard worker 1 \(machines \[1\]\)(.|\n)*ControlError: "
+                + re.escape(message),
+            ):
+                engine.run()

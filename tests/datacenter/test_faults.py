@@ -19,12 +19,12 @@ from repro.datacenter.controlplane import (
     BudgetSchedule,
     ChaosPolicy,
     ClusterView,
+    ControlError,
     DegradedModePolicy,
     MachineView,
     Migrate,
     SetCaps,
     TenantView,
-    chaos_kill_times,
 )
 from repro.datacenter.faults import (
     ACTUATOR_MODES,
@@ -132,15 +132,11 @@ class TestFaultPlanPurity:
             plan.to_config()
         )
 
-    def test_kill_schedule_matches_chaos_kill_times(self):
-        # The ChaosPolicy dedup contract: `--chaos N` and a kills-only
+    def test_kill_schedule_matches_generated_plan_kills(self):
+        # The ChaosPolicy contract: `--chaos N` and a kills-only
         # FaultPlan compute identical floats for the same seed.
-        assert chaos_kill_times(40.0, 2, 7) == kill_schedule(40.0, 2, 7)
         plan = FaultPlan.generate(horizon=40.0, seed=7, kills=2)
-        assert (
-            tuple(k.time for k in plan.kills)
-            == chaos_kill_times(40.0, 2, 7)
-        )
+        assert tuple(k.time for k in plan.kills) == kill_schedule(40.0, 2, 7)
 
     def test_barrier_times_cover_window_edges_and_kills(self):
         plan = FaultPlan(
@@ -184,6 +180,19 @@ class TestFaultValidation:
     def test_bad_tuning_rejected(self):
         with pytest.raises(FaultPlanError, match="retry_base"):
             FaultPlan(retry_base_seconds=0.0)
+
+    @pytest.mark.parametrize(
+        "schedule, match",
+        [
+            ({"kills": -1}, "kills must be >= 0, got -1"),
+            ({"start_fraction": 0.8, "end_fraction": 0.3}, "kill span"),
+        ],
+        ids=["negative-kills", "backwards-span"],
+    )
+    def test_chaos_policy_rejects_bad_schedule(self, schedule, match):
+        # Checked at construction, as the control plane's error type.
+        with pytest.raises(ControlError, match=match):
+            ChaosPolicy(_FixedPolicy([]), **schedule)
 
     def test_kills_sorted_by_time(self):
         plan = FaultPlan(kills=(KillFault(9.0), KillFault(3.0)))

@@ -203,7 +203,7 @@ class TestHierParity:
 
 class TestBarrierStats:
     @needs_fork
-    def test_bare_hierarchy_ships_tenant_deltas(self):
+    def test_bare_hierarchy_ships_tenant_views(self):
         engine = build_engine_from_config(
             make_config("plain"), backend="sharded", workers=2
         )

@@ -77,15 +77,44 @@ class TestFormat:
         with pytest.raises(SystemExit):
             main(["fig34", "--budget-trace", "x.trace"])
 
-    @pytest.mark.parametrize("artifact", ["datacenter", "replay"])
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_cli_rejects_non_positive_workers(self, capsys, artifact, workers):
-        argv = [artifact, "--scale", "tiny", "--workers", workers]
-        if artifact == "replay":
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                [artifact, "--workers", workers],
+                f"--workers must be >= 1, got {workers}",
+                id=f"workers{workers}-{artifact}",
+            )
+            for artifact in ("datacenter", "replay")
+            for workers in ("0", "-1")
+        ]
+        + [
+            pytest.param(
+                ["datacenter", "--machines", machines],
+                "--machines must be >= 2 (the tenant mix places tenants on "
+                f"machines 0-1), got {machines}",
+                id=f"machines{machines}",
+            )
+            for machines in ("1", "0")
+        ]
+        + [
+            pytest.param(
+                ["datacenter", "--chaos", "-1"],
+                "--chaos must be >= 0, got -1",
+                id="chaos-1",
+            )
+        ],
+    )
+    def test_cli_rejects_malformed_input(self, capsys, argv, message):
+        """Out-of-range numbers get one ``error:`` line and exit code 2,
+        before any run starts (``replay`` never reads its journal)."""
+        argv = [*argv, "--scale", "tiny"]
+        if argv[0] == "replay":
             argv += ["--journal", "never-read.ndjson"]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: --workers must be >= 1, got {workers}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_cli_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
