@@ -9,6 +9,8 @@ quarantines, and reintegrates the way ``docs/ARCHITECTURE.md``
 invariant 8 promises.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -479,6 +481,32 @@ FAULT_PLANS = {
 }
 
 
+# SHA-256 of each plan's canonical result payload.  Every plan's
+# cap_history differs from the fault-free run's, so each pin covers its
+# fault path; delay, noise and partial run only on the coordinator, so
+# serial/sharded parity alone would not catch them moving.
+FAULT_PLAN_DIGESTS = {
+    "actuator-drop": "da70820b465786271cfc7d05773fd8ade1798057d2b3cf3512cd40fd6a2a84ef",
+    "actuator-partial": "fd51bf7891dd616dfe5595d8e338186ea20339104254e3b8dfe1a4b2141597ca",
+    "everything": "7a79ce0575f341e13a1985e17d9681078fd8c35c6065621db93069bf92c027e6",
+    "kill": "3a920b0bcb5c0fa6aa195b951961ab2138f900f597985ce7ddca75a8bf79fd01",
+    "sensor-delay": "5efcddebd2186f97b160f05424dd4001e0b36559ad303ec3373ff8cf8573bd67",
+    "sensor-dropout": "730276c87af9eaca8b9533bd246934f6ddbe9e5475f95f047db1fa38380a19c6",
+    "sensor-noise": "d78c36106a75099eb0545f2d9a2cf7cf5f1c60b60bd02e9ac82cecdcdf92da94",
+    "straggler": "6061a5c323ed6fb29b0a27d76cfde649391165e593cb5f1843af49c4132042bc",
+}
+PARTIAL_TRACE_DIGEST = (
+    "a73e9630dff12ef1d617e95d1f2baab17fe82c110c17a245fb3989b0f3f36246"
+)
+
+
+def result_digest(result):
+    """SHA-256 of a result's canonical journal payload."""
+    return hashlib.sha256(
+        canonical_json(result_payload(result)).encode()
+    ).hexdigest()
+
+
 def faulted_config(plan, machines=3, policy="sla-aware", budget_trace=None):
     return scenario_config(
         tiny_tenants(machines),
@@ -505,6 +533,7 @@ class TestFaultedRuns:
         assert (
             result.energy_conservation_rel_error() <= CONSERVATION_TOLERANCE
         )
+        assert result_digest(result) == FAULT_PLAN_DIGESTS[name]
 
     def test_faults_and_retries_are_journaled_in_result(self):
         result = run_config(faulted_config(FAULT_PLANS["everything"]))
@@ -531,6 +560,7 @@ class TestFaultedRuns:
                 FAULT_PLANS["actuator-partial"], budget_trace=trace
             )
         )
+        assert result_digest(result) == PARTIAL_TRACE_DIGEST
         partials = [r for r in result.retries if r.outcome == "partial"]
         assert partials
         for record in partials:
