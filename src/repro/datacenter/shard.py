@@ -54,7 +54,8 @@ in ``recv`` as EOF.  Every frame from a worker is awaited on its Pipe
 and its process sentinel together, under
 :data:`_WORKER_BARRIER_TIMEOUT_SECONDS`, and a worker that dies,
 raises, or wedges raises an :class:`EngineError` naming the worker, its
-machines, and the barrier.
+machines, and the barrier (for a raise, the one its ``error`` frame
+says it was running).
 
 The backend requires the ``fork`` start method (workers inherit the
 armed engine — closures, generators and all — without pickling); the
@@ -147,6 +148,8 @@ def _worker_main(
     """
     for end in inherited:
         end.close()
+    # The barrier the worker is running, named in its error frame.
+    barrier = tick_times[0] if tick_times else final_time
     try:
         # Workers never journal: the coordinator owns the journal (and
         # the inherited file handle must not be double-written).
@@ -155,10 +158,10 @@ def _worker_main(
         # allocate dies with them, so cyclic GC is pure overhead here.
         gc.disable()
         group = HostGroup(engine, machine_indices)
-        for now in tick_times:
-            group.settle(now)
+        for barrier in tick_times:
+            group.settle(barrier)
             checkpoints = group.checkpoints()
-            conn.send(("ready", group.views(now), checkpoints))
+            conn.send(("ready", group.views(barrier), checkpoints))
             _, dead, caps, restores, emigrations, migrating = _expect(
                 conn.recv(), "plan"
             )
@@ -170,10 +173,11 @@ def _worker_main(
                 conn.send(("migrants", [group.emigrate(r) for r in emigrations]))
                 for move in _expect(conn.recv(), "absorb")[1]:
                     group.absorb(*move)
+        barrier = final_time
         conn.send(("done", group.finish(final_time)))
     except BaseException:
         try:
-            conn.send(("error", traceback.format_exc()))
+            conn.send(("error", traceback.format_exc(), barrier))
         except Exception:  # pragma: no cover - broken pipe on teardown
             pass
     finally:
@@ -247,8 +251,10 @@ class _Wire:
         stats["serialize_seconds"] += time.perf_counter() - decoding
         stats["payload_bytes"] += len(frame)
         if message[0] == "error":
+            # Named at the barrier the worker was running, which may be
+            # earlier than the one awaited here.
             raise EngineError(
-                f"{self.label(worker, barrier_time)} failed:\n{message[1]}"
+                f"{self.label(worker, message[2])} failed:\n{message[1]}"
             )
         if message[0] != expected:  # pragma: no cover - protocol guard
             raise EngineError(

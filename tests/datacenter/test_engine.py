@@ -361,10 +361,11 @@ class TestMoveRebuildGuards:
                 engine.run()
         else:
             # Machine 1 is worker 1's: the destination worker's restore
-            # raises, and the coordinator names that worker.
+            # raises, and the coordinator names that worker at the
+            # barrier whose effect failed.
             with pytest.raises(
                 EngineError,
-                match=r"shard worker 1 \(machines \[1\]\)(.|\n)*ControlError: "
-                + re.escape(message),
+                match=r"shard worker 1 \(machines \[1\]\) at barrier t=4 "
+                r"failed:(.|\n)*ControlError: " + re.escape(message),
             ):
                 engine.run()
