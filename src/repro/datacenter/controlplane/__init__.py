@@ -45,13 +45,11 @@ from repro.datacenter.controlplane.actions import (
 )
 from repro.datacenter.controlplane.applier import (
     ControlPlan,
-    RetryState,
     enforce_caps,
     machine_limits,
     merge_run_results,
     plan_actions,
     plan_failures,
-    retry_backoff_seconds,
 )
 from repro.datacenter.controlplane.hierarchy import (
     DEFAULT_GROUPS,
@@ -88,13 +86,11 @@ __all__ = [
     "SetCaps",
     "TenantView",
     "ControlPlan",
-    "RetryState",
     "enforce_caps",
     "machine_limits",
     "merge_run_results",
     "plan_actions",
     "plan_failures",
-    "retry_backoff_seconds",
     "BudgetSchedule",
     "BudgetTraceError",
     "load_budget_trace",

@@ -46,11 +46,9 @@ from repro.datacenter.controlplane.actions import (
 
 __all__ = [
     "ControlPlan",
-    "RetryState",
     "machine_limits",
     "plan_actions",
     "enforce_caps",
-    "retry_backoff_seconds",
     "plan_failures",
     "merge_run_results",
 ]
@@ -258,44 +256,6 @@ def enforce_caps(machines: Sequence[Any], caps: Sequence[float]) -> None:
     """Apply validated caps as DVFS settings, one machine at a time."""
     for machine, cap in zip(machines, caps):
         machine.set_frequency(frequency_for_cap(machine, cap))
-
-
-@dataclass(frozen=True)
-class RetryState:
-    """One machine's in-flight cap-application retry loop.
-
-    Opened by the engine's actuation step when a ``SetCaps``
-    application fails (or lands only partially) under an injected
-    actuator fault; closed when an attempt succeeds, a new target
-    supersedes it, or the deadline expires and the target is
-    abandoned.  Every attempt is journaled as a
-    :class:`~repro.datacenter.faults.RetryRecord`.
-
-    Attributes:
-        target_watts: The cap the applier is trying to land.
-        commanded_at: Barrier time of the first failed attempt — the
-            retry deadline is measured from here.
-        attempts: Attempts made so far (>= 1).
-        next_attempt_at: Earliest barrier time the applier will try
-            again (capped exponential backoff; attempts before this
-            instant are skipped, not failed).
-    """
-
-    target_watts: float
-    commanded_at: float
-    attempts: int
-    next_attempt_at: float
-
-
-def retry_backoff_seconds(
-    attempt: int, base_seconds: float, cap_seconds: float
-) -> float:
-    """Deterministic capped exponential backoff after a failed attempt.
-
-    ``min(base * 2**(attempt - 1), cap)`` — no jitter, so every
-    backend (and every replay) schedules byte-identical retries.
-    """
-    return min(base_seconds * (2.0 ** (attempt - 1)), cap_seconds)
 
 
 def plan_failures(

@@ -59,6 +59,13 @@ worker's closing payload (:func:`_final_payload`) feeds one result
 assembly, in binding and machine order, so the backends agree byte for
 byte.
 
+**Gray failures** sit between the barrier step and the physics, in one
+:class:`~repro.datacenter.faults.FaultInjector` on the coordinator:
+its ``observe`` turns the true view into what the telemetry reports
+(sensor faults, machine health) before the policy decides, and its
+``actuate`` turns the commanded caps into the watts that land (actuator
+faults, retries, stragglers).  The engine holds no fault state itself.
+
 Every dispatched ``step()`` is metered for billing: the machine meter's
 energy delta and the clock delta across the step are charged to the
 stepping tenant's :class:`~repro.datacenter.billing.TenantLedger`,
@@ -75,7 +82,7 @@ import contextlib
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.runtime import PowerDialRuntime, RunResult, StepStatus
@@ -103,36 +110,28 @@ from repro.datacenter.controlplane.actions import (
 )
 from repro.datacenter.controlplane.applier import (
     ControlPlan,
-    RetryState,
     enforce_caps,
     machine_limits,
     merge_run_results,
     plan_actions,
     plan_failures,
-    retry_backoff_seconds,
 )
-from repro.datacenter.faults import FaultPlan, FaultRecord, RetryRecord
+from repro.datacenter.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultRecord,
+    RetryRecord,
+)
 from repro.datacenter.tenants import (
     CompletedRequest,
     TenantReport,
     TenantSpec,
     TenantStats,
 )
-from repro.datacenter.tolerances import (
-    SETTLE_SLACK,
-    TARGET_SLACK,
-    TIME_SLACK,
-    WATT_SLACK,
-)
+from repro.datacenter.tolerances import SETTLE_SLACK
 from repro.hardware.machine import Machine
 from repro.hardware.power import PowerError
-from repro.heartbeats.health import (
-    HEALTH_DEAD,
-    HEALTH_FRESH,
-    HEALTH_STALE,
-    HEALTH_UNRESPONSIVE,
-    classify_heartbeat_age,
-)
+from repro.heartbeats.health import HEALTH_DEAD, HEALTH_FRESH
 
 __all__ = [
     "EngineError",
@@ -744,6 +743,9 @@ class DatacenterEngine:
             policy's raw actions, the applied budget/caps/migrations/
             failures, and a full cluster checkpoint — making the run
             replayable and crash-resumable from the journal alone.
+        faults: Optional :class:`~repro.datacenter.faults.FaultPlan`
+            (requires a policy); the engine runs it through a
+            :class:`~repro.datacenter.faults.FaultInjector`.
         step_mode: ``"scalar"`` or ``"batched"``; anything else raises
             :class:`EngineError`.  Both values run the one per-item
             :class:`~repro.core.runtime.PowerDialRuntime` step path and
@@ -827,6 +829,13 @@ class DatacenterEngine:
         ]
         # Enforceable cap range per machine, for central action validation.
         self._cap_floors, self._cap_ceilings = machine_limits(self.machines)
+        # The run's gray failures (None on a clean run): what the
+        # control plane observes and what its caps land as.
+        self.faults = (
+            FaultInjector(faults, self._cap_floors, self._cap_ceilings)
+            if faults is not None
+            else None
+        )
         self._budget: float | None = (
             policy.initial_budget_watts() if policy is not None else None
         )
@@ -839,39 +848,9 @@ class DatacenterEngine:
         self.migration_history: list[MigrationRecord] = []
         # Applied machine failures (chaos injection), in order.
         self.failure_history: list[FailureRecord] = []
-        # Gray-failure injection (see repro.datacenter.faults): the
-        # plan drives per-barrier telemetry filtering and actuation
-        # faults; every injected fault and applier retry is recorded.
-        self.faults = faults
-        self.fault_history: list[FaultRecord] = []
-        self.retry_history: list[RetryRecord] = []
-        # Per-machine health as of the latest barrier (fresh / stale /
-        # unresponsive / dead), with recovery hysteresis deadlines.
-        self._health: list[str] = [HEALTH_FRESH] * len(self.machines)
-        self._last_fresh_time: list[float] = [0.0] * len(self.machines)
-        self._last_fresh_views: dict[str, TenantView] = {}
-        self._delayed_machines = (
-            faults.delayed_machines() if faults is not None else frozenset()
-        )
-        # Barrier-view history, kept only for delay-mode machines.
-        self._view_log: dict[int, list[tuple[float, dict[str, TenantView]]]] = {}
-        self._reintegrate_at: dict[int, float] = {}
-        # Applier retry loops per machine, plus targets it has given
-        # up on (until the fault clears or a new target arrives).
-        self._retries: dict[int, RetryState] = {}
-        self._abandoned: dict[int, float] = {}
-        # Last watts actually landed on each machine's actuator —
-        # distinct from self._caps (the *commanded* caps) while
-        # actuator faults or stragglers are active.
-        self._applied_watts: dict[int, float] = {}
         # Watts last handed to each machine's transport, so a barrier
         # sends only the caps that change.
         self._sent_watts: list[float | None] = [None] * len(self.machines)
-        self._straggling: set[int] = set()
-        # Fault windows already journaled (announced once, at the
-        # first barrier where they bite).
-        self._announced: set[tuple[str, int]] = set()
-        self._barrier_fault_records: list[FaultRecord] = []
         # Machines that have fail-stopped: clock and meter frozen at the
         # death barrier, never advanced or capped again.
         self.dead_machines: set[int] = set()
@@ -936,7 +915,7 @@ class DatacenterEngine:
             # every fault bites (and clears) exactly when scheduled.
             ticks.update(
                 t
-                for t in self.faults.barrier_times(horizon)
+                for t in self.faults.plan.barrier_times(horizon)
                 if 0.0 < t <= horizon
             )
         return sorted(ticks)
@@ -989,7 +968,8 @@ class DatacenterEngine:
     ) -> ClusterView:
         """Assemble the immutable snapshot handed to the policy from the
         transport's tenant views (in binding order) and the engine's own
-        machine state."""
+        machine state.  A live machine reads ``fresh``: only the fault
+        injector's observation makes one look otherwise."""
         machines = tuple(
             MachineView(
                 index=index,
@@ -1000,7 +980,7 @@ class DatacenterEngine:
                 health=(
                     HEALTH_DEAD
                     if index in self.dead_machines
-                    else self._health[index]
+                    else HEALTH_FRESH
                 ),
             )
             for index in range(len(self.machines))
@@ -1022,370 +1002,12 @@ class DatacenterEngine:
         if self.policy is None:
             raise EngineError("control barrier scheduled without a policy")
         if self.faults is not None:
-            self._barrier_fault_records = []
-            view = self._observe_view(view)
+            view = self.faults.observe(view)
         actions = list(self.policy.decide(view))
         plan = plan_actions(
             actions, view, self._cap_floors, self._cap_ceilings, self._budget
         )
         return actions, plan
-
-    def _announce_fault(
-        self, now: float, kind: str, machine_index: int, mode: str | None, key: tuple[str, int]
-    ) -> None:
-        """Journal a fault window once, at the first barrier it bites."""
-        if key in self._announced:
-            return
-        self._announced.add(key)
-        record = FaultRecord(
-            time=now, kind=kind, machine_index=machine_index, mode=mode
-        )
-        self._barrier_fault_records.append(record)
-        self.fault_history.append(record)
-
-    def _observe_view(self, view: ClusterView) -> ClusterView:
-        """Filter the true cluster view through the plan's sensor faults.
-
-        The control plane sees what the (possibly lying) telemetry
-        pipeline reports: dropout windows hold each resident tenant's
-        last fresh stats, delay windows serve stats from ``delay``
-        seconds ago, and noise windows deterministically perturb the
-        SLA-shortfall signal.  Placement facts (machine index, weight,
-        finished flag) stay current — only performance telemetry lies
-        — and the machines' true physics (and therefore billing) are
-        untouched.  Machine ``health`` is derived here from the age of
-        the last trusted sample via
-        :func:`repro.heartbeats.health.classify_heartbeat_age`, with
-        quarantine-recovery hysteresis: a machine that went
-        unresponsive stays ``stale`` for ``reintegrate_seconds`` after
-        its telemetry returns before being trusted as ``fresh`` again.
-        """
-        plan = self.faults
-        if plan is None:  # pragma: no cover - guarded by the caller
-            return view
-        now = view.time
-        by_machine: dict[int, list[TenantView]] = {}
-        for tenant in view.tenants:
-            by_machine.setdefault(tenant.machine_index, []).append(tenant)
-        for machine_index in self._delayed_machines:
-            snapshot = {t.name: t for t in by_machine.get(machine_index, [])}
-            self._view_log.setdefault(machine_index, []).append(
-                (now, snapshot)
-            )
-        observed: dict[str, TenantView] = {}
-        ages = [0.0] * len(self.machines)
-        for machine_index in range(len(self.machines)):
-            if machine_index in self.dead_machines:
-                continue
-            residents = by_machine.get(machine_index, [])
-            fault = plan.sensor_at(machine_index, now)
-            if fault is not None:
-                self._announce_fault(
-                    now,
-                    "sensor",
-                    machine_index,
-                    fault.mode,
-                    ("sensor", plan.sensors.index(fault)),
-                )
-            if fault is None or fault.mode == "noise":
-                # Telemetry flows (noise still counts as a heartbeat:
-                # the machine is talking, just not truthfully).
-                self._last_fresh_time[machine_index] = now
-                for tenant in residents:
-                    self._last_fresh_views[tenant.name] = tenant
-                if fault is not None:
-                    unit = plan.noise_unit(machine_index, now)
-                    for tenant in residents:
-                        observed[tenant.name] = replace(
-                            tenant,
-                            sla_shortfall=max(
-                                0.0,
-                                tenant.sla_shortfall
-                                * (1.0 + fault.amplitude * unit),
-                            ),
-                        )
-                continue
-            # Dropout, or delay: the freshest trusted sample is old.
-            source: dict[str, TenantView] = {}
-            age = now - self._last_fresh_time[machine_index]
-            if fault.mode == "delay":
-                for entry_time, snapshot in reversed(
-                    self._view_log.get(machine_index, [])
-                ):
-                    if entry_time <= now - fault.delay + TIME_SLACK:
-                        source = snapshot
-                        age = now - entry_time
-                        break
-            for tenant in residents:
-                cached = source.get(tenant.name)
-                if cached is None:
-                    cached = self._last_fresh_views.get(tenant.name)
-                if cached is None:
-                    # No trusted sample yet (window opened at the run's
-                    # start): the true view is all there is.
-                    observed[tenant.name] = tenant
-                    continue
-                observed[tenant.name] = replace(
-                    cached,
-                    machine_index=tenant.machine_index,
-                    weight=tenant.weight,
-                    finished=tenant.finished,
-                )
-            ages[machine_index] = age
-        for machine_index in range(len(self.machines)):
-            if machine_index in self.dead_machines:
-                self._health[machine_index] = HEALTH_DEAD
-                self._reintegrate_at.pop(machine_index, None)
-                continue
-            prior = self._health[machine_index]
-            base = classify_heartbeat_age(
-                ages[machine_index],
-                plan.stale_after_seconds,
-                plan.unresponsive_after_seconds,
-            )
-            if base == HEALTH_UNRESPONSIVE:
-                health = HEALTH_UNRESPONSIVE
-                self._reintegrate_at.pop(machine_index, None)
-            elif base == HEALTH_STALE:
-                health = HEALTH_STALE
-            elif prior == HEALTH_UNRESPONSIVE:
-                # Telemetry is back, but a quarantined machine earns
-                # trust slowly: stale until the hysteresis deadline.
-                self._reintegrate_at[machine_index] = (
-                    now + plan.reintegrate_seconds
-                )
-                health = HEALTH_STALE
-            elif machine_index in self._reintegrate_at:
-                if now + TIME_SLACK >= self._reintegrate_at[machine_index]:
-                    del self._reintegrate_at[machine_index]
-                    health = HEALTH_FRESH
-                else:
-                    health = HEALTH_STALE
-            else:
-                health = HEALTH_FRESH
-            self._health[machine_index] = health
-        machines = tuple(
-            replace(
-                machine,
-                health=(
-                    HEALTH_DEAD
-                    if not machine.alive
-                    else self._health[machine.index]
-                ),
-            )
-            for machine in view.machines
-        )
-        tenants = tuple(
-            observed.get(tenant.name, tenant) for tenant in view.tenants
-        )
-        return ClusterView(
-            time=now,
-            budget_watts=view.budget_watts,
-            machines=machines,
-            tenants=tenants,
-        )
-
-    def _actuate(
-        self, now: float, plan: ControlPlan
-    ) -> tuple[tuple[float | None, ...] | None, list[FaultRecord], list[RetryRecord]]:
-        """Push the validated caps through the (possibly faulty) actuators.
-
-        The single choke point between a plan's *commanded* caps and
-        the watts that actually land on machines, called exactly once
-        per barrier by every backend.  Without a fault plan it returns
-        ``plan.caps`` unchanged.  With one: actuator ``drop`` windows
-        lose the command outright, ``partial`` windows move only part
-        way, and the applier opens a deadline-based retry loop per
-        machine — retries land at later barriers after a capped
-        deterministic backoff, every attempt journaled as a
-        :class:`~repro.datacenter.faults.RetryRecord`.  Straggler
-        windows then pin their machine to its cap floor regardless of
-        any command, restoring the last landed watts when the window
-        ends.  The returned per-machine entries may be None (leave
-        that machine's DVFS state untouched this barrier).
-
-        Commanded caps still flow to ``self._caps``/``cap_history``
-        via :meth:`_record_plan` — the control plane believes its
-        commands landed, which is exactly the gray-failure illusion —
-        while ``self._applied_watts`` tracks ground truth.
-        """
-        if self.faults is None:
-            return plan.caps, [], []
-        fault_plan = self.faults
-        commanded = plan.caps
-        applied: list[float | None] = [None] * len(self.machines)
-        retries_out: list[RetryRecord] = []
-        dying = {f.machine_index for f in plan.failures}
-
-        def record_retry(
-            machine_index: int,
-            target: float,
-            landed: float | None,
-            attempt: int,
-            outcome: str,
-        ) -> None:
-            record = RetryRecord(
-                time=now,
-                machine_index=machine_index,
-                target_watts=target,
-                applied_watts=landed,
-                attempt=attempt,
-                outcome=outcome,
-            )
-            retries_out.append(record)
-            self.retry_history.append(record)
-
-        for machine_index in range(len(self.machines)):
-            if machine_index in self.dead_machines or machine_index in dying:
-                self._retries.pop(machine_index, None)
-                self._abandoned.pop(machine_index, None)
-                self._straggling.discard(machine_index)
-                continue
-            fault = fault_plan.actuator_at(machine_index, now)
-            if fault is not None:
-                self._announce_fault(
-                    now,
-                    "actuator",
-                    machine_index,
-                    fault.mode,
-                    ("actuator", fault_plan.actuators.index(fault)),
-                )
-            target = commanded[machine_index] if commanded is not None else None
-            pending = self._retries.get(machine_index)
-            attempt_target: float | None = None
-            attempt_number = 1
-            if pending is not None:
-                if (
-                    target is not None
-                    and abs(target - pending.target_watts) > TARGET_SLACK
-                ):
-                    # A new command supersedes the retry loop: fresh
-                    # target, fresh deadline, fresh backoff.
-                    self._retries.pop(machine_index)
-                    self._abandoned.pop(machine_index, None)
-                    pending = None
-                    attempt_target = target
-                elif now + TIME_SLACK >= pending.next_attempt_at:
-                    attempt_target = pending.target_watts
-                    attempt_number = pending.attempts + 1
-                # else: backing off — leave the actuator alone.
-            elif target is not None:
-                abandoned = self._abandoned.get(machine_index)
-                if (
-                    abandoned is not None
-                    and fault is not None
-                    and abs(target - abandoned) <= TARGET_SLACK
-                ):
-                    # Gave up on this exact target; don't bang on the
-                    # broken actuator until the fault clears or the
-                    # policy asks for something new.
-                    attempt_target = None
-                else:
-                    self._abandoned.pop(machine_index, None)
-                    attempt_target = target
-            if attempt_target is None:
-                continue
-            started = pending.commanded_at if pending is not None else now
-            if fault is None:
-                applied[machine_index] = attempt_target
-                self._applied_watts[machine_index] = attempt_target
-                if pending is not None:
-                    record_retry(
-                        machine_index,
-                        attempt_target,
-                        attempt_target,
-                        attempt_number,
-                        "succeeded",
-                    )
-                    self._retries.pop(machine_index)
-                continue
-            if fault.mode == "drop":
-                landed: float | None = None
-            else:  # partial
-                current = self._applied_watts.get(
-                    machine_index, self._cap_ceilings[machine_index]
-                )
-                landed = current + fault.fraction * (attempt_target - current)
-                landed = min(
-                    max(landed, self._cap_floors[machine_index]),
-                    self._cap_ceilings[machine_index],
-                )
-                applied[machine_index] = landed
-                self._applied_watts[machine_index] = landed
-            if landed is not None and abs(landed - attempt_target) <= WATT_SLACK:
-                record_retry(
-                    machine_index,
-                    attempt_target,
-                    landed,
-                    attempt_number,
-                    "succeeded",
-                )
-                self._retries.pop(machine_index, None)
-            elif (
-                pending is not None
-                and now - started + TIME_SLACK >= fault_plan.retry_deadline_seconds
-            ):
-                record_retry(
-                    machine_index, attempt_target, landed, attempt_number,
-                    "abandoned",
-                )
-                self._retries.pop(machine_index, None)
-                self._abandoned[machine_index] = attempt_target
-            else:
-                record_retry(
-                    machine_index,
-                    attempt_target,
-                    landed,
-                    attempt_number,
-                    "failed" if landed is None else "partial",
-                )
-                backoff = retry_backoff_seconds(
-                    attempt_number,
-                    fault_plan.retry_base_seconds,
-                    fault_plan.retry_cap_seconds,
-                )
-                self._retries[machine_index] = RetryState(
-                    target_watts=attempt_target,
-                    commanded_at=started,
-                    attempts=attempt_number,
-                    next_attempt_at=now + backoff,
-                )
-        # Straggler overlay: the machine's clock runs slow no matter
-        # what the applier landed; recovery restores the landed watts.
-        for machine_index in range(len(self.machines)):
-            if machine_index in self.dead_machines or machine_index in dying:
-                continue
-            straggle = fault_plan.straggler_at(machine_index, now)
-            if straggle is not None:
-                if machine_index not in self._straggling:
-                    self._straggling.add(machine_index)
-                    self._announce_fault(
-                        now,
-                        "straggler",
-                        machine_index,
-                        None,
-                        ("straggler", fault_plan.stragglers.index(straggle)),
-                    )
-                applied[machine_index] = self._cap_floors[machine_index]
-            elif machine_index in self._straggling:
-                self._straggling.discard(machine_index)
-                record = FaultRecord(
-                    time=now,
-                    kind="recovered",
-                    machine_index=machine_index,
-                    mode=None,
-                )
-                self._barrier_fault_records.append(record)
-                self.fault_history.append(record)
-                if applied[machine_index] is None:
-                    restore = self._applied_watts.get(machine_index)
-                    if restore is not None:
-                        applied[machine_index] = restore
-        fault_records = list(self._barrier_fault_records)
-        self._barrier_fault_records = []
-        if all(entry is None for entry in applied):
-            return None, fault_records, retries_out
-        return tuple(applied), fault_records, retries_out
 
     def _changed_caps(
         self, caps: tuple[float | None, ...] | None
@@ -1549,7 +1171,18 @@ class DatacenterEngine:
             self._last_checkpoints, self._last_machine_checkpoints = checkpoints
         actions, plan = self._decide_plan(self._control_view(now, views))
         self._record_plan(plan, now)
-        applied, fault_records, retry_records = self._actuate(now, plan)
+        # The commanded caps became the control plane's belief above;
+        # what lands may differ under faults.
+        applied, fault_records, retry_records = (
+            (plan.caps, [], [])
+            if self.faults is None
+            else self.faults.actuate(
+                now,
+                plan.caps,
+                self.dead_machines,
+                {failure.machine_index for failure in plan.failures},
+            )
+        )
         caps = self._changed_caps(applied)
         failures, restores = self._place_failures(plan, now)
         migrations = [
@@ -1762,8 +1395,8 @@ class DatacenterEngine:
             budget_history=list(self.budget_history),
             migrations=list(self.migration_history),
             failures=list(self.failure_history),
-            faults=list(self.fault_history),
-            retries=list(self.retry_history),
+            faults=list(self.faults.fault_history) if self.faults else [],
+            retries=list(self.faults.retry_history) if self.faults else [],
         )
 
 

@@ -8,7 +8,7 @@ This module makes those regimes first-class and deterministic: a
 :class:`FaultPlan` schedules typed faults —
 
 * **sensor faults** — a machine's telemetry drops out, arrives
-  delayed, or turns noisy for a window; the engine's control view
+  delayed, or turns noisy for a window; the control plane's view
   serves held/delayed/perturbed tenant stats while the machine's true
   physics (and therefore billing) is untouched;
 * **actuator faults** — a ``SetCaps`` application to a machine fails
@@ -28,6 +28,15 @@ injected fault and applier retry is journaled as a typed record — so a
 faulted run replays and resumes byte-exactly, and serial and sharded
 backends stay byte-identical under every fault class.
 
+The plan says *when* a fault bites; one :class:`FaultInjector` per run
+says *what it does*.  It owns every piece of per-run fault state —
+machine health and its reintegration hysteresis, the applier's retry
+loops (:class:`RetryState`, :func:`retry_backoff_seconds`), the
+straggling machines, and the fault and retry histories — and works on
+plain data: the engine's barrier step hands it the true cluster view
+(:meth:`FaultInjector.observe`) and the commanded caps
+(:meth:`FaultInjector.actuate`), never the engine itself.
+
 Plans can also be written by hand and loaded with
 :func:`load_fault_plan` (the CLI's ``--faults FILE``): one fault per
 line, ``kind key=value ...``, with parse errors naming the line and
@@ -45,27 +54,40 @@ the offending field::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Collection, Mapping, Sequence
 
-from repro.datacenter.tolerances import TIME_SLACK
+from repro.datacenter.tolerances import TARGET_SLACK, TIME_SLACK, WATT_SLACK
+from repro.heartbeats.health import (
+    HEALTH_DEAD,
+    HEALTH_FRESH,
+    HEALTH_STALE,
+    HEALTH_UNRESPONSIVE,
+    classify_heartbeat_age,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - the control plane imports this module
+    from repro.datacenter.controlplane.actions import ClusterView, TenantView
 
 __all__ = [
     "ACTUATOR_MODES",
     "ActuatorFault",
     "FaultError",
+    "FaultInjector",
     "FaultPlan",
     "FaultPlanError",
     "FaultRecord",
     "KillFault",
     "RETRY_OUTCOMES",
     "RetryRecord",
+    "RetryState",
     "SENSOR_MODES",
     "SensorFault",
     "StragglerFault",
     "kill_schedule",
     "load_fault_plan",
     "parse_fault_plan",
+    "retry_backoff_seconds",
 ]
 
 SENSOR_MODES = ("dropout", "delay", "noise")
@@ -164,10 +186,10 @@ class ActuatorFault:
 class StragglerFault:
     """One machine's clock runs slow for a window.
 
-    The engine pins the machine to its slowest P-state (its cap floor)
+    The injector pins the machine to its slowest P-state (its cap floor)
     for the window regardless of the commanded cap — service rates sag
     exactly as a thermally throttled or noisy-neighbor machine's would
-    — and restores the commanded state at the first barrier after
+    — and restores the last cap that landed at the first barrier after
     ``end``.  Metering follows the *actual* frequency, so billing
     conservation is unaffected.
 
@@ -320,11 +342,11 @@ _TUNING_FIELDS = {
 class FaultPlan:
     """A declarative, fully deterministic gray-failure schedule.
 
-    The plan is pure data: the engine consults it at every control
-    barrier (``sensor_at``/``actuator_at``/``straggler_at``) and the
-    window edges and kill instants become control barriers themselves
-    (:meth:`barrier_times`), so every fault lands exactly when
-    scheduled on every backend.
+    The plan is pure data: a :class:`FaultInjector` consults it at
+    every control barrier (``sensor_at``/``actuator_at``/
+    ``straggler_at``) and the window edges and kill instants become
+    control barriers themselves (:meth:`barrier_times`), so every fault
+    lands exactly when scheduled on every backend.
 
     Attributes:
         sensors: Sensor-fault windows.
@@ -385,7 +407,7 @@ class FaultPlan:
         ))
 
     # ------------------------------------------------------------------
-    # Schedule queries (the engine's per-barrier interface)
+    # Schedule queries (the injector's per-barrier interface)
     # ------------------------------------------------------------------
     @property
     def empty(self) -> bool:
@@ -448,7 +470,7 @@ class FaultPlan:
         return self._active(self.stragglers, machine_index, now)
 
     def delayed_machines(self) -> frozenset[int]:
-        """Machines with any ``delay``-mode sensor fault (the engine
+        """Machines with any ``delay``-mode sensor fault (the injector
         keeps a barrier-view history only for these)."""
         return frozenset(
             fault.machine_index
@@ -647,6 +669,396 @@ class FaultPlan:
             raise FaultPlanError(
                 f"malformed fault-plan config: {error}"
             ) from error
+
+
+@dataclass(frozen=True)
+class RetryState:
+    """One machine's in-flight cap-application retry loop.
+
+    Opened by :meth:`FaultInjector.actuate` when a ``SetCaps``
+    application fails (or lands only partially) under an actuator
+    fault; closed when an attempt succeeds, a new target supersedes it,
+    or the deadline expires and the target is abandoned.  Every attempt
+    is journaled as a :class:`RetryRecord`.
+
+    Attributes:
+        target_watts: The cap the applier is trying to land.
+        commanded_at: Barrier time of the first failed attempt — the
+            retry deadline is measured from here.
+        attempts: Attempts made so far (>= 1).
+        next_attempt_at: Earliest barrier time the applier will try
+            again (capped exponential backoff; attempts before this
+            instant are skipped, not failed).
+    """
+
+    target_watts: float
+    commanded_at: float
+    attempts: int
+    next_attempt_at: float
+
+
+def retry_backoff_seconds(
+    attempt: int, base_seconds: float, cap_seconds: float
+) -> float:
+    """Deterministic capped exponential backoff after a failed attempt.
+
+    ``min(base * 2**(attempt - 1), cap)`` — no jitter, so every
+    backend (and every replay) schedules byte-identical retries.
+    """
+    return min(base_seconds * (2.0 ** (attempt - 1)), cap_seconds)
+
+
+class FaultInjector:
+    """One run's gray failures: what a :class:`FaultPlan`'s faults do.
+
+    The plan says *when* a fault bites; the injector owns everything
+    a fault does and remembers — machine health and its reintegration
+    deadlines, the last trusted telemetry, the applier's retry loops,
+    the watts that actually landed, the straggling machines, and every
+    :class:`FaultRecord` and :class:`RetryRecord`.  It works on plain
+    data and never sees the engine, whose barrier step calls
+    :meth:`observe` on the true cluster view and :meth:`actuate` on the
+    validated caps, once each per barrier, on the coordinator only.
+
+    Args:
+        plan: The fault schedule.
+        cap_floors: Each machine's lowest enforceable cap (watts).
+        cap_ceilings: Each machine's highest enforceable cap (watts).
+    """
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        cap_floors: Sequence[float],
+        cap_ceilings: Sequence[float],
+    ) -> None:
+        self.plan = plan
+        self._floors = cap_floors
+        self._ceilings = cap_ceilings
+        # Per-machine health as of the latest barrier, with recovery
+        # hysteresis deadlines.
+        self._health = [HEALTH_FRESH] * len(cap_floors)
+        self._reintegrate_at: dict[int, float] = {}
+        self._last_fresh_time = [0.0] * len(cap_floors)
+        self._last_fresh_views: dict[str, TenantView] = {}
+        # Barrier-view history, kept only for delay-mode machines.
+        self._delayed = plan.delayed_machines()
+        self._view_log: dict[
+            int, list[tuple[float, dict[str, TenantView]]]
+        ] = {}
+        # Retry loops per machine, plus targets the applier gave up on
+        # (until the fault clears or a new target arrives).
+        self._retries: dict[int, RetryState] = {}
+        self._abandoned: dict[int, float] = {}
+        # Last watts actually landed on each machine's actuator: the
+        # ground truth behind the commanded caps the control plane sees.
+        self._applied_watts: dict[int, float] = {}
+        self._straggling: set[int] = set()
+        # Fault windows already recorded (once, at the first barrier
+        # each bites), and where this barrier's records start.
+        self._announced: set[Any] = set()
+        self._barrier_start = 0
+        self.fault_history: list[FaultRecord] = []
+        self.retry_history: list[RetryRecord] = []
+
+    def _record(
+        self, now: float, kind: str, index: int, mode: str | None = None
+    ) -> None:
+        """Append one fault record: the one path every record takes."""
+        self.fault_history.append(FaultRecord(now, kind, index, mode))
+
+    def _announce(self, now: float, kind: str, fault: Any) -> None:
+        """Record a fault window once, at the first barrier it bites."""
+        if fault not in self._announced:
+            self._announced.add(fault)
+            mode = getattr(fault, "mode", None)
+            self._record(now, kind, fault.machine_index, mode)
+
+    # ------------------------------------------------------------------
+    # Sensors: what the control plane sees
+    # ------------------------------------------------------------------
+    def observe(self, view: ClusterView) -> ClusterView:
+        """Filter the true cluster view through the plan's sensor faults.
+
+        The control plane sees what the (possibly lying) telemetry
+        pipeline reports: dropout windows hold each resident tenant's
+        last fresh stats, delay windows serve stats from ``delay``
+        seconds ago, and noise windows deterministically perturb the
+        SLA-shortfall signal.  Placement facts (machine index, weight,
+        finished flag) stay current — only performance telemetry lies
+        — and the machines' true physics (and therefore billing) are
+        untouched.  Every machine's ``health`` is derived here from the
+        age of its last trusted sample (:meth:`_health_of`).  Opens the
+        barrier whose fault records :meth:`actuate` returns.
+        """
+        now = view.time
+        self._barrier_start = len(self.fault_history)
+        by_machine: dict[int, list[TenantView]] = {}
+        for tenant in view.tenants:
+            by_machine.setdefault(tenant.machine_index, []).append(tenant)
+        for index in self._delayed:
+            snapshot = {t.name: t for t in by_machine.get(index, [])}
+            self._view_log.setdefault(index, []).append((now, snapshot))
+        observed: dict[str, TenantView] = {}
+        machines = []
+        for machine in view.machines:
+            index = machine.index
+            if machine.alive:
+                residents = by_machine.get(index, [])
+                age = self._sense(now, index, residents, observed)
+                health = self._health_of(now, index, age)
+            else:
+                health = HEALTH_DEAD
+                self._reintegrate_at.pop(index, None)
+            self._health[index] = health
+            machines.append(replace(machine, health=health))
+        return replace(
+            view,
+            machines=tuple(machines),
+            tenants=tuple(observed.get(t.name, t) for t in view.tenants),
+        )
+
+    def _sense(
+        self,
+        now: float,
+        index: int,
+        residents: Sequence[TenantView],
+        observed: dict[str, TenantView],
+    ) -> float:
+        """Put what machine ``index``'s telemetry reports for its
+        residents into ``observed``; returns the reported sample's age."""
+        plan = self.plan
+        fault = plan.sensor_at(index, now)
+        if fault is not None:
+            self._announce(now, "sensor", fault)
+        if fault is None or fault.mode == "noise":
+            # Telemetry flows (noise still counts as a heartbeat: the
+            # machine is talking, just not truthfully).
+            self._last_fresh_time[index] = now
+            for tenant in residents:
+                self._last_fresh_views[tenant.name] = tenant
+            if fault is not None:
+                scale = 1.0 + fault.amplitude * plan.noise_unit(index, now)
+                for tenant in residents:
+                    observed[tenant.name] = replace(
+                        tenant,
+                        sla_shortfall=max(0.0, tenant.sla_shortfall * scale),
+                    )
+            return 0.0
+        # Dropout, or delay: the freshest trusted sample is old.
+        source: dict[str, TenantView] = {}
+        age = now - self._last_fresh_time[index]
+        if fault.mode == "delay":
+            log = self._view_log.get(index, [])
+            for entry_time, snapshot in reversed(log):
+                if entry_time <= now - fault.delay + TIME_SLACK:
+                    source = snapshot
+                    age = now - entry_time
+                    break
+        for tenant in residents:
+            cached = source.get(tenant.name)
+            if cached is None:
+                cached = self._last_fresh_views.get(tenant.name)
+            # No trusted sample yet (the window opened at the run's
+            # start): the true view is all there is.
+            observed[tenant.name] = tenant if cached is None else replace(
+                cached,
+                machine_index=tenant.machine_index,
+                weight=tenant.weight,
+                finished=tenant.finished,
+            )
+        return age
+
+    def _health_of(self, now: float, index: int, age: float) -> str:
+        """A live machine's health from its telemetry ``age``.
+
+        :func:`~repro.heartbeats.health.classify_heartbeat_age` with
+        quarantine-recovery hysteresis: a machine that went
+        unresponsive stays ``stale`` for ``reintegrate_seconds`` after
+        its telemetry returns before it is trusted as ``fresh`` again.
+        """
+        plan = self.plan
+        base = classify_heartbeat_age(
+            age, plan.stale_after_seconds, plan.unresponsive_after_seconds
+        )
+        if base == HEALTH_UNRESPONSIVE:
+            self._reintegrate_at.pop(index, None)
+            return HEALTH_UNRESPONSIVE
+        if base == HEALTH_STALE:
+            return HEALTH_STALE
+        if self._health[index] == HEALTH_UNRESPONSIVE:
+            # Telemetry is back, but a quarantined machine earns trust
+            # slowly: stale until the hysteresis deadline.
+            self._reintegrate_at[index] = now + plan.reintegrate_seconds
+            return HEALTH_STALE
+        deadline = self._reintegrate_at.get(index)
+        if deadline is None:
+            return HEALTH_FRESH
+        if now + TIME_SLACK >= deadline:
+            del self._reintegrate_at[index]
+            return HEALTH_FRESH
+        return HEALTH_STALE
+
+    # ------------------------------------------------------------------
+    # Actuators: what lands on the machines
+    # ------------------------------------------------------------------
+    def actuate(
+        self,
+        now: float,
+        caps: tuple[float, ...] | None,
+        dead: Collection[int],
+        dying: Collection[int],
+    ) -> tuple[
+        tuple[float | None, ...] | None, list[FaultRecord], list[RetryRecord]
+    ]:
+        """Push the commanded ``caps`` through the (possibly faulty)
+        actuators.
+
+        Actuator ``drop`` windows lose a command outright, ``partial``
+        windows move it only part way, and the applier runs a
+        deadline-based retry loop per machine — retries land at later
+        barriers after a capped deterministic backoff
+        (:func:`retry_backoff_seconds`), every attempt recorded.
+        Straggler windows then pin their machine to its cap floor
+        whatever was commanded, and restore the last landed watts when
+        the window ends.  Machines ``dead`` or ``dying`` at this barrier
+        are left alone and their loops dropped.
+
+        Returns the per-machine watts to apply (a None entry leaves
+        that machine's DVFS state alone; None when no entry is set),
+        and the barrier's fault and retry records.  The commanded caps
+        still become the control plane's belief — exactly the
+        gray-failure illusion — while the injector tracks the truth.
+        """
+        plan = self.plan
+        retries_start = len(self.retry_history)
+        applied: list[float | None] = [None] * len(self._floors)
+        live = []
+        for index in range(len(applied)):
+            if index in dead or index in dying:
+                self._retries.pop(index, None)
+                self._abandoned.pop(index, None)
+                self._straggling.discard(index)
+            else:
+                live.append(index)
+        for index in live:
+            target = caps[index] if caps is not None else None
+            applied[index] = self._apply(now, index, target)
+        # Straggler overlay: the machine's clock runs slow no matter
+        # what the applier landed; recovery restores the landed watts.
+        for index in live:
+            straggle = plan.straggler_at(index, now)
+            if straggle is not None:
+                if index not in self._straggling:
+                    self._straggling.add(index)
+                    self._announce(now, "straggler", straggle)
+                applied[index] = self._floors[index]
+            elif index in self._straggling:
+                self._straggling.discard(index)
+                self._record(now, "recovered", index)
+                if applied[index] is None:
+                    applied[index] = self._applied_watts.get(index)
+        landing = None if all(w is None for w in applied) else tuple(applied)
+        return (
+            landing,
+            self.fault_history[self._barrier_start:],
+            self.retry_history[retries_start:],
+        )
+
+    def _apply(
+        self, now: float, index: int, target: float | None
+    ) -> float | None:
+        """One machine's applier step at ``now``: try the commanded
+        ``target`` or its retry loop's pending one through the
+        machine's actuator fault, and book the outcome.  Returns the
+        watts that landed (None: the actuator is left alone, or the
+        command was dropped)."""
+        plan = self.plan
+        fault = plan.actuator_at(index, now)
+        if fault is not None:
+            self._announce(now, "actuator", fault)
+        attempt = self._attempt(now, index, target, fault)
+        if attempt is None:
+            return None
+        target, pending = attempt
+        number = pending.attempts + 1 if pending is not None else 1
+        started = pending.commanded_at if pending is not None else now
+        landed: float | None = target
+        if fault is not None and fault.mode == "drop":
+            landed = None
+        elif fault is not None:  # partial
+            current = self._applied_watts.get(index, self._ceilings[index])
+            landed = current + fault.fraction * (target - current)
+            landed = min(
+                max(landed, self._floors[index]), self._ceilings[index]
+            )
+        if landed is not None:
+            self._applied_watts[index] = landed
+        outcome: str | None
+        if landed is not None and abs(landed - target) <= WATT_SLACK:
+            # A first attempt through a sound actuator is no retry.
+            retried = fault is not None or pending is not None
+            outcome = "succeeded" if retried else None
+            self._retries.pop(index, None)
+        elif (
+            pending is not None
+            and now - started + TIME_SLACK >= plan.retry_deadline_seconds
+        ):
+            outcome = "abandoned"
+            del self._retries[index]
+            self._abandoned[index] = target
+        else:
+            outcome = "failed" if landed is None else "partial"
+            backoff = retry_backoff_seconds(
+                number, plan.retry_base_seconds, plan.retry_cap_seconds
+            )
+            self._retries[index] = RetryState(
+                target, started, number, now + backoff
+            )
+        if outcome is not None:
+            self.retry_history.append(
+                RetryRecord(now, index, target, landed, number, outcome)
+            )
+        return landed
+
+    def _attempt(
+        self,
+        now: float,
+        index: int,
+        target: float | None,
+        fault: ActuatorFault | None,
+    ) -> tuple[float, RetryState | None] | None:
+        """The watts the applier tries to land on ``index`` now, with
+        the retry loop the attempt continues (None: a first attempt);
+        None when it leaves the actuator alone this barrier."""
+        pending = self._retries.get(index)
+        if pending is not None:
+            if (
+                target is not None
+                and abs(target - pending.target_watts) > TARGET_SLACK
+            ):
+                # A new command supersedes the retry loop: fresh
+                # target, fresh deadline, fresh backoff.
+                del self._retries[index]
+                self._abandoned.pop(index, None)
+                return target, None
+            if now + TIME_SLACK >= pending.next_attempt_at:
+                return pending.target_watts, pending
+            return None  # backing off
+        if target is None:
+            return None
+        abandoned = self._abandoned.get(index)
+        if (
+            abandoned is not None
+            and fault is not None
+            and abs(target - abandoned) <= TARGET_SLACK
+        ):
+            # Gave up on this exact target: leave the broken actuator
+            # alone until the fault clears or the policy asks for
+            # something new.
+            return None
+        self._abandoned.pop(index, None)
+        return target, None
 
 
 # ----------------------------------------------------------------------

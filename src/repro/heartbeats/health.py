@@ -5,11 +5,12 @@ recent trusted heartbeat telemetry: fresh telemetry means the machine
 is controllable, aging telemetry means decisions are running on stale
 state, and silence past a deadline means the machine must be treated
 as unresponsive even though its workloads may still be running.  This
-module holds the pure age -> health-state classifier shared by the
-engine's control-view construction; the hysteresis on *recovery*
-(a quarantined machine earns back trust slowly) lives with the
-engine's per-machine state, not here, because it depends on history
-rather than on a single age.
+module holds the pure age -> health-state classifier used by the
+datacenter's fault injector; the hysteresis on *recovery* (a
+quarantined machine earns back trust slowly) lives with the
+injector's per-machine state
+(:class:`~repro.datacenter.faults.FaultInjector`), not here, because
+it depends on history rather than on a single age.
 """
 
 from __future__ import annotations

@@ -281,7 +281,9 @@ class TestWorkerSupervision:
     @pytest.mark.parametrize("mode", MODES)
     def test_failure_after_plan_is_named(self, fail, mode):
         # Worker 1 fails applying its second barrier's plan (t=10); the
-        # coordinator finds out awaiting its next ready frame (t=15).
+        # coordinator finds out awaiting its next ready frame (t=15).  A
+        # raise is named at t=10, the barrier its error frame reports; a
+        # death or a wedge leaves no report, so it is named at t=15.
         kills = []
 
         def second_plan(group, dead):
@@ -291,7 +293,8 @@ class TestWorkerSupervision:
             return len(kills) == 2
 
         fail("kill", mode, second_plan)
-        with names_worker(1, [1, 3], 15.0, mode, "ready"):
+        barrier = 10.0 if mode == "raise" else 15.0
+        with names_worker(1, [1, 3], barrier, mode, "ready"):
             build_scenario("sharded", workers=2).run()
 
     @pytest.mark.parametrize("mode", MODES)
@@ -371,20 +374,21 @@ class TestTransportBoundary:
     """No module outside ``engine.py`` reads an engine private.
 
     The barrier loop, the barrier step and the result assembly live in
-    the engine; the shard transport drives a :class:`HostGroup` and the
-    applier works on data and machines, both through public engine
-    state.  An ``engine._<name>`` access there would mean engine logic
-    leaking out of the engine.
+    the engine; the shard transport drives a :class:`HostGroup`, the
+    applier works on data and machines, and the fault injector on
+    views and caps, all through public engine state.  An
+    ``engine._<name>`` access there would mean engine logic leaking out
+    of the engine.
     """
 
     def test_shard_reads_no_engine_private(self):
         import ast
 
-        from repro.datacenter import shard
+        from repro.datacenter import faults, shard
         from repro.datacenter.controlplane import applier
 
         leaks = []
-        for module in (shard, applier):
+        for module in (shard, applier, faults):
             with open(module.__file__, encoding="utf-8") as source:
                 tree = ast.parse(source.read())
             leaks.extend(
