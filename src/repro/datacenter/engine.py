@@ -913,11 +913,7 @@ class DatacenterEngine:
         if self.faults is not None:
             # Fault-window edges and kill instants are barriers too, so
             # every fault bites (and clears) exactly when scheduled.
-            ticks.update(
-                t
-                for t in self.faults.plan.barrier_times(horizon)
-                if 0.0 < t <= horizon
-            )
+            ticks.update(self.faults.plan.barrier_times(horizon))
         return sorted(ticks)
 
     def _final_event_time(self, tick_times: Sequence[float]) -> float:
@@ -1173,16 +1169,12 @@ class DatacenterEngine:
         self._record_plan(plan, now)
         # The commanded caps became the control plane's belief above;
         # what lands may differ under faults.
-        applied, fault_records, retry_records = (
-            (plan.caps, [], [])
-            if self.faults is None
-            else self.faults.actuate(
-                now,
-                plan.caps,
-                self.dead_machines,
-                {failure.machine_index for failure in plan.failures},
+        applied, fault_records, retry_records = plan.caps, [], []
+        if self.faults is not None:
+            dying = {failure.machine_index for failure in plan.failures}
+            applied, fault_records, retry_records = self.faults.actuate(
+                now, plan.caps, self.dead_machines, dying
             )
-        )
         caps = self._changed_caps(applied)
         failures, restores = self._place_failures(plan, now)
         migrations = [

@@ -29,13 +29,9 @@ faulted run replays and resumes byte-exactly, and serial and sharded
 backends stay byte-identical under every fault class.
 
 The plan says *when* a fault bites; one :class:`FaultInjector` per run
-says *what it does*.  It owns every piece of per-run fault state —
-machine health and its reintegration hysteresis, the applier's retry
-loops (:class:`RetryState`, :func:`retry_backoff_seconds`), the
-straggling machines, and the fault and retry histories — and works on
-plain data: the engine's barrier step hands it the true cluster view
-(:meth:`FaultInjector.observe`) and the commanded caps
-(:meth:`FaultInjector.actuate`), never the engine itself.
+says *what it does*, and owns all per-run fault state: machine health,
+the applier's retry loops (:class:`RetryState`), the stragglers, and
+the fault and retry histories.
 
 Plans can also be written by hand and loaded with
 :func:`load_fault_plan` (the CLI's ``--faults FILE``): one fault per
@@ -409,13 +405,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Schedule queries (the injector's per-barrier interface)
     # ------------------------------------------------------------------
-    @property
-    def empty(self) -> bool:
-        """True when the plan schedules no faults at all."""
-        return not (
-            self.sensors or self.actuators or self.stragglers or self.kills
-        )
-
     def max_machine_index(self) -> int:
         """The largest machine index any fault references (-1 if none)."""
         indices = [f.machine_index for f in self.sensors]
@@ -431,8 +420,8 @@ class FaultPlan:
 
         Window starts and ends (so degradation and recovery land at
         their scheduled instants, not the next periodic tick) plus the
-        kill times; the engine deduplicates against its periodic
-        barriers and filters to ``(0, horizon]``.
+        kill times, within ``(0, horizon]``; the engine merges them
+        with its periodic barriers.
         """
         times: set[float] = set()
         for window in (*self.sensors, *self.actuators, *self.stragglers):
@@ -468,15 +457,6 @@ class FaultPlan:
     ) -> StragglerFault | None:
         """The straggler window active on a machine at ``now``, if any."""
         return self._active(self.stragglers, machine_index, now)
-
-    def delayed_machines(self) -> frozenset[int]:
-        """Machines with any ``delay``-mode sensor fault (the injector
-        keeps a barrier-view history only for these)."""
-        return frozenset(
-            fault.machine_index
-            for fault in self.sensors
-            if fault.mode == "delay"
-        )
 
     def noise_unit(self, machine_index: int, now: float) -> float:
         """A deterministic noise draw in ``[-1, 1]``.
@@ -742,10 +722,9 @@ class FaultInjector:
         self._last_fresh_time = [0.0] * len(cap_floors)
         self._last_fresh_views: dict[str, TenantView] = {}
         # Barrier-view history, kept only for delay-mode machines.
-        self._delayed = plan.delayed_machines()
-        self._view_log: dict[
-            int, list[tuple[float, dict[str, TenantView]]]
-        ] = {}
+        self._view_log: dict[int, list[tuple[float, dict[str, Any]]]] = {
+            f.machine_index: [] for f in plan.sensors if f.mode == "delay"
+        }
         # Retry loops per machine, plus targets the applier gave up on
         # (until the fault clears or a new target arrives).
         self._retries: dict[int, RetryState] = {}
@@ -796,9 +775,8 @@ class FaultInjector:
         by_machine: dict[int, list[TenantView]] = {}
         for tenant in view.tenants:
             by_machine.setdefault(tenant.machine_index, []).append(tenant)
-        for index in self._delayed:
-            snapshot = {t.name: t for t in by_machine.get(index, [])}
-            self._view_log.setdefault(index, []).append((now, snapshot))
+        for index, log in self._view_log.items():
+            log.append((now, {t.name: t for t in by_machine.get(index, [])}))
         observed: dict[str, TenantView] = {}
         machines = []
         for machine in view.machines:
@@ -849,8 +827,7 @@ class FaultInjector:
         source: dict[str, TenantView] = {}
         age = now - self._last_fresh_time[index]
         if fault.mode == "delay":
-            log = self._view_log.get(index, [])
-            for entry_time, snapshot in reversed(log):
+            for entry_time, snapshot in reversed(self._view_log[index]):
                 if entry_time <= now - fault.delay + TIME_SLACK:
                     source = snapshot
                     age = now - entry_time
