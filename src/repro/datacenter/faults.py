@@ -249,8 +249,8 @@ class FaultRecord:
     Attributes:
         time: The barrier at which the fault became active.
         kind: ``sensor``, ``actuator``, ``straggler``, or ``recovered``
-            (a straggler window ending and the commanded DVFS state
-            being restored).
+            (a straggler window ending and the machine's last landed
+            cap being restored).
         machine_index: The affected machine.
         mode: The fault's mode (None for stragglers/recoveries).
     """
