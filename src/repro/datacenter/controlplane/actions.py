@@ -220,8 +220,10 @@ class FailMachine:
     barrier — the in-flight request (if any) is lost, queued requests
     and the arrival cursor are rebuilt, and the warm
     :class:`~repro.core.runtime.RuntimeSnapshot` restores the control
-    state.  Requires an engine running with barrier checkpoints (a
-    journal, or a policy declaring ``may_fail_machines``).
+    state.  Requires the barrier to have captured checkpoints (a
+    journal, a policy declaring ``may_fail_machines``, or this barrier
+    among the policy's ``failure_times``); otherwise the engine raises
+    :class:`~repro.datacenter.engine.EngineError`.
 
     Attributes:
         machine_index: The machine to kill.  Must currently be alive,
@@ -285,6 +287,12 @@ class ControlPolicy(Protocol):
     state (cooldowns, schedules); on the sharded backend the policy
     runs only in the coordinating parent, so state never needs to
     cross process boundaries.
+
+    A policy that emits :class:`FailMachine` says so by one of two
+    optional attributes, which decide the barriers the engine captures
+    checkpoints at: ``may_fail_machines = True`` (any barrier: capture
+    every one), or ``failure_times``, the barrier instants it fails
+    machines at (capture only those).
     """
 
     def initial_budget_watts(self) -> float | None:

@@ -43,6 +43,7 @@ from repro.datacenter.controlplane.actions import (
     SetBudget,
     SetCaps,
 )
+from repro.datacenter.tolerances import VALIDATION_SLACK
 
 __all__ = [
     "ControlPlan",
@@ -52,10 +53,6 @@ __all__ = [
     "plan_failures",
     "merge_run_results",
 ]
-
-_CAP_TOLERANCE = 1e-6
-"""Float slack for cap-range and budget-sum validation (watts)."""
-
 
 def machine_limits(machines: Sequence[Any]) -> tuple[list[float], list[float]]:
     """Per-machine enforceable cap floors and ceilings, in pool order."""
@@ -124,7 +121,7 @@ def plan_actions(
                 raise ArbiterError(
                     f"budget {action.budget_watts!r} W is not finite"
                 )
-            if action.budget_watts < sum(floors) - _CAP_TOLERANCE:
+            if action.budget_watts < sum(floors) - VALIDATION_SLACK:
                 raise ArbiterError(
                     f"budget {action.budget_watts!r} W is below the pool's "
                     f"floor {sum(floors):.1f} W ({len(floors)} machines "
@@ -226,19 +223,19 @@ def plan_actions(
                 raise ArbiterError(
                     f"machine {index}: cap {cap!r} W is not finite"
                 )
-            if cap < floor - _CAP_TOLERANCE:
+            if cap < floor - VALIDATION_SLACK:
                 raise ArbiterError(
                     f"machine {index}: cap {cap:.3f} W below its floor "
                     f"{floor:.3f} W"
                 )
-            if cap > ceiling + _CAP_TOLERANCE:
+            if cap > ceiling + VALIDATION_SLACK:
                 raise ArbiterError(
                     f"machine {index}: cap {cap:.3f} W above its ceiling "
                     f"{ceiling:.3f} W"
                 )
         if (
             effective_budget is not None
-            and sum(caps) > effective_budget + _CAP_TOLERANCE
+            and sum(caps) > effective_budget + VALIDATION_SLACK
         ):
             raise ArbiterError(
                 f"caps sum to {sum(caps):.3f} W, exceeding the "

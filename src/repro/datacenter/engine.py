@@ -41,8 +41,8 @@ the same loop on every backend::
 
     for now in barrier times:
         gather    settle every host to ``now``; read tenant views and,
-                  when the run checkpoints, every tenant and machine
-                  checkpoint
+                  when something reads this barrier's checkpoints,
+                  every tenant and machine checkpoint
         barrier   view -> decide -> record -> actuate -> place failures
                   and migrations -> effect -> journal
 
@@ -476,17 +476,19 @@ class HostGroup:
             advance(host, until)
 
     def checkpoints(
-        self,
+        self, now: float
     ) -> tuple[dict[str, TenantCheckpoint], dict[int, MachineCheckpoint]] | None:
-        """Every resident's and owned machine's checkpoint, if the run
-        checkpoints (a journal, or a policy that may kill machines).
+        """Every resident's and owned machine's checkpoint, if something
+        reads the barrier at ``now``'s (see
+        :meth:`DatacenterEngine._checkpoint_rule`).
 
         Captured before the barrier's views are read, so the state is
         exactly what the policy's view summarizes and what a failure at
         this barrier restores from.
         """
         engine = self.engine
-        if not engine._checkpointing:
+        times = engine._capture_times
+        if times is not None and now not in times:
             return None
         return (
             {
@@ -511,7 +513,7 @@ class HostGroup:
         Only for a group over the whole pool (the serial transport, and
         the in-process time-zero barrier of both backends).
         """
-        checkpoints = self.checkpoints()
+        checkpoints = self.checkpoints(now)
         view = self.engine._tenant_view
         return tuple(view(b, now) for b in self.engine.bindings), checkpoints
 
@@ -855,14 +857,12 @@ class DatacenterEngine:
         # death barrier, never advanced or capped again.
         self.dead_machines: set[int] = set()
         self.journal = journal
-        # Per-barrier cluster checkpoints are captured only when someone
-        # needs them (a journal, or a policy that may kill machines) so
-        # ordinary runs pay zero checkpoint overhead.
-        self._checkpointing = journal is not None or bool(
-            getattr(policy, "may_fail_machines", False)
-        )
-        # The latest barrier's checkpoints: what a failure restores from,
-        # what the journal records and what resume attests.
+        # The barriers that capture checkpoints, fixed when run() starts
+        # (None: every barrier); see _checkpoint_rule.
+        self._capture_times: frozenset[float] | None = frozenset()
+        # This barrier's checkpoints (None when it captured none): what
+        # a failure restores from, what the journal records and what
+        # resume attests.
         self._last_checkpoints: dict[str, TenantCheckpoint] | None = None
         self._last_machine_checkpoints: dict[int, MachineCheckpoint] = {}
         # The previous journaled barrier's tenant checkpoints, so each
@@ -1027,6 +1027,25 @@ class DatacenterEngine:
                 changed.append(watts)
         return tuple(changed)
 
+    def _checkpoint_rule(self) -> frozenset[float] | None:
+        """The barriers whose checkpoints something reads (None: every one).
+
+        A journal records every barrier's checkpoints, and a policy
+        declaring ``may_fail_machines`` may restore from any of them.  A
+        policy that knows in advance where it fails machines — its
+        ``failure_times``, as a journal replay does — is read only
+        there.  Otherwise nothing reads a checkpoint, so ordinary runs
+        capture none.
+        """
+        if self.journal is not None:
+            return None
+        known = getattr(self.policy, "failure_times", None)
+        if known is not None:
+            return frozenset(known)
+        if getattr(self.policy, "may_fail_machines", False):
+            return None
+        return frozenset()
+
     def _place_failures(
         self, plan: ControlPlan, now: float
     ) -> tuple[list[FailureRecord], list[tuple[str, int, TenantCheckpoint]]]:
@@ -1037,13 +1056,14 @@ class DatacenterEngine:
         are marked dead here, so the effect's caps skip them.  Returns
         the failure records and the ``(tenant, dest, checkpoint)``
         restores the transport's effect carries out, from the
-        checkpoints captured at this same barrier.
+        checkpoints captured at this same barrier — never an older one.
         """
         if not plan.failures:
             return [], []
-        if not self._checkpointing:
-            raise ControlError(
-                "FailMachine requires barrier checkpoints: run with a journal "
+        if self._last_checkpoints is None:
+            raise EngineError(
+                f"FailMachine at t={now!r} requires this barrier's "
+                "checkpoints, but none were captured: run with a journal "
                 "attached or a policy declaring may_fail_machines (e.g. "
                 "ChaosPolicy)"
             )
@@ -1163,8 +1183,9 @@ class DatacenterEngine:
         """
         started = time.perf_counter()
         views, checkpoints = gathered
-        if checkpoints is not None:
-            self._last_checkpoints, self._last_machine_checkpoints = checkpoints
+        self._last_checkpoints, self._last_machine_checkpoints = (
+            checkpoints if checkpoints is not None else (None, {})
+        )
         actions, plan = self._decide_plan(self._control_view(now, views))
         self._record_plan(plan, now)
         # The commanded caps became the control plane's belief above;
@@ -1305,6 +1326,9 @@ class DatacenterEngine:
         # time-zero decide already relies on.
         tick_times = self._tick_times()
         final_time = self._final_event_time(tick_times)
+        # Fixed before any fork, so every shard worker captures exactly
+        # where the coordinator reads.
+        self._capture_times = self._checkpoint_rule()
         for index, machine in enumerate(self.machines):
             # Energy already on a meter (a machine reused after e.g. a
             # calibration run) predates every tenant: fold it into the

@@ -721,9 +721,18 @@ class FaultInjector:
         self._reintegrate_at: dict[int, float] = {}
         self._last_fresh_time = [0.0] * len(cap_floors)
         self._last_fresh_views: dict[str, TenantView] = {}
-        # Barrier-view history, kept only for delay-mode machines.
+        # Barrier-view history, kept only for delay-mode machines and
+        # only as far back as their longest delay reaches; a machine's
+        # log goes once its last delay window has closed.
+        self._delay_reach: dict[int, tuple[float, float]] = {}
+        for fault in plan.sensors:
+            if fault.mode == "delay":
+                delay, end = self._delay_reach.get(fault.machine_index, (0, 0))
+                self._delay_reach[fault.machine_index] = (
+                    max(delay, fault.delay), max(end, fault.end)
+                )
         self._view_log: dict[int, list[tuple[float, dict[str, Any]]]] = {
-            f.machine_index: [] for f in plan.sensors if f.mode == "delay"
+            index: [] for index in self._delay_reach
         }
         # Retry loops per machine, plus targets the applier gave up on
         # (until the fault clears or a new target arrives).
@@ -775,8 +784,7 @@ class FaultInjector:
         by_machine: dict[int, list[TenantView]] = {}
         for tenant in view.tenants:
             by_machine.setdefault(tenant.machine_index, []).append(tenant)
-        for index, log in self._view_log.items():
-            log.append((now, {t.name: t for t in by_machine.get(index, [])}))
+        self._log_views(now, by_machine)
         observed: dict[str, TenantView] = {}
         machines = []
         for machine in view.machines:
@@ -795,6 +803,28 @@ class FaultInjector:
             machines=tuple(machines),
             tenants=tuple(observed.get(t.name, t) for t in view.tenants),
         )
+
+    def _log_views(
+        self, now: float, by_machine: Mapping[int, Sequence[TenantView]]
+    ) -> None:
+        """Append this barrier's views to each delay-mode machine's log.
+
+        A delay window reads the newest entry at or before ``now -
+        delay + TIME_SLACK``, and barriers only move forward, so no
+        future read reaches past the newest entry at or before ``now``
+        minus the machine's longest delay: everything older is
+        dropped.  So is the whole log once the machine's last delay
+        window has closed.
+        """
+        for index, (delay, end) in list(self._delay_reach.items()):
+            if now >= end - TIME_SLACK:
+                del self._delay_reach[index], self._view_log[index]
+                continue
+            log = self._view_log[index]
+            log.append((now, {t.name: t for t in by_machine.get(index, [])}))
+            reach = now - delay + TIME_SLACK
+            while len(log) > 1 and log[1][0] <= reach:
+                del log[0]
 
     def _sense(
         self,

@@ -4,6 +4,18 @@ Line-by-line NDJSON parsing with errors that name the journal path,
 the line number, and the record kind — a truncated *final* line (the
 classic crash artifact: the process died mid-write) is tolerated and
 dropped, since by construction everything before it is complete.
+
+One reader loop serves every consumer, and each decodes only what it
+reads.  By default every record is decoded and validated, the
+per-barrier tenant and machine checkpoints included, which is what
+:func:`~repro.datacenter.journal.replay.resume` attests against.
+``checkpoints=False`` (what
+:func:`~repro.datacenter.journal.replay.replay` reads, since it
+re-executes actions and compares results) still checks the header,
+every line, the barrier order, the actions and the result, and that
+each barrier's ``tenants`` and ``machines`` are lists, but leaves the
+checkpoint entries undecoded: a malformed checkpoint is reported by
+the default read, not by that one.
 """
 
 from __future__ import annotations
@@ -47,8 +59,10 @@ class BarrierRecord:
         caps: Enforced caps after the barrier (None before the first
             ``SetCaps``).
         tenants: Tenant checkpoints keyed by name — *pre-decision*
-            state, with completions re-accumulated across barriers.
-        machines: Machine checkpoints in pool order (pre-decision).
+            state, with completions re-accumulated across barriers —
+            or None when the journal was read without checkpoints.
+        machines: Machine checkpoints in pool order (pre-decision), or
+            None when the journal was read without checkpoints.
         migrations: Migrations applied at this barrier.
         failures: Machine failures applied at this barrier.
         faults: Gray faults that first bit at this barrier (sensor /
@@ -61,8 +75,8 @@ class BarrierRecord:
     actions: tuple[Action, ...]
     budget_watts: float | None
     caps: tuple[float, ...] | None
-    tenants: dict[str, TenantCheckpoint]
-    machines: tuple[MachineCheckpoint, ...]
+    tenants: dict[str, TenantCheckpoint] | None
+    machines: tuple[MachineCheckpoint, ...] | None
     migrations: tuple[MigrationRecord, ...]
     failures: tuple[FailureRecord, ...]
     faults: tuple[FaultRecord, ...] = ()
@@ -93,12 +107,15 @@ class Journal:
         return self.result is not None
 
 
-def read_journal(path: str) -> Journal:
+def read_journal(path: str, checkpoints: bool = True) -> Journal:
     """Parse a journal file into a :class:`Journal`.
 
     Raises :class:`~repro.datacenter.journal.codec.JournalDecodeError`
     naming the path, line, and record kind for malformed content; a
-    truncated final line is dropped as a crash artifact.
+    truncated final line is dropped as a crash artifact.  With
+    ``checkpoints=False`` each barrier's tenant and machine
+    checkpoints are left undecoded (its ``tenants`` and ``machines``
+    are None), so a malformed checkpoint entry goes unreported.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -143,7 +160,9 @@ def read_journal(path: str) -> Journal:
                 )
             where = f"{where} (barrier record)"
             try:
-                barrier = _decode_barrier(record, previous, where)
+                barrier = _decode_barrier(
+                    record, previous, where, checkpoints
+                )
             except KeyError as error:
                 raise JournalDecodeError(
                     f"missing field {error.args[0]!r}", where
@@ -155,7 +174,7 @@ def read_journal(path: str) -> Journal:
                     where,
                 )
             barriers.append(barrier)
-            previous = barrier.tenants
+            previous = barrier.tenants or {}
         elif kind == "result":
             if result is not None:
                 raise JournalDecodeError("duplicate result record", where)
@@ -182,19 +201,32 @@ def _decode_barrier(
     record: dict[str, Any],
     previous: dict[str, TenantCheckpoint],
     where: str,
+    checkpoints: bool,
 ) -> BarrierRecord:
-    """One barrier record; ``previous`` holds the prior barrier's tenants."""
+    """One barrier record; ``previous`` holds the prior barrier's tenants.
+
+    Without ``checkpoints`` the tenant and machine entries are only
+    required to be lists.
+    """
     index = record["index"]
     if type(index) is not int:
         raise JournalDecodeError(
             f"barrier index must be an integer, got {index!r}", where
         )
-    tenants = {}
-    for obj in require_list(record, "tenants", where):
-        name = obj.get("tenant") if isinstance(obj, dict) else None
-        prior = previous.get(name) if isinstance(name, str) else None
-        checkpoint = decode_tenant_checkpoint(obj, prior, where)
-        tenants[checkpoint.tenant] = checkpoint
+    tenant_objs = require_list(record, "tenants", where)
+    machine_objs = require_list(record, "machines", where)
+    tenants: dict[str, TenantCheckpoint] | None = None
+    machines: tuple[MachineCheckpoint, ...] | None = None
+    if checkpoints:
+        tenants = {}
+        for obj in tenant_objs:
+            name = obj.get("tenant") if isinstance(obj, dict) else None
+            prior = previous.get(name) if isinstance(name, str) else None
+            checkpoint = decode_tenant_checkpoint(obj, prior, where)
+            tenants[checkpoint.tenant] = checkpoint
+        machines = tuple(
+            decode_machine_checkpoint(obj, where) for obj in machine_objs
+        )
     return BarrierRecord(
         index=index,
         time=record["time"],
@@ -209,10 +241,7 @@ def _decode_barrier(
             else tuple(require_list(record, "caps", where))
         ),
         tenants=tenants,
-        machines=tuple(
-            decode_machine_checkpoint(obj, where)
-            for obj in require_list(record, "machines", where)
-        ),
+        machines=machines,
         migrations=tuple(
             decode_migration_record(obj, where)
             for obj in require_list(record, "migrations", where)

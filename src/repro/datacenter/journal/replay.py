@@ -8,18 +8,25 @@ live here:
   at every barrier, and assert the fresh
   :class:`~repro.datacenter.engine.DatacenterResult` matches the
   journaled one byte for byte (invariant 7: every run is a pure
-  function of its journal).
+  function of its journal).  It vouches for the actions and the
+  result, and pays only for those: it reads the journal without
+  decoding checkpoints (a malformed checkpoint entry is not its to
+  report), and the engine captures fresh checkpoints only at the
+  barriers whose actions hold a ``FailMachine``, where a replayed
+  failure restores from them.
 * :func:`resume` — finish a run whose journal ends mid-run (a crash
-  left no ``result`` record).  The scenario re-executes under the
-  *live* policy with every journaled barrier attested: the re-decided
-  actions must match the journal's raw actions, and at the last
-  journaled barrier the freshly captured cluster checkpoint — warm
+  left no ``result`` record).  It decodes and validates the whole
+  journal, checkpoints included, and the run captures every barrier.
+  The scenario re-executes under the *live* policy with every
+  journaled barrier attested: the re-decided actions must match the
+  journal's raw actions, and at the last journaled barrier the freshly
+  captured cluster checkpoint — warm
   :class:`~repro.core.runtime.RuntimeSnapshot`\\ s included — must
   match the journaled one, proving the run passed through exactly the
   state the crash interrupted.
-* :func:`journaled_run` — the recording half: attach a writer, run,
-  and append the canonical result record that :func:`replay` verifies
-  against.
+* :func:`journaled_run` — the recording half: attach a writer, run
+  (a journaled run captures every barrier), and append the canonical
+  result record that :func:`replay` verifies against.
 
 Scenario configs name a *builder* registered via
 :func:`register_scenario_builder`; the header also records the
@@ -33,6 +40,7 @@ import importlib
 from dataclasses import asdict
 from typing import Any, Callable, Mapping
 
+from repro.datacenter.controlplane.actions import FailMachine
 from repro.datacenter.engine import DatacenterEngine, DatacenterResult
 from repro.datacenter.journal.codec import (
     JournalError,
@@ -136,17 +144,22 @@ class ReplayPolicy:
 
     Replaces the live policy during :func:`replay`: at every barrier it
     returns exactly the raw actions the journal recorded, after
-    asserting the barrier arrived at the journaled instant.  Declares
-    ``may_fail_machines`` so the engine keeps checkpointing — replayed
-    ``FailMachine`` actions restore victims from the same-barrier
-    checkpoints just as the recorded run did.
+    asserting the barrier arrived at the journaled instant.  Its
+    ``failure_times`` are the journaled barriers whose actions hold a
+    ``FailMachine``, so the engine captures checkpoints at exactly
+    those barriers — a replayed failure restores its victims from the
+    same-barrier checkpoints just as the recorded run did — and at no
+    other.
     """
-
-    may_fail_machines = True
 
     def __init__(self, journal: Journal) -> None:
         self._journal = journal
         self._cursor = 0
+        self.failure_times = frozenset(
+            barrier.time
+            for barrier in journal.barriers
+            if any(isinstance(a, FailMachine) for a in barrier.actions)
+        )
 
     def initial_budget_watts(self) -> float | None:
         """The recorded initial budget."""
@@ -183,35 +196,65 @@ def _hex(value: float | None) -> str:
     return "none" if value is None else float(value).hex()
 
 
+class _HexMemo(dict):
+    """:func:`_hex` tokens by value, each distinct value formatted once.
+
+    Zeros are never stored: ``0.0 == -0.0`` share one key but not one
+    token.  Neither is NaN, which equals no key (not even itself).
+    """
+
+    def __missing__(self, value: float | None) -> str:
+        token = _hex(value)
+        if value == value and value != 0:
+            self[value] = token
+        return token
+
+
+def _samples_digest(result: DatacenterResult) -> str:
+    """SHA-256 over every run's per-heartbeat samples, by run name.
+
+    Each run contributes ``name|energy|elapsed`` and then one
+    ``beat|time|rate|performance|gain|speedup|frequency`` line per
+    beat, each float as its ``float.hex`` token.  The lines are built
+    column by column through one memo shared by every run, and each
+    run's bytes go to the (streaming) hash in one update, so the digest
+    is the same as hashing one line at a time.
+    """
+    digest = hashlib.sha256()
+    token = _HexMemo().__getitem__
+    for name in sorted(result.run_results):
+        run = result.run_results[name]
+        columns = run.columns
+        rows = zip(
+            map(str, columns.beat),
+            *(
+                map(token, column)
+                for column in (
+                    columns.time,
+                    columns.window_rate,
+                    columns.normalized_performance,
+                    columns.knob_gain,
+                    columns.commanded_speedup,
+                    columns.frequency_ghz,
+                )
+            ),
+        )
+        lines = [f"{name}|{_hex(run.energy_joules)}|{_hex(run.elapsed)}"]
+        lines.extend(map("|".join, rows))
+        lines.append("")
+        digest.update("\n".join(lines).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def result_payload(result: DatacenterResult) -> dict[str, Any]:
     """A :class:`DatacenterResult` as the canonical JSON result record.
 
     Everything scalar is encoded through the shared codec; the
     per-heartbeat run samples (thousands of floats per tenant) are
-    folded into a SHA-256 digest over their exact ``float.hex`` forms,
-    so the record stays small while still pinning every sample bit.
+    folded into a SHA-256 digest over their exact ``float.hex`` forms
+    (:func:`_samples_digest`), so the record stays small while still
+    pinning every sample bit.
     """
-    digest = hashlib.sha256()
-    for name in sorted(result.run_results):
-        run = result.run_results[name]
-        digest.update(name.encode("utf-8"))
-        digest.update(
-            f"|{_hex(run.energy_joules)}|{_hex(run.elapsed)}\n".encode("utf-8")
-        )
-        columns = run.columns
-        for beat, *values in zip(
-            columns.beat,
-            columns.time,
-            columns.window_rate,
-            columns.normalized_performance,
-            columns.knob_gain,
-            columns.commanded_speedup,
-            columns.frequency_ghz,
-        ):
-            digest.update(
-                "|".join((str(beat), *map(_hex, values))).encode("utf-8")
-                + b"\n"
-            )
     return {
         "bills": [encode_bill(bill) for bill in result.bills],
         "tenant_reports": [asdict(report) for report in result.tenant_reports],
@@ -238,7 +281,7 @@ def result_payload(result: DatacenterResult) -> dict[str, Any]:
         "total_energy_joules": result.total_energy_joules,
         "makespan": result.makespan,
         "budget_watts": result.budget_watts,
-        "samples_digest": digest.hexdigest(),
+        "samples_digest": _samples_digest(result),
     }
 
 
@@ -250,7 +293,6 @@ def journaled_run(engine: DatacenterEngine, writer: JournalWriter):
     canonical payload :func:`replay` verifies against.
     """
     engine.journal = writer
-    engine._checkpointing = True
     result = engine.run()
     writer.write_record({"kind": "result", "payload": result_payload(result)})
     return result
@@ -282,7 +324,7 @@ def replay(
     defaults to serial regardless of how the run was recorded; parity
     across backends means any choice must reproduce the same bytes.
     """
-    journal = read_journal(path)
+    journal = read_journal(path, checkpoints=False)
     if not journal.complete:
         raise JournalError(
             f"journal {path!r} records an interrupted run (no result "
@@ -292,7 +334,6 @@ def replay(
         journal.header, backend=backend, workers=workers
     )
     engine.policy = ReplayPolicy(journal)
-    engine._checkpointing = True
     result = engine.run()
     payload = result_payload(result)
     if canonical_json(payload) != canonical_json(journal.result):
@@ -431,7 +472,6 @@ def resume(
         attestor = _AttestingPolicy(engine.policy, journal)
         attestor.attach(engine)
         engine.policy = attestor
-        engine._checkpointing = True
         result = engine.run()
         if attestor.attested_barriers < len(journal.barriers):
             raise JournalError(

@@ -19,7 +19,8 @@ are pickled plain data.
    a ``ready`` frame: the
    :class:`~repro.datacenter.controlplane.actions.TenantView` of every
    resident, keyed by binding index, and the barrier's tenant and
-   machine checkpoints when the run checkpoints (``None`` otherwise).
+   machine checkpoints when something reads this barrier's (``None``
+   otherwise; see ``DatacenterEngine._checkpoint_rule``).
    The coordinator puts the views in binding order; a binding missing
    from every frame, or sent twice, is a protocol error;
 2. *effect* — after the engine's barrier step decides and places, the
@@ -33,9 +34,9 @@ are pickled plain data.
    migration record to the destination worker in an ``absorb`` frame
    — machines never change shards, tenants do.
 
-When a run checkpoints, every barrier's checkpoints reach the
-coordinator exactly as the serial backend captures them, which is what
-failure restores, the journal and ``resume``'s attestation all read.
+Every captured barrier's checkpoints reach the coordinator exactly as
+the serial backend captures them, which is what failure restores, the
+journal and ``resume``'s attestation all read.
 
 Determinism: every worker dispatches exactly the arrivals the serial
 scheduler would on its machines, settles at the same barrier instants,
@@ -160,7 +161,7 @@ def _worker_main(
         group = HostGroup(engine, machine_indices)
         for barrier in tick_times:
             group.settle(barrier)
-            checkpoints = group.checkpoints()
+            checkpoints = group.checkpoints(barrier)
             conn.send(("ready", group.views(barrier), checkpoints))
             _, dead, caps, restores, emigrations, migrating = _expect(
                 conn.recv(), "plan"

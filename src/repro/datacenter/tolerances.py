@@ -17,3 +17,10 @@ TARGET_SLACK = 1e-12
 
 SETTLE_SLACK = 1e-12
 """Seconds short of its horizon at which a machine counts as settled."""
+
+VALIDATION_SLACK = 1e-6
+"""Watts a policy's budget may fall short of the pool's cap floor by, or
+its caps may miss a machine's cap range or overrun the budget by, and
+still pass the control plane's validation.  Looser than
+:data:`WATT_SLACK`: it judges what a policy emitted, not the engine's
+own sums."""

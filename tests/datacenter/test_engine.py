@@ -23,6 +23,7 @@ from repro.datacenter import (
     service_training_jobs,
 )
 from repro.datacenter.controlplane import ControlError, FailMachine, Migrate
+from repro.datacenter.engine import HostGroup
 from repro.experiments.common import experiment_machine
 
 needs_fork = pytest.mark.skipif(
@@ -304,6 +305,79 @@ class _MoveAtFirstBarrier:
 
     def decide(self, view):
         return [self.action] if view.time == 4.0 else []
+
+
+class _FailAfterItsCapture:
+    """Fails machine 0 at t=8 but names t=4 as its only failure barrier."""
+
+    failure_times = frozenset({4.0})
+
+    def initial_budget_watts(self):
+        return None
+
+    def barrier_times(self, horizon):
+        return ()
+
+    def decide(self, view):
+        return [FailMachine(0)] if view.time == 8.0 else []
+
+
+class TestCaptureRule:
+    """A failure restores from its own barrier's checkpoints or not at
+    all: an uncaptured barrier never falls back to an older capture."""
+
+    @pytest.mark.parametrize(
+        "backend", ["serial", pytest.param("sharded-2", marks=needs_fork)]
+    )
+    def test_failure_at_an_uncaptured_barrier_is_refused(
+        self, system, backend, monkeypatch
+    ):
+        machines = [experiment_machine(), experiment_machine()]
+        bindings = [
+            make_binding(
+                system,
+                machines[index],
+                index,
+                name,
+                poisson_trace(1.0, 12.0, seed=20 + index),
+                seed=index,
+            )
+            for index, name in enumerate("ab")
+        ]
+        captured_at = []
+        restores = []
+        barrier = DatacenterEngine._barrier
+
+        def spying(engine, now, gathered, transport):
+            if gathered[1] is not None:
+                captured_at.append(now)
+            return barrier(engine, now, gathered, transport)
+
+        monkeypatch.setattr(DatacenterEngine, "_barrier", spying)
+        monkeypatch.setattr(
+            HostGroup, "restore", lambda group, *args: restores.append(args)
+        )
+        engine = DatacenterEngine(
+            machines,
+            bindings,
+            policy=_FailAfterItsCapture(),
+            control_period=4.0,
+            backend="serial" if backend == "serial" else "sharded",
+            workers=2,
+        )
+        with pytest.raises(
+            EngineError,
+            match=re.escape(
+                "FailMachine at t=8.0 requires this barrier's checkpoints, "
+                "but none were captured"
+            ),
+        ):
+            engine.run()
+        # The t=4 capture was there to fall back on; the refusal comes
+        # before any effect, so nothing was restored.
+        assert captured_at == [4.0]
+        assert restores == []
+        assert engine.dead_machines == set()
 
 
 class TestMoveRebuildGuards:

@@ -33,6 +33,7 @@ from repro.datacenter.faults import (
     RETRY_OUTCOMES,
     SENSOR_MODES,
     ActuatorFault,
+    FaultInjector,
     FaultPlan,
     FaultPlanError,
     FaultRecord,
@@ -577,6 +578,64 @@ class TestFaultedRuns:
         plan = FaultPlan(sensors=(SensorFault(7, 1.0, 3.0),))
         with pytest.raises(Exception, match="machine"):
             run_config(faulted_config(plan, machines=2))
+
+
+class TestDelayViewLog:
+    """A delay window reads the view log back only as far as its delay,
+    so the log keeps that much and goes once the window has closed."""
+
+    # Opens before any tenant has settled, so a log cut one entry short
+    # changes what the policy sees and the result's bytes.
+    EARLY_DELAY = FaultPlan(
+        sensors=(SensorFault(0, 2.0, 22.0, mode="delay", delay=4.0),),
+    )
+
+    @staticmethod
+    def dense_config(plan):
+        # A barrier every second: an unbounded log would hold one entry
+        # per barrier.
+        return scenario_config(
+            tiny_tenants(3),
+            3,
+            HORIZON,
+            630.0,
+            "sla-aware",
+            control_period=1.0,
+            faults=plan,
+        )
+
+    def test_log_length_is_bounded_by_the_delay(self, monkeypatch):
+        lengths = []
+        observe = FaultInjector.observe
+
+        def spying(injector, view):
+            observed = observe(injector, view)
+            lengths.append((view.time, len(injector._view_log.get(1, ()))))
+            return observed
+
+        monkeypatch.setattr(FaultInjector, "observe", spying)
+        run_config(self.dense_config(FAULT_PLANS["sensor-delay"]))
+        # Machine 1's window is 6 -> 16 s with a 4 s delay: the newest
+        # entry at or before t - 4 and the four barriers after it.
+        assert len(lengths) > 20
+        assert max(n for t, n in lengths if t < 16.0) == 5
+        assert all(n == 0 for t, n in lengths if t >= 16.0)
+
+    @pytest.mark.parametrize("plan", ["sensor-delay", "early-delay"])
+    def test_bounded_log_serves_the_same_views(self, monkeypatch, plan):
+        config = self.dense_config(
+            self.EARLY_DELAY if plan == "early-delay" else FAULT_PLANS[plan]
+        )
+        bounded = run_config(config)
+
+        def unbounded(injector, now, by_machine):
+            for index, log in injector._view_log.items():
+                log.append(
+                    (now, {t.name: t for t in by_machine.get(index, [])})
+                )
+
+        monkeypatch.setattr(FaultInjector, "_log_views", unbounded)
+        assert result_digest(run_config(config)) == result_digest(bounded)
 
 
 @needs_fork

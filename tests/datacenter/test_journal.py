@@ -7,13 +7,17 @@ so every test doubles as a check that a journal really is a sufficient
 statistic for its run (ARCHITECTURE.md invariant 7).
 """
 
+import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.datacenter import fork_available
+from repro.core.runtime import RunResult, SampleColumns
+from repro.datacenter import DatacenterEngine, DatacenterResult, fork_available
+from repro.datacenter import engine as engine_module
 from repro.datacenter.billing import TenantBill
 from repro.datacenter.controlplane import (
     FailMachine,
@@ -33,6 +37,7 @@ from repro.datacenter.journal import (
     journaled_run,
     read_journal,
     replay,
+    result_payload,
     resume,
 )
 from repro.experiments.__main__ import main
@@ -47,7 +52,8 @@ needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
 )
 
-# Where a crashed run resumes: it must finish identically on either.
+# Where a journal replays or a crashed run resumes: it must finish
+# identically on either.
 RESUME_BACKENDS = [
     pytest.param("serial", None, id="serial"),
     pytest.param("sharded", 2, id="sharded-2", marks=needs_fork),
@@ -163,6 +169,143 @@ class TestCodecRoundTrip:
             decode_action({"caps": [1.0]}, where="barrier 3 action 1")
 
 
+SAMPLED_FIELDS = (
+    "time",
+    "window_rate",
+    "normalized_performance",
+    "knob_gain",
+    "commanded_speedup",
+    "frequency_ghz",
+)
+
+
+def oracle_samples_digest(result):
+    """The samples digest hashed one beat line at a time."""
+
+    def token(value):
+        return "none" if value is None else float(value).hex()
+
+    digest = hashlib.sha256()
+    for name in sorted(result.run_results):
+        run = result.run_results[name]
+        digest.update(name.encode("utf-8"))
+        digest.update(
+            f"|{token(run.energy_joules)}|{token(run.elapsed)}\n".encode()
+        )
+        columns = run.columns
+        for beat, *values in zip(
+            columns.beat,
+            columns.time,
+            columns.window_rate,
+            columns.normalized_performance,
+            columns.knob_gain,
+            columns.commanded_speedup,
+            columns.frequency_ghz,
+        ):
+            digest.update(
+                "|".join((str(beat), *map(token, values))).encode() + b"\n"
+            )
+    return digest.hexdigest()
+
+
+def sampled_result(runs):
+    """A result holding only ``runs``: name -> (energy, elapsed, rows)."""
+    run_results = {}
+    for name, (energy, elapsed, rows) in runs.items():
+        columns = SampleColumns()
+        for beat, row in enumerate(rows):
+            columns.beat.append(beat)
+            for field_name, value in zip(SAMPLED_FIELDS, row):
+                getattr(columns, field_name).append(value)
+        run_results[name] = RunResult(columns, [], None, energy, elapsed)
+    return DatacenterResult(
+        tenant_reports=[],
+        run_results=run_results,
+        bills=[],
+        idle_energy_joules=[],
+        machine_mean_power=[],
+        total_energy_joules=0.0,
+        makespan=0.0,
+        budget_watts=None,
+        cap_history=[],
+    )
+
+
+# Values whose tokens a shared memo could confuse: the two zeros (one
+# dict key, two tokens), NaN (equal to no key), ints equal to floats,
+# infinities and subnormals.
+sample_values = st.one_of(
+    st.none(),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.0]
+    ),
+    st.integers(min_value=-(2**60), max_value=2**60),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+sampled_runs = st.dictionaries(
+    st.text(max_size=6),
+    st.tuples(
+        sample_values,
+        sample_values,
+        st.lists(st.tuples(*[sample_values] * len(SAMPLED_FIELDS)), max_size=6),
+    ),
+    max_size=4,
+)
+
+
+class TestSamplesDigest:
+    """The payload's samples digest is the per-beat-line hash."""
+
+    @given(sampled_runs)
+    def test_digest_matches_the_per_line_oracle(self, runs):
+        result = sampled_result(runs)
+        assert result_payload(result)["samples_digest"] == (
+            oracle_samples_digest(result)
+        )
+
+    def test_signed_zeros_keep_their_tokens_across_runs(self):
+        zeros = (0.0, -0.0, 0, -0.0, 0.0, -0.0)
+        runs = {
+            "b": (-0.0, 0.0, [zeros, tuple(reversed(zeros))]),
+            "a": (0.0, -0.0, [tuple(-v for v in zeros)]),
+            "c": (None, math.nan, []),
+        }
+        result = sampled_result(runs)
+        assert result_payload(result)["samples_digest"] == (
+            oracle_samples_digest(result)
+        )
+        flipped = sampled_result(
+            {**runs, "a": (0.0, -0.0, [tuple(-v for v in reversed(zeros))])}
+        )
+        assert result_payload(flipped)["samples_digest"] != (
+            result_payload(result)["samples_digest"]
+        )
+
+
+def spy_on_captures(monkeypatch, log):
+    """Record checkpoint captures: each tenant capture as a line of
+    ``log`` (shard workers append to it too), and the barrier times
+    whose checkpoints reached the coordinator, which this returns."""
+    capture = engine_module.capture_tenant_checkpoint
+
+    def counting(binding):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(binding.tenant.name + "\n")
+        return capture(binding)
+
+    captured_at = []
+    barrier = DatacenterEngine._barrier
+
+    def spying(engine, now, gathered, transport):
+        if gathered[1] is not None:
+            captured_at.append(now)
+        return barrier(engine, now, gathered, transport)
+
+    monkeypatch.setattr(engine_module, "capture_tenant_checkpoint", counting)
+    monkeypatch.setattr(DatacenterEngine, "_barrier", spying)
+    return captured_at
+
+
 class TestReplayParity:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
@@ -185,6 +328,18 @@ class TestReplayParity:
         assert replayed.bills == live.bills
         assert replayed.tenant_reports == live.tenant_reports
         assert replayed.total_energy_joules == live.total_energy_joules
+
+    @pytest.mark.parametrize("backend, workers", RESUME_BACKENDS)
+    def test_replay_without_failures_captures_nothing(
+        self, recorded, tmp_path, monkeypatch, backend, workers
+    ):
+        path, live = recorded
+        log = tmp_path / "captures.txt"
+        captured_at = spy_on_captures(monkeypatch, log)
+        replayed = replay(str(path), backend=backend, workers=workers)
+        assert captured_at == []
+        assert not log.exists()
+        assert replayed.bills == live.bills
 
     @needs_fork
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -240,6 +395,22 @@ class TestChaosAndResume:
         replayed = replay(str(path))
         assert replayed.failures == live.failures
         assert replayed.bills == live.bills
+
+    @pytest.mark.parametrize("backend, workers", RESUME_BACKENDS)
+    def test_replay_captures_only_at_the_failure_barrier(
+        self, chaos_recorded, tmp_path, monkeypatch, backend, workers
+    ):
+        path, live = chaos_recorded
+        log = tmp_path / "captures.txt"
+        captured_at = spy_on_captures(monkeypatch, log)
+        replayed = replay(str(path), backend=backend, workers=workers)
+        failed_at = [failure.time for failure in live.failures]
+        assert len(failed_at) == 1
+        assert captured_at == failed_at
+        names = sorted(bill.tenant for bill in live.bills)
+        assert sorted(log.read_text().split()) == names
+        assert replayed.bills == live.bills
+        assert replayed.failures == live.failures
 
     @needs_fork
     def test_sharded_chaos_matches_serial(self, chaos_recorded, chaos_config):
@@ -402,6 +573,24 @@ class TestReaderErrors:
         err = capsys.readouterr().err
         assert "corrupt.ndjson:3" in err
         assert "must be a list" in err
+
+    def test_a_malformed_checkpoint_is_reported_by_resume_not_replay(
+        self, recorded, tmp_path, capsys
+    ):
+        path, live = recorded
+        copy = corrupt_barrier(
+            path,
+            tmp_path,
+            lambda r: r["tenants"][0].update(completions_delta=3),
+        )
+        assert main(["replay", "--journal", str(copy), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "corrupt.ndjson:3" in err
+        assert "field 'completions_delta' must be a list, got 3" in err
+        # Plain replay vouches for the actions and the result only.
+        replayed = replay(str(copy))
+        assert replayed.bills == live.bills
+        assert main(["replay", "--journal", str(copy)]) == 0
 
     def test_replay_refuses_an_incomplete_journal(self, recorded, tmp_path):
         path, _ = recorded
