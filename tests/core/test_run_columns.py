@@ -153,6 +153,108 @@ class TestSamplesFromColumns:
         assert qos_loss_seconds(result) == expected
 
 
+def drain(runtime):
+    while runtime.step() is not StepStatus.FINISHED:
+        pass
+    return runtime.finish()
+
+
+def assert_matches_per_beat_reads(runtime, result):
+    """The frequency and commanded-speedup columns equal what the
+    processor and the controller read at each beat."""
+    reference = runtime.app.reference
+    assert result.columns.frequency_ghz == [s.frequency_ghz for s in reference]
+    assert result.columns.commanded_speedup == [
+        s.commanded_speedup for s in reference
+    ]
+    assert result.samples == reference
+
+
+class TestPerBeatReadsAcrossChanges:
+    """The speedup and frequency a beat records are the ones in force at
+    that beat, whichever way they changed: an event firing inside a
+    step, a cap applied while the run is suspended, or a warm restore
+    after the run already started."""
+
+    def test_event_setting_frequency_mid_step(self, system):
+        runtime = recording_runtime(system)
+        runtime.begin(toy_jobs(count=3, items=80, seed=5))
+        runtime.close_input()
+        runtime.step()
+        beat = runtime.monitor.count
+        # Neither lands on a quantum boundary (every 20 beats).
+        runtime.inject(
+            RuntimeEvent(beat + 7, lambda m: m.set_frequency(1.6), "cap")
+        )
+        runtime.inject(
+            RuntimeEvent(beat + 93, lambda m: m.set_frequency(2.4), "lift")
+        )
+        result = drain(runtime)
+        assert_matches_per_beat_reads(runtime, result)
+        frequencies = result.columns.frequency_ghz
+        assert frequencies[beat + 6] == 2.4 and frequencies[beat + 7] == 1.6
+        assert frequencies[beat + 93] == 2.4
+        assert len(set(result.columns.commanded_speedup)) > 1
+
+    def test_cap_applied_between_steps(self, system):
+        runtime = recording_runtime(system)
+        runtime.begin(toy_jobs(count=3, items=80, seed=5))
+        runtime.close_input()
+        for _ in range(2):
+            runtime.step()
+        capped_at = runtime.monitor.count
+        runtime.machine.set_frequency(1.6)
+        for _ in range(4):
+            runtime.step()
+        lifted_at = runtime.monitor.count
+        runtime.machine.set_frequency(2.4)
+        result = drain(runtime)
+        assert_matches_per_beat_reads(runtime, result)
+        frequencies = result.columns.frequency_ghz
+        assert frequencies[capped_at - 1] == 2.4
+        assert set(frequencies[capped_at:lifted_at]) == {1.6}
+        assert set(frequencies[lifted_at:]) == {2.4}
+        assert len(set(result.columns.commanded_speedup)) > 1
+
+    def test_completion_hook_setting_frequency(self, system):
+        runtime = recording_runtime(system)
+        first, *rest = toy_jobs(count=3, items=50, seed=5)
+        runtime.begin()
+        runtime.feed(first, on_complete=lambda _: runtime.machine.set_frequency(1.6))
+        for job in rest:
+            runtime.feed(job)
+        runtime.close_input()
+        result = drain(runtime)
+        assert_matches_per_beat_reads(runtime, result)
+        frequencies = result.columns.frequency_ghz
+        assert set(frequencies[:50]) == {2.4}
+        assert set(frequencies[50:]) == {1.6}
+
+    def test_restore_after_a_starved_first_step(self, system):
+        source = recording_runtime(system)
+        source.machine.set_frequency(1.6)
+        source.begin(toy_jobs(count=2, items=60, seed=11))
+        source.close_input()
+        drain(source)
+        snapshot = source.snapshot()
+        restored_speedup = snapshot.controller_state[0]
+        assert restored_speedup > 1.0
+
+        dest = recording_runtime(system)
+        dest.machine.set_frequency(1.6)
+        dest.machine.idle_until(source.machine.now)
+        dest.begin()
+        assert dest.step() is StepStatus.STARVED
+        assert dest.monitor.count == 0
+        dest.restore(snapshot)
+        for job in toy_jobs(count=2, items=60, seed=12):
+            dest.feed(job)
+        dest.close_input()
+        result = drain(dest)
+        assert_matches_per_beat_reads(dest, result)
+        assert result.columns.commanded_speedup[0] == restored_speedup
+
+
 class TestMergeColumns:
     def test_merged_segments_equal_the_unsplit_run(self, system):
         jobs = toy_jobs(count=3, items=60, seed=11)
