@@ -621,6 +621,15 @@ class PowerDialRuntime:
         outputs_by_job: list[list[Any]] = []
         first_beat_time: float | None = None
         threads = app.threads()
+        # The commanded speedup and the P-state change only in _replan,
+        # while the generator is suspended (a cap, a restore()), or in
+        # code it calls out to (an event, a completion hook), so they
+        # are read after each of those rather than once per beat.
+
+        def in_force() -> tuple[float, float]:
+            return self.controller.speedup, processor.frequency_ghz
+
+        commanded, frequency = in_force()
 
         while True:
             if not queue:
@@ -629,6 +638,7 @@ class PowerDialRuntime:
                 stalled_at = clock.now
                 self._phase = (beats_in_quantum, quantum_start)
                 yield StepStatus.STARVED
+                commanded, frequency = in_force()
                 if clock.now > stalled_at:
                     # The host idled the machine (or ran co-tenants) while
                     # we were starved; restart the quantum so the gap is
@@ -642,6 +652,7 @@ class PowerDialRuntime:
                 # External events (power caps, load changes).
                 while events and events[0][0] <= monitor.count:
                     heapq.heappop(events)[2].action(machine)
+                    commanded, frequency = in_force()
 
                 # Quantum boundary: close the loop, then yield the machine.
                 now = clock.now
@@ -651,6 +662,7 @@ class PowerDialRuntime:
                     beats_in_quantum = 0
                     self._phase = (beats_in_quantum, quantum_start)
                     yield StepStatus.RAN
+                    commanded, frequency = in_force()
                     now = clock.now
 
                 # Locate ourselves inside the quantum and pick the setting.
@@ -667,6 +679,7 @@ class PowerDialRuntime:
                     beats_in_quantum = 0
                     self._phase = (beats_in_quantum, quantum_start)
                     yield StepStatus.RAN
+                    commanded, frequency = in_force()
                     setting = plan.setting_at(0.0)
                     if setting is None:  # pragma: no cover - plans run first
                         setting = self.table.fastest
@@ -690,12 +703,13 @@ class PowerDialRuntime:
                     None if window_rate is None else window_rate / target_rate
                 )
                 add_gain(setting.speedup)
-                add_commanded(self.controller.speedup)
-                add_frequency(processor.frequency_ghz)
+                add_commanded(commanded)
+                add_frequency(frequency)
                 add_setting(setting)
             outputs_by_job.append(outputs)
             if pending_job.on_complete is not None:
                 pending_job.on_complete(clock.now)
+                commanded, frequency = in_force()
 
         self._phase = (beats_in_quantum, quantum_start)
         elapsed = 0.0

@@ -292,7 +292,9 @@ class ControlPolicy(Protocol):
     optional attributes, which decide the barriers the engine captures
     checkpoints at: ``may_fail_machines = True`` (any barrier: capture
     every one), or ``failure_times``, the barrier instants it fails
-    machines at (capture only those).
+    machines at (capture only those).  ``failure_times`` wins whenever
+    it is not None, as read when the run starts, after
+    ``barrier_times``.
     """
 
     def initial_budget_watts(self) -> float | None:

@@ -468,9 +468,12 @@ class ChaosPolicy:
     dying at the same barrier are dropped (the failure re-places those
     tenants anyway).
 
-    Setting the class attribute ``may_fail_machines`` tells the engine
-    to capture cluster checkpoints at every barrier, which is what the
-    failure recovery restores from.  Deterministic by construction:
+    Failure recovery restores from the cluster checkpoints captured at
+    the failing barrier.  Once :meth:`barrier_times` has scheduled the
+    kills, ``failure_times`` names their instants, so the engine
+    captures only there; before that the class attribute
+    ``may_fail_machines`` tells it any barrier may fail a machine.
+    Deterministic by construction:
     the kill schedule and victim choices are pure functions of the
     seed and the observed views, so replaying or resuming a chaos run
     reproduces the same failures.
@@ -538,7 +541,13 @@ class ChaosPolicy:
             self._scheduled = None
             self.kills = kills
         self._due: list[KillFault] | None = None
+        self._kill_times: frozenset[float] | None = None
         self._victim_rng = random.Random(seed + 1)
+
+    @property
+    def failure_times(self) -> frozenset[float] | None:
+        """The kill instants, once :meth:`barrier_times` scheduled them."""
+        return self._kill_times
 
     def initial_budget_watts(self) -> float | None:
         """Delegates to the inner policy."""
@@ -557,6 +566,7 @@ class ChaosPolicy:
                 end_fraction=self.end_fraction,
             )
             self._due = list(plan.kills)
+        self._kill_times = frozenset(kill.time for kill in self._due)
         return tuple(self.inner.barrier_times(horizon)) + tuple(
             kill.time for kill in self._due
         )
@@ -661,8 +671,9 @@ class DegradedModePolicy:
       sharded runs degrade byte-identically.
 
     ``SetBudget`` and ``FailMachine`` actions pass through unchanged;
-    ``may_fail_machines`` is inherited from the inner stack so the
-    engine still checkpoints for an inner ``ChaosPolicy``.
+    ``may_fail_machines`` and ``failure_times`` are inherited from the
+    inner stack so the engine still checkpoints for an inner
+    ``ChaosPolicy``.
     """
 
     def __init__(self, inner: ControlPolicy) -> None:
@@ -672,6 +683,11 @@ class DegradedModePolicy:
     def may_fail_machines(self) -> bool:
         """Inherited from the inner stack (checkpointing trigger)."""
         return bool(getattr(self.inner, "may_fail_machines", False))
+
+    @property
+    def failure_times(self) -> frozenset[float] | None:
+        """Inherited from the inner stack (checkpointing trigger)."""
+        return getattr(self.inner, "failure_times", None)
 
     def initial_budget_watts(self) -> float | None:
         """Delegates to the inner policy."""

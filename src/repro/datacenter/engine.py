@@ -128,7 +128,7 @@ from repro.datacenter.tenants import (
     TenantSpec,
     TenantStats,
 )
-from repro.datacenter.tolerances import SETTLE_SLACK
+from repro.datacenter.tolerances import SETTLE_SLACK, TIME_SLACK
 from repro.hardware.machine import Machine
 from repro.hardware.power import PowerError
 from repro.heartbeats.health import HEALTH_DEAD, HEALTH_FRESH
@@ -1027,21 +1027,31 @@ class DatacenterEngine:
                 changed.append(watts)
         return tuple(changed)
 
-    def _checkpoint_rule(self) -> frozenset[float] | None:
+    def _checkpoint_rule(
+        self, tick_times: Sequence[float]
+    ) -> frozenset[float] | None:
         """The barriers whose checkpoints something reads (None: every one).
 
         A journal records every barrier's checkpoints, and a policy
         declaring ``may_fail_machines`` may restore from any of them.  A
         policy that knows in advance where it fails machines — its
-        ``failure_times``, as a journal replay does — is read only
-        there.  Otherwise nothing reads a checkpoint, so ordinary runs
-        capture none.
+        ``failure_times``, as a journal replay, a resume or a chaos
+        schedule does — is read only there, and at any barrier (time
+        zero or one of ``tick_times``) up to ``TIME_SLACK`` short of
+        such an instant, where a failure due then already fires.
+        Otherwise nothing reads a checkpoint, so ordinary runs capture
+        none.
         """
         if self.journal is not None:
             return None
         known = getattr(self.policy, "failure_times", None)
         if known is not None:
-            return frozenset(known)
+            known = frozenset(known)
+            return known.union(
+                tick
+                for tick in (0.0, *tick_times)
+                if any(0.0 < instant - tick <= TIME_SLACK for instant in known)
+            )
         if getattr(self.policy, "may_fail_machines", False):
             return None
         return frozenset()
@@ -1064,8 +1074,8 @@ class DatacenterEngine:
             raise EngineError(
                 f"FailMachine at t={now!r} requires this barrier's "
                 "checkpoints, but none were captured: run with a journal "
-                "attached or a policy declaring may_fail_machines (e.g. "
-                "ChaosPolicy)"
+                "attached or a policy declaring may_fail_machines or "
+                "failure_times (e.g. ChaosPolicy)"
             )
         failed = [failure.machine_index for failure in plan.failures]
         moves = plan_failures(
@@ -1328,7 +1338,7 @@ class DatacenterEngine:
         final_time = self._final_event_time(tick_times)
         # Fixed before any fork, so every shard worker captures exactly
         # where the coordinator reads.
-        self._capture_times = self._checkpoint_rule()
+        self._capture_times = self._checkpoint_rule(tick_times)
         for index, machine in enumerate(self.machines):
             # Energy already on a meter (a machine reused after e.g. a
             # calibration run) predates every tenant: fold it into the

@@ -16,11 +16,13 @@ live here:
   failure restores from them.
 * :func:`resume` — finish a run whose journal ends mid-run (a crash
   left no ``result`` record).  It decodes and validates the whole
-  journal, checkpoints included, and the run captures every barrier.
-  The scenario re-executes under the *live* policy with every
-  journaled barrier attested: the re-decided actions must match the
-  journal's raw actions, and at the last journaled barrier the freshly
-  captured cluster checkpoint — warm
+  journal, checkpoints included.  Unless it records a fresh journal,
+  the run captures checkpoints only where something reads them: at the
+  last journaled barrier, which it attests, and at the live stack's
+  failure instants.  The scenario re-executes under the *live* policy
+  with every journaled barrier attested: the re-decided actions must
+  match the journal's raw actions, and at the last journaled barrier
+  the freshly captured cluster checkpoint — warm
   :class:`~repro.core.runtime.RuntimeSnapshot`\\ s included — must
   match the journaled one, proving the run passed through exactly the
   state the crash interrupted.
@@ -215,10 +217,13 @@ def _samples_digest(result: DatacenterResult) -> str:
 
     Each run contributes ``name|energy|elapsed`` and then one
     ``beat|time|rate|performance|gain|speedup|frequency`` line per
-    beat, each float as its ``float.hex`` token.  The lines are built
-    column by column through one memo shared by every run, and each
-    run's bytes go to the (streaming) hash in one update, so the digest
-    is the same as hashing one line at a time.
+    beat, each value as its :func:`_hex` token.  The lines are built
+    column by column, and each run's bytes go to the (streaming) hash
+    in one update, so the digest is the same as hashing one line at a
+    time.  The five value columns repeat their floats (a rate window,
+    a knob table, a P-state table), so they share one memo across every
+    run; the time column's timestamps almost never repeat, so it is
+    formatted directly, past a memo that would only miss.
     """
     digest = hashlib.sha256()
     token = _HexMemo().__getitem__
@@ -227,10 +232,10 @@ def _samples_digest(result: DatacenterResult) -> str:
         columns = run.columns
         rows = zip(
             map(str, columns.beat),
+            map(_hex, columns.time),
             *(
                 map(token, column)
                 for column in (
-                    columns.time,
                     columns.window_rate,
                     columns.normalized_performance,
                     columns.knob_gain,
@@ -353,6 +358,12 @@ class _AttestingPolicy:
     config and the journal disagree), and at the last journaled barrier
     the freshly captured tenant checkpoints must byte-match the
     journaled ones — warm runtime snapshots included.
+
+    Its ``failure_times`` — the last journaled barrier plus the live
+    stack's failure instants — are the barriers it or the live stack
+    reads checkpoints at.  A live stack that may fail a machine at any
+    barrier names none, and ``may_fail_machines`` then has the engine
+    capture every one.
     """
 
     may_fail_machines = True
@@ -362,6 +373,17 @@ class _AttestingPolicy:
         self._journal = journal
         self._cursor = 0
         self._engine: DatacenterEngine | None = None
+
+    @property
+    def failure_times(self) -> frozenset[float] | None:
+        """The attested crash barrier and the live failure instants."""
+        live = getattr(self._inner, "failure_times", None)
+        if live is None:
+            if getattr(self._inner, "may_fail_machines", False):
+                return None
+            live = ()
+        attested = (barrier.time for barrier in self._journal.barriers[-1:])
+        return frozenset(live).union(attested)
 
     def attach(self, engine: DatacenterEngine) -> None:
         """Give the attestor the engine whose checkpoints it verifies."""

@@ -132,21 +132,35 @@ class TenantStats:
     """Mutable per-tenant accounting the engine updates as it runs.
 
     ``completions`` is an append-only log; :meth:`record_completion` is
-    its only writer.
+    its only writer.  Two lazily extended indexes sit beside it, so the
+    engine's per-barrier reads cost O(new completions) rather than
+    O(history): the tuple of ``(arrival, completion)`` pairs that
+    :meth:`completion_pairs` hands to checkpoints, and the attainment
+    index :meth:`recent_attainment` bisects — every completion time as
+    a float list, with a running count of the completions whose latency
+    is within one latency bound (rebuilt if the bound changes).
+    Neither is pickled; a restored copy rebuilds them on first use.
     """
 
     offered: int = 0
     rejected: int = 0
     completions: list[CompletedRequest] = field(default_factory=list)
 
-    # The tuple :meth:`completion_pairs` last handed out.  A plain class
-    # attribute, not a dataclass field, so it stays out of ``__init__``,
-    # ``==`` and ``repr``; ``__getstate__`` keeps it out of pickles.
+    # The indexes are plain class attributes, not dataclass fields, so
+    # they stay out of ``__init__``, ``==`` and ``repr``; each instance
+    # binds its own on first use, and ``__getstate__`` keeps them out of
+    # pickles.  ``_pairs`` is the tuple :meth:`completion_pairs` last
+    # handed out; ``_times[i]`` is ``completions[i].completion`` and
+    # ``_met[i]`` counts the first ``i`` completions within ``_bound``.
     _pairs: ClassVar[tuple[tuple[float, float], ...]] = ()
+    _bound: ClassVar[float | None] = None
+    _times: ClassVar[list[float]]
+    _met: ClassVar[list[int]]
 
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
-        state.pop("_pairs", None)
+        for name in ("_pairs", "_bound", "_times", "_met"):
+            state.pop(name, None)
         return state
 
     def completion_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -194,15 +208,29 @@ class TenantStats:
 
         Returns ``None`` when nothing completed in the window (the
         arbiter treats a silent-but-backlogged tenant as fully violating).
+        Bisects the attainment index, extended first by the completions
+        recorded since the last call, so a call costs O(log history +
+        new completions); the quotient is the same ``int / int`` as
+        counting ``latency <= bound`` over the window.
         """
-        key = lambda record: record.completion
-        lo = bisect.bisect_right(self.completions, since, key=key)
-        hi = bisect.bisect_right(self.completions, until, key=key)
-        window = self.completions[lo:hi]
-        if not window:
+        if bound != self._bound:
+            self._bound = bound
+            self._times = []
+            self._met = [0]
+        times, met = self._times, self._met
+        done = len(times)
+        if done < len(self.completions):
+            count = met[-1]
+            for record in self.completions[done:]:
+                completion = record.completion
+                times.append(completion)
+                count += completion - record.arrival <= bound
+                met.append(count)
+        lo = bisect.bisect_right(times, since)
+        hi = bisect.bisect_right(times, until)
+        if hi <= lo:
             return None
-        met = sum(1 for r in window if r.latency <= bound)
-        return met / len(window)
+        return (met[hi] - met[lo]) / (hi - lo)
 
     def report(self, name: str, sla: LatencySLA) -> "TenantReport":
         """Summarize the run for one tenant."""

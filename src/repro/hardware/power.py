@@ -109,10 +109,16 @@ class PowerMeter:
     ``interval`` seconds; mean power over an execution is the mean of the
     stored samples.  The meter also integrates exact energy, which the
     analytic-model experiments use directly.
+
+    Samples are stored as two float columns, timestamps and watts, kept
+    in step by every writer; :attr:`samples` builds the
+    :class:`PowerSample` objects only when asked, and
+    :meth:`mean_power` sums the watts column directly.
     """
 
     interval: float = 1.0
-    _samples: list[PowerSample] = field(default_factory=list)
+    _timestamps: list[float] = field(default_factory=list)
+    _watts: list[float] = field(default_factory=list)
     _energy_joules: float = 0.0
     _last_time: float | None = None
     _next_sample_time: float | None = None
@@ -138,7 +144,8 @@ class PowerMeter:
             self._next_sample_time = start + self.interval
         self._energy_joules += watts * (end - start)
         while self._next_sample_time <= end + 1e-12:
-            self._samples.append(PowerSample(self._next_sample_time, watts))
+            self._timestamps.append(self._next_sample_time)
+            self._watts.append(watts)
             self._next_sample_time += self.interval
         self._last_time = end
 
@@ -176,14 +183,15 @@ class PowerMeter:
         np.multiply(deltas, watts, out=acc[1:])
         self._energy_joules = float(np.add.accumulate(acc)[-1])
         while self._next_sample_time <= end + 1e-12:
-            self._samples.append(PowerSample(self._next_sample_time, watts))
+            self._timestamps.append(self._next_sample_time)
+            self._watts.append(watts)
             self._next_sample_time += self.interval
         self._last_time = end
 
     @property
     def samples(self) -> list[PowerSample]:
         """All 1 Hz samples recorded so far."""
-        return list(self._samples)
+        return list(map(PowerSample, self._timestamps, self._watts))
 
     @property
     def energy_joules(self) -> float:
@@ -193,16 +201,21 @@ class PowerMeter:
     def mean_power(self) -> float:
         """Mean of the stored samples (the paper's reported 'mean power').
 
-        Raises :class:`PowerError` if no samples were taken (execution
-        shorter than one sampling interval).
+        The same ``sum()`` over the same floats in the same order as
+        summing the :attr:`samples`' watts, so it is bit-identical to
+        that on every Python version, 3.12's compensated ``sum()``
+        included.  Raises :class:`PowerError` if no samples were taken
+        (execution shorter than one sampling interval).
         """
-        if not self._samples:
+        watts = self._watts
+        if not watts:
             raise PowerError("no power samples recorded")
-        return sum(s.watts for s in self._samples) / len(self._samples)
+        return sum(watts) / len(watts)
 
     def reset(self) -> None:
         """Clear samples and integrated energy."""
-        self._samples.clear()
+        self._timestamps.clear()
+        self._watts.clear()
         self._energy_joules = 0.0
         self._last_time = None
         self._next_sample_time = None

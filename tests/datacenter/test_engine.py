@@ -22,7 +22,13 @@ from repro.datacenter import (
     request_stream,
     service_training_jobs,
 )
-from repro.datacenter.controlplane import ControlError, FailMachine, Migrate
+from repro.datacenter.controlplane import (
+    ChaosPolicy,
+    ControlError,
+    FailMachine,
+    Migrate,
+)
+from repro.datacenter.faults import KillFault
 from repro.datacenter.engine import HostGroup
 from repro.experiments.common import experiment_machine
 
@@ -322,6 +328,50 @@ class _FailAfterItsCapture:
         return [FailMachine(0)] if view.time == 8.0 else []
 
 
+class _Quiet:
+    """A policy that never acts."""
+
+    def initial_budget_watts(self):
+        return None
+
+    def barrier_times(self, horizon):
+        return ()
+
+    def decide(self, view):
+        return []
+
+
+def capture_rule_pool(system):
+    """Two machines, tenant ``a`` on 0 and ``b`` on 1."""
+    machines = [experiment_machine(), experiment_machine()]
+    bindings = [
+        make_binding(
+            system,
+            machines[index],
+            index,
+            name,
+            poisson_trace(1.0, 12.0, seed=20 + index),
+            seed=index,
+        )
+        for index, name in enumerate("ab")
+    ]
+    return machines, bindings
+
+
+def spy_on_captured_barriers(monkeypatch):
+    """The barrier times whose checkpoints reach the barrier step."""
+    captured_at = []
+    barrier = DatacenterEngine._barrier
+
+    def spying(engine, now, gathered, transport):
+        if gathered[1] is not None:
+            captured_at.append(now)
+        return barrier(engine, now, gathered, transport)
+
+    monkeypatch.setattr(DatacenterEngine, "_barrier", spying)
+    return captured_at
+
+
 class TestCaptureRule:
     """A failure restores from its own barrier's checkpoints or not at
     all: an uncaptured barrier never falls back to an older capture."""
@@ -329,31 +379,48 @@ class TestCaptureRule:
     @pytest.mark.parametrize(
         "backend", ["serial", pytest.param("sharded-2", marks=needs_fork)]
     )
+    def test_kill_due_just_after_a_barrier_restores_there(
+        self, system, backend, monkeypatch
+    ):
+        """A chaos kill fires at the first barrier within TIME_SLACK of
+        its instant, so that barrier is captured as well as the kill's
+        own, and the victim restores from it."""
+        machines, bindings = capture_rule_pool(system)
+        target = bindings[0].runtime.target_rate
+        bindings[0].runtime_factory = lambda machine: PowerDialRuntime(
+            app=ServiceApp(),
+            table=system.table,
+            machine=machine,
+            target_rate=target,
+        )
+        captured_at = spy_on_captured_barriers(monkeypatch)
+        kill = 8.0 + 5e-10
+        policy = ChaosPolicy(_Quiet(), kill_times=[KillFault(kill, 0)])
+        engine = DatacenterEngine(
+            machines,
+            bindings,
+            policy=policy,
+            control_period=4.0,
+            backend="serial" if backend == "serial" else "sharded",
+            workers=2,
+        )
+        result = engine.run()
+        assert policy.failure_times == {kill}
+        assert captured_at == [8.0, kill]
+        assert [(f.time, f.machine_index) for f in result.failures] == [
+            (8.0, 0)
+        ]
+        assert engine.dead_machines == {0}
+
+    @pytest.mark.parametrize(
+        "backend", ["serial", pytest.param("sharded-2", marks=needs_fork)]
+    )
     def test_failure_at_an_uncaptured_barrier_is_refused(
         self, system, backend, monkeypatch
     ):
-        machines = [experiment_machine(), experiment_machine()]
-        bindings = [
-            make_binding(
-                system,
-                machines[index],
-                index,
-                name,
-                poisson_trace(1.0, 12.0, seed=20 + index),
-                seed=index,
-            )
-            for index, name in enumerate("ab")
-        ]
-        captured_at = []
+        machines, bindings = capture_rule_pool(system)
+        captured_at = spy_on_captured_barriers(monkeypatch)
         restores = []
-        barrier = DatacenterEngine._barrier
-
-        def spying(engine, now, gathered, transport):
-            if gathered[1] is not None:
-                captured_at.append(now)
-            return barrier(engine, now, gathered, transport)
-
-        monkeypatch.setattr(DatacenterEngine, "_barrier", spying)
         monkeypatch.setattr(
             HostGroup, "restore", lambda group, *args: restores.append(args)
         )

@@ -450,6 +450,37 @@ class TestChaosAndResume:
             assert resumed.failures == reference.failures
             assert resumed.energy_conservation_rel_error() <= 1e-12
 
+    @pytest.mark.parametrize("cut", [1, 2], ids=["before-kill", "at-kill"])
+    @pytest.mark.parametrize("backend, workers", RESUME_BACKENDS)
+    def test_resume_captures_only_where_it_reads(
+        self, chaos_recorded, tmp_path, monkeypatch, backend, workers, cut
+    ):
+        """Resume reads the crash barrier (to attest it) and the live
+        kill barrier (to restore from it), and captures nowhere else:
+        at most 6 tenant captures, where capturing every barrier made
+        18."""
+        path, reference = chaos_recorded
+        lines = path.read_text().splitlines()
+        barrier_lines = [
+            i
+            for i, line in enumerate(lines)
+            if json.loads(line)["kind"] == "barrier"
+        ]
+        crashed = tmp_path / "crashed.ndjson"
+        crashed.write_text("\n".join(lines[: barrier_lines[cut] + 1]) + "\n")
+        crash_time = read_journal(str(crashed)).barriers[-1].time
+        log = tmp_path / "captures.txt"
+        captured_at = spy_on_captures(monkeypatch, log)
+        resumed = resume(str(crashed), backend=backend, workers=workers)
+        expected = sorted(
+            {crash_time, *(failure.time for failure in reference.failures)}
+        )
+        assert captured_at == expected
+        captures = log.read_text().split()
+        assert len(captures) == len(reference.bills) * len(expected) <= 6
+        assert resumed.bills == reference.bills
+        assert resumed.failures == reference.failures
+
     @pytest.mark.parametrize("backend, workers", RESUME_BACKENDS)
     def test_resume_can_record_a_fresh_replayable_journal(
         self, chaos_recorded, tmp_path, backend, workers
