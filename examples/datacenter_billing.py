@@ -27,7 +27,7 @@ Run:
 import json
 
 from repro.datacenter import CONSERVATION_TOLERANCE, fork_available
-from repro.experiments.datacenter import build_engine, default_tenant_mix
+from repro.experiments.datacenter import Scenario, default_tenant_mix
 
 HORIZON = 40.0  # seconds of virtual time (the tiny-scale horizon)
 
@@ -38,16 +38,14 @@ BUDGET_WATTS = 370.0
 
 
 def run_once(backend, workers=None):
-    engine = build_engine(
+    scenario = Scenario(
         default_tenant_mix(),
-        machines_count=2,
+        machines=2,
         horizon=HORIZON,
         budget_watts=BUDGET_WATTS,
         policy="sla-aware",
-        backend=backend,
-        workers=workers,
     )
-    return engine.run()
+    return scenario.build(backend, workers).run()
 
 
 def main():

@@ -601,11 +601,6 @@ class PowerDialRuntime:
         plan = self._plan_for(self.controller.speedup)
         quantum_start = clock.now
         beats_in_quantum = 0
-        if self._restored_phase is not None:
-            # Warm handoff: continue the source runtime's quantum in
-            # place instead of opening a fresh one (see restore()).
-            beats_in_quantum, quantum_start = self._restored_phase
-            self._restored_phase = None
 
         # Only the per-item work totals are read, so keep no event log.
         tracker = WorkTracker(keep_events=False)
@@ -632,6 +627,15 @@ class PowerDialRuntime:
         commanded, frequency = in_force()
 
         while True:
+            if self._restored_phase is not None:
+                # Warm handoff: continue the source runtime's quantum in
+                # place instead of opening a fresh one (see restore()).
+                # Read here, not once at start, so a restore() after a
+                # starved, beat-less first step() lands too, with the
+                # plan for the restored command.
+                beats_in_quantum, quantum_start = self._restored_phase
+                self._restored_phase = None
+                plan = self._plan_for(self.controller.speedup)
             if not queue:
                 if self._input_closed:
                     break

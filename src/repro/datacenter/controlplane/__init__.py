@@ -70,6 +70,7 @@ from repro.datacenter.controlplane.policy import (
     MigratingPolicy,
     ScheduledBudgetPolicy,
     build_policy,
+    inject_failures,
 )
 
 __all__ = [
@@ -105,4 +106,5 @@ __all__ = [
     "MigratingPolicy",
     "ScheduledBudgetPolicy",
     "build_policy",
+    "inject_failures",
 ]

@@ -31,7 +31,8 @@ express:
   barrier's checkpoints; billing conservation holds across the kill.
 
 :func:`build_policy` maps the CLI's ``--policy`` names to assembled
-policy stacks.
+policy stacks; :func:`inject_failures` wraps one in the failure
+injectors a run asks for, always in the same order.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ __all__ = [
     "MigratingPolicy",
     "ScheduledBudgetPolicy",
     "build_policy",
+    "inject_failures",
 ]
 
 POLICY_NAMES = (
@@ -844,4 +846,30 @@ def build_policy(
         floors, _ = machine_limits(machines)
         schedule.check_floor(sum(floors))
         policy = ScheduledBudgetPolicy(policy, schedule)
+    return policy
+
+
+def inject_failures(
+    policy: ControlPolicy,
+    chaos_kills: int = 0,
+    chaos_seed: int = 0,
+    faults: FaultPlan | None = None,
+) -> ControlPolicy:
+    """Wrap ``policy`` in the failure injectors a run asks for.
+
+    ``chaos_kills`` > 0 adds a :class:`ChaosPolicy` killing that many
+    machines at ``chaos_seed``-derived barriers.  A fault plan adds a
+    second :class:`ChaosPolicy` for its kill schedule (if it has one)
+    and then a :class:`DegradedModePolicy` around the whole stack, so
+    control degrades gracefully instead of acting on faulted
+    observations.  The order is part of every journaled run's bytes.
+    """
+    if chaos_kills > 0:
+        policy = ChaosPolicy(policy, kills=chaos_kills, seed=chaos_seed)
+    if faults is not None:
+        if faults.kills:
+            policy = ChaosPolicy(
+                policy, seed=faults.seed, kill_times=faults.kills
+            )
+        policy = DegradedModePolicy(policy)
     return policy

@@ -27,7 +27,7 @@ Module map:
   crash-torn final lines tolerated.
 * :mod:`~repro.datacenter.journal.replay` — the three consumers:
   ``replay()``, ``resume()``, and the ``journaled_run()`` recorder,
-  plus the scenario-builder registry headers reference.
+  plus the header check that rebuilds a run from its scenario.
 """
 
 from repro.datacenter.journal.codec import (
@@ -53,7 +53,6 @@ from repro.datacenter.journal.replay import (
     ReplayPolicy,
     build_engine_from_header,
     journaled_run,
-    register_scenario_builder,
     replay,
     result_payload,
     resume,
@@ -86,7 +85,6 @@ __all__ = [
     "journaled_run",
     "prepare_journal_path",
     "read_journal",
-    "register_scenario_builder",
     "replay",
     "result_payload",
     "resume",

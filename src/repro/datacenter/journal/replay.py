@@ -30,21 +30,23 @@ live here:
   (a journaled run captures every barrier), and append the canonical
   result record that :func:`replay` verifies against.
 
-Scenario configs name a *builder* registered via
-:func:`register_scenario_builder`; the header also records the
-builder's defining module so a fresh process can import it on demand.
+The header's ``scenario`` section names its builder
+(:data:`SCENARIO_BUILDER`) and the module that defines it
+(:data:`SCENARIO_MODULE`); :func:`build_engine_from_header` checks
+both, then rebuilds the run from the embedded config through that
+module's :class:`~repro.experiments.datacenter.Scenario`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 from dataclasses import asdict
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.datacenter.controlplane.actions import FailMachine
 from repro.datacenter.engine import DatacenterEngine, DatacenterResult
 from repro.datacenter.journal.codec import (
+    JournalDecodeError,
     JournalError,
     canonical_json,
     encode_action,
@@ -59,8 +61,8 @@ from repro.datacenter.journal.reader import Journal, read_journal
 from repro.datacenter.journal.writer import JournalWriter
 
 __all__ = [
-    "SCENARIO_BUILDERS",
-    "register_scenario_builder",
+    "SCENARIO_BUILDER",
+    "SCENARIO_MODULE",
     "build_engine_from_header",
     "ReplayPolicy",
     "result_payload",
@@ -69,76 +71,53 @@ __all__ = [
     "resume",
 ]
 
-SCENARIO_BUILDERS: dict[str, Callable[..., DatacenterEngine]] = {}
-"""Registered scenario builders, by the name journal headers record."""
+SCENARIO_BUILDER = "datacenter-experiment"
+"""The builder name every journal header's scenario section records."""
 
-
-def register_scenario_builder(
-    name: str, builder: Callable[..., DatacenterEngine]
-) -> None:
-    """Register a scenario builder for journal replay.
-
-    ``builder(config, backend=..., workers=..., journal=...)`` must
-    rebuild a fresh engine from the plain-data ``config`` the journal
-    header stores.  Registration is idempotent for the same callable;
-    re-registering a name with a *different* callable raises
-    :class:`~repro.datacenter.journal.codec.JournalError` (a silent
-    swap would make old journals replay the wrong scenario).
-    """
-    existing = SCENARIO_BUILDERS.get(name)
-    if existing is not None and existing is not builder:
-        raise JournalError(
-            f"scenario builder {name!r} is already registered to a "
-            "different callable"
-        )
-    SCENARIO_BUILDERS[name] = builder
+SCENARIO_MODULE = "repro.experiments.datacenter"
+"""The module defining :data:`SCENARIO_BUILDER`'s ``Scenario``."""
 
 
 def build_engine_from_header(
     header: Mapping[str, Any],
+    where: str,
     backend: str | None = None,
     workers: int | None = None,
-    journal=None,
 ) -> DatacenterEngine:
     """Rebuild a journaled run's engine from its header alone.
 
-    Looks the header's scenario builder up in the registry, importing
-    the recorded defining module first if needed (modules register
-    their builders at import time).  ``backend``/``workers`` override
-    the recorded ones — replay is backend-independent by construction,
-    so any backend must reproduce the same result.
+    The scenario section must name :data:`SCENARIO_BUILDER` and
+    :data:`SCENARIO_MODULE`; its config is rebuilt through that
+    module's ``Scenario``.  A malformed section or config raises
+    :class:`~repro.datacenter.journal.codec.JournalDecodeError` naming
+    ``where`` (the header's ``path:line``).  ``backend``/``workers``
+    override the recorded ones — replay is backend-independent by
+    construction, so any backend must reproduce the same result.
     """
     scenario = header.get("scenario")
     if not isinstance(scenario, Mapping):
-        raise JournalError(
-            "journal header has no scenario section; cannot rebuild the run"
+        raise JournalDecodeError(
+            "journal header has no scenario section; cannot rebuild the run",
+            where,
         )
-    for key in ("builder", "module", "config"):
-        if key not in scenario:
-            raise JournalError(
-                f"journal header's scenario section is missing {key!r}"
+    for key, expected in (
+        ("builder", SCENARIO_BUILDER),
+        ("module", SCENARIO_MODULE),
+    ):
+        if scenario.get(key) != expected:
+            raise JournalDecodeError(
+                f"journal header's scenario {key} is "
+                f"{scenario.get(key)!r}; expected {expected!r}",
+                where,
             )
-    name = scenario["builder"]
-    if name not in SCENARIO_BUILDERS:
-        try:
-            importlib.import_module(scenario["module"])
-        except ImportError as error:
-            raise JournalError(
-                f"cannot import scenario module {scenario['module']!r} "
-                f"for builder {name!r}: {error}"
-            ) from error
-    builder = SCENARIO_BUILDERS.get(name)
-    if builder is None:
-        raise JournalError(
-            f"scenario builder {name!r} is not registered (module "
-            f"{scenario['module']!r} imported but did not register it)"
-        )
-    return builder(
-        scenario["config"],
-        backend=backend if backend is not None else "serial",
-        workers=workers,
-        journal=journal,
-    )
+    # Imported here: the experiments layer sits above the journal.
+    from repro.experiments.datacenter import Scenario, ScenarioError
+
+    try:
+        spec = Scenario.from_config(scenario.get("config"))
+    except ScenarioError as error:
+        raise JournalDecodeError(str(error), where) from None
+    return spec.build(backend if backend is not None else "serial", workers)
 
 
 class ReplayPolicy:
@@ -336,7 +315,7 @@ def replay(
             "record); use resume() to finish it"
         )
     engine = build_engine_from_header(
-        journal.header, backend=backend, workers=workers
+        journal.header, f"{path}:1 (header record)", backend, workers
     )
     engine.policy = ReplayPolicy(journal)
     result = engine.run()
@@ -476,21 +455,19 @@ def resume(
     before the writer truncates).
     """
     journal = read_journal(path)
-    writer: JournalWriter | None = None
+    engine = build_engine_from_header(
+        journal.header, f"{path}:1 (header record)", backend, workers
+    )
     if journal_path is not None:
-        header = {
-            key: value
-            for key, value in journal.header.items()
-            if key not in ("kind", "journal_schema", "codec")
-        }
-        writer = JournalWriter(journal_path, header)
-    try:
-        engine = build_engine_from_header(
-            journal.header,
-            backend=backend,
-            workers=workers,
-            journal=writer,
+        engine.journal = JournalWriter(
+            journal_path,
+            {
+                key: value
+                for key, value in journal.header.items()
+                if key not in ("kind", "journal_schema", "codec")
+            },
         )
+    try:
         attestor = _AttestingPolicy(engine.policy, journal)
         attestor.attach(engine)
         engine.policy = attestor
@@ -501,11 +478,11 @@ def resume(
                 f"barriers but the journal records {len(journal.barriers)} "
                 "— the scenario config does not match the journal"
             )
-        if writer is not None:
-            writer.write_record(
+        if engine.journal is not None:
+            engine.journal.write_record(
                 {"kind": "result", "payload": result_payload(result)}
             )
         return result
     finally:
-        if writer is not None:
-            writer.close()
+        if engine.journal is not None:
+            engine.journal.close()

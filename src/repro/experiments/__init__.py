@@ -37,6 +37,8 @@ _EXPORTS = {
     "format_fig8": "consolidation",
     "DatacenterExperiment": "datacenter",
     "TenantScenario": "datacenter",
+    "Scenario": "datacenter",
+    "ScenarioError": "datacenter",
     "default_tenant_mix": "datacenter",
     "run_datacenter": "datacenter",
     "format_datacenter": "datacenter",

@@ -54,7 +54,7 @@ from repro.experiments.catalog import ARTIFACTS, PER_APP_ARTIFACTS
 from repro.experiments.common import Scale
 from repro.experiments.datacenter import (
     DEFAULT_BUDGET_WATTS,
-    default_tenant_mix,
+    ScenarioError,
     format_datacenter,
     format_datacenter_bills,
     format_replay,
@@ -65,27 +65,20 @@ from repro.experiments.registry import APP_SPECS
 
 
 def _run(
-    artifact: str,
-    app: str,
-    scale: Scale,
-    backend: str = "serial",
-    workers: int | None = None,
-    bill: bool = False,
-    policy: str = "sla-aware",
-    budget_trace: BudgetSchedule | None = None,
-    journal: str | None = None,
-    chaos: int = 0,
-    chaos_seed: int = 0,
-    resume_run: bool = False,
-    faults: FaultPlan | None = None,
-    machines: int = 2,
+    args: argparse.Namespace,
+    budget_trace: BudgetSchedule | None,
+    faults: FaultPlan | None,
 ) -> str:
     """Execute one artifact subcommand and return its rendered output.
 
+    ``args`` is the parsed command line; ``budget_trace`` and
+    ``faults`` are its ``--budget-trace``/``--faults`` files, loaded.
     Each branch imports its own experiment module, so a subcommand loads
     only the layers it runs (``datacenter`` and ``replay`` never import
     a paper application).
     """
+    artifact, scale = args.artifact, Scale(args.scale)
+    app = getattr(args, "app", "swaptions")
     if artifact == "table1":
         from repro.experiments.inputs import format_table1, summarize_inputs
 
@@ -146,27 +139,29 @@ def _run(
             # The default budget covers the default 2-machine pool;
             # larger pools scale it linearly so the arbiters stay
             # feasible (every machine's cap floor covered).
-            budget_watts=DEFAULT_BUDGET_WATTS * (machines / 2.0),
-            machines=machines,
-            backend=backend,
-            workers=workers,
-            policy=policy,
+            budget_watts=DEFAULT_BUDGET_WATTS * (args.machines / 2.0),
+            machines=args.machines,
+            backend=args.backend,
+            workers=args.workers,
+            policy=args.policy,
             budget_trace=budget_trace,
-            journal=journal,
-            chaos=chaos,
-            chaos_seed=chaos_seed,
+            journal=args.journal,
+            chaos=args.chaos,
+            chaos_seed=args.chaos_seed,
             faults=faults,
         )
-        if bill:
+        if args.bill:
             return format_datacenter_bills(experiment)
         return format_datacenter(experiment)
     if artifact == "replay":
-        runner = journal_resume if resume_run else journal_replay
-        result = runner(journal, backend=backend, workers=workers)
-        if bill:
+        runner = journal_resume if args.resume else journal_replay
+        result = runner(
+            args.journal, backend=args.backend, workers=args.workers
+        )
+        if args.bill:
             return format_replay_bills(result)
         return format_replay(
-            result, verb="resumed" if resume_run else "replayed"
+            result, verb="resumed" if args.resume else "replayed"
         )
     if artifact == "overhead":
         from repro.experiments.overhead import format_overhead, run_overhead
@@ -316,19 +311,6 @@ def main(argv: list[str] | None = None) -> int:
     if workers is not None and workers < 1:
         print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
         return 2
-    machines = getattr(args, "machines", None)
-    fewest = 1 + max(tenant.machine_index for tenant in default_tenant_mix())
-    if machines is not None and machines < fewest:
-        print(
-            f"error: --machines must be >= {fewest} (the tenant mix places "
-            f"tenants on machines 0-{fewest - 1}), got {machines}",
-            file=sys.stderr,
-        )
-        return 2
-    chaos = getattr(args, "chaos", 0)
-    if chaos < 0:
-        print(f"error: --chaos must be >= 0, got {chaos}", file=sys.stderr)
-        return 2
     budget_trace = None
     trace_path = getattr(args, "budget_trace", None)
     if trace_path is not None:
@@ -355,30 +337,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     try:
-        text = _run(
-            args.artifact,
-            getattr(args, "app", "swaptions"),
-            Scale(args.scale),
-            getattr(args, "backend", "serial"),
-            workers,
-            getattr(args, "bill", False),
-            getattr(args, "policy", "sla-aware"),
-            budget_trace,
-            journal_path,
-            chaos,
-            getattr(args, "chaos_seed", 0),
-            getattr(args, "resume", False),
-            faults,
-            getattr(args, "machines", 2),
-        )
-    except BudgetTraceError as error:
-        # E.g. a trace level below the pool's enforceable cap floor,
-        # detectable only once the machine pool is known.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except JournalError as error:
-        # E.g. a corrupt or truncated journal handed to `replay`, or a
-        # replay that failed its byte-exactness assertion.
+        text = _run(args, budget_trace, faults)
+    except (BudgetTraceError, JournalError, ScenarioError) as error:
+        # A trace level below the pool's enforceable cap floor (known
+        # only once the pool is), a corrupt or truncated journal handed
+        # to `replay`, a replay that failed its byte-exactness
+        # assertion, or a scenario no run could be built from.
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(text)

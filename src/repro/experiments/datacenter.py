@@ -34,17 +34,16 @@ signal alone.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
 from repro.core.powerdial import measure_baseline_rate
 from repro.core.runtime import PowerDialRuntime
 from repro.datacenter.controlplane import (
+    POLICY_NAMES,
     BudgetSchedule,
-    ChaosPolicy,
-    ControlError,
-    DegradedModePolicy,
     build_policy,
+    inject_failures,
 )
 from repro.datacenter.engine import (
     DatacenterEngine,
@@ -57,8 +56,8 @@ from repro.datacenter.journal import (
     JournalWriter,
     encode_bill,
     journaled_run,
-    register_scenario_builder,
 )
+from repro.datacenter.journal.replay import SCENARIO_BUILDER, SCENARIO_MODULE
 from repro.datacenter.service import ServiceApp, request_stream, service_training_jobs
 from repro.datacenter.tenants import LatencySLA, TenantSpec
 from repro.datacenter.traffic import (
@@ -72,9 +71,10 @@ from repro.experiments.registry import built_service_system
 
 __all__ = [
     "TenantScenario",
+    "Scenario",
+    "ScenarioError",
     "DatacenterExperiment",
     "default_tenant_mix",
-    "build_engine",
     "build_engine_from_config",
     "scenario_config",
     "run_datacenter",
@@ -88,6 +88,9 @@ __all__ = [
 
 DEFAULT_BUDGET_WATTS = 420.0
 """Default facility budget for two machines (floor ≈ 366 W, peak 440 W)."""
+
+TRACE_KINDS = ("steady", "diurnal", "burst")
+"""The arrival shapes :meth:`TenantScenario.trace` can materialize."""
 
 
 @dataclass(frozen=True)
@@ -152,205 +155,265 @@ def default_tenant_mix() -> tuple[TenantScenario, ...]:
     )
 
 
-def build_engine(
-    tenants: tuple[TenantScenario, ...],
-    machines_count: int,
-    horizon: float,
-    budget_watts: float | None,
-    policy: str,
-    control_period: float = 10.0,
-    attainment_window: float = 20.0,
-    backend: str = "serial",
-    workers: int | None = None,
-    budget_trace: BudgetSchedule | None = None,
-    journal: JournalWriter | None = None,
-    chaos_kills: int = 0,
-    chaos_seed: int = 0,
-    faults: FaultPlan | None = None,
-) -> DatacenterEngine:
-    """Assemble machines, instances, and control policy for one run.
+class ScenarioError(ValueError):
+    """A :class:`Scenario` that describes no buildable run."""
 
-    ``policy`` is a :data:`~repro.datacenter.controlplane.policy.
-    POLICY_NAMES` name; ``budget_trace`` (if given) drives the global
-    budget through the scheduled watt levels.  Every binding carries a
-    ``runtime_factory`` so the ``migrating`` policy can rebuild
-    instances on their destination machines.  ``journal`` attaches a
-    :class:`~repro.datacenter.journal.writer.JournalWriter` to the
-    engine; ``chaos_kills`` > 0 wraps the policy in a
-    :class:`~repro.datacenter.controlplane.policy.ChaosPolicy` that
-    kills that many machines at ``chaos_seed``-derived barriers.
 
-    ``faults`` attaches a :class:`~repro.datacenter.faults.FaultPlan`
-    to the engine (gray-failure injection): its kill schedule is
-    applied through a :class:`~repro.datacenter.controlplane.policy.
-    ChaosPolicy` wrapper, and the whole policy stack is wrapped in a
-    :class:`~repro.datacenter.controlplane.policy.DegradedModePolicy`
-    so control degrades gracefully (hold stale, quarantine
-    unresponsive, reintegrate with hysteresis) instead of acting on
-    faulted observations.
+@dataclass(frozen=True)
+class Scenario:
+    """One datacenter run: described, checked and built in one place.
+
+    Its fields are the config a journal header embeds
+    (:meth:`to_config`) and ``replay``/``resume`` rebuild the run from
+    (:meth:`from_config`); each is checked once, at construction.
+    :meth:`build` is the one place that builds the machines
+    (:func:`~repro.experiments.common.experiment_machine`), the
+    ``ServiceApp`` calibration
+    (:func:`~repro.experiments.registry.built_service_system`), the
+    tenant bindings and the policy stack.
+
+    ``budget_watts`` None runs without a control policy; ``chaos`` is
+    ``{"kills": n, "seed": s}`` (absent keys read as 0) or None.
     """
-    system = built_service_system()
-    machines = [experiment_machine() for _ in range(machines_count)]
-    target = measure_baseline_rate(
-        ServiceApp, service_training_jobs()[0], machines[0]
-    )
-    bindings = []
-    for index, tenant in enumerate(tenants):
-        table = (
-            system.table
-            if tenant.qos_cap is None
-            else system.table.with_qos_cap(tenant.qos_cap)
-        )
 
-        def make_runtime(machine, table=table):
-            return PowerDialRuntime(
-                app=ServiceApp(),
-                table=table,
-                machine=machine,
-                target_rate=target,
+    tenants: tuple[TenantScenario, ...]
+    machines: int
+    horizon: float
+    budget_watts: float | None
+    policy: str
+    control_period: float = 10.0
+    attainment_window: float = 20.0
+    budget_trace: BudgetSchedule | None = None
+    chaos: Mapping[str, int] | None = None
+    faults: FaultPlan | None = None
+
+    def __post_init__(self) -> None:
+        if not self.tenants:
+            raise ScenarioError("a scenario needs at least one tenant")
+        for tenant in self.tenants:
+            if tenant.trace_kind not in TRACE_KINDS:
+                raise ScenarioError(
+                    f"tenant {tenant.name!r}: unknown trace_kind "
+                    f"{tenant.trace_kind!r}; expected one of {TRACE_KINDS}"
+                )
+            if tenant.machine_index < 0:
+                raise ScenarioError(
+                    f"tenant {tenant.name!r}: machine_index must be >= 0, "
+                    f"got {tenant.machine_index}"
+                )
+        fewest = 1 + max(tenant.machine_index for tenant in self.tenants)
+        if self.machines < fewest:
+            raise ScenarioError(
+                f"--machines must be >= {fewest} (the tenant mix places "
+                f"tenants on machines 0-{fewest - 1}), got {self.machines}"
+            )
+        if self.faults is not None and (
+            self.faults.max_machine_index() >= self.machines
+        ):
+            raise ScenarioError(
+                f"fault plan references machine "
+                f"{self.faults.max_machine_index()} but the pool has only "
+                f"{self.machines} machines"
+            )
+        for name in (
+            "horizon",
+            "budget_watts",
+            "control_period",
+            "attainment_window",
+        ):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ScenarioError(f"{name} must be positive, got {value!r}")
+        if self.policy not in POLICY_NAMES:
+            raise ScenarioError(
+                f"unknown policy {self.policy!r}; expected one of "
+                f"{POLICY_NAMES}"
+            )
+        kills = (self.chaos or {}).get("kills", 0)
+        if kills < 0:
+            raise ScenarioError(f"--chaos must be >= 0, got {kills}")
+        if self.budget_watts is None and (kills or self.faults is not None):
+            raise ScenarioError(
+                f"{'chaos' if kills else 'fault'} injection requires a "
+                "control policy: pass a budget so a policy exists to wrap"
             )
 
-        spec = TenantSpec(
-            name=tenant.name,
-            trace=tenant.trace(horizon),
-            sla=LatencySLA(tenant.latency_bound, tenant.attainment_target),
-            job_factory=request_stream(seed=100 + index),
-            qos_cap=tenant.qos_cap,
-            weight=tenant.weight,
-        )
-        bindings.append(
-            InstanceBinding(
-                tenant=spec,
-                runtime=make_runtime(machines[tenant.machine_index]),
-                machine_index=tenant.machine_index,
-                runtime_factory=make_runtime,
+    def to_config(self) -> dict[str, Any]:
+        """This scenario as the plain JSON a journal header embeds."""
+        return {
+            "tenants": [asdict(tenant) for tenant in self.tenants],
+            "machines": self.machines,
+            "horizon": self.horizon,
+            "budget_watts": self.budget_watts,
+            "policy": self.policy,
+            "control_period": self.control_period,
+            "attainment_window": self.attainment_window,
+            "budget_trace": (
+                [[at, watts] for at, watts in self.budget_trace.entries]
+                if self.budget_trace is not None
+                else None
+            ),
+            "chaos": dict(self.chaos) if self.chaos else None,
+            "faults": (
+                self.faults.to_config() if self.faults is not None else None
+            ),
+        }
+
+    @classmethod
+    def from_config(cls, config: Mapping[str, Any]) -> Scenario:
+        """The inverse of :meth:`to_config`; every key is required."""
+        if not isinstance(config, Mapping):
+            raise ScenarioError(
+                f"scenario config must be an object, got {config!r}"
             )
-        )
-    control_policy = None
-    if budget_watts is not None:
-        control_policy = build_policy(
-            policy, budget_watts, machines, schedule=budget_trace
-        )
-    if chaos_kills > 0:
-        if control_policy is None:
-            raise ControlError(
-                "chaos injection requires a control policy: "
-                "pass a budget so a policy exists to wrap"
+        for field in fields(cls):
+            if field.name not in config:
+                raise ScenarioError(
+                    f"scenario config is missing {field.name!r}"
+                )
+        trace, faults = config["budget_trace"], config["faults"]
+        try:
+            return cls(
+                **{
+                    **config,
+                    "tenants": tuple(
+                        TenantScenario(**tenant)
+                        for tenant in config["tenants"]
+                    ),
+                    "budget_trace": None
+                    if trace is None
+                    else BudgetSchedule(
+                        tuple((float(at), float(w)) for at, w in trace)
+                    ),
+                    "faults": None
+                    if faults is None
+                    else FaultPlan.from_config(faults),
+                }
             )
-        control_policy = ChaosPolicy(
-            control_policy, kills=chaos_kills, seed=chaos_seed
+        except ScenarioError:
+            raise
+        except (AttributeError, TypeError, ValueError) as error:
+            raise ScenarioError(f"malformed scenario config: {error}") from None
+
+    def build(
+        self,
+        backend: str = "serial",
+        workers: int | None = None,
+        journal: JournalWriter | None = None,
+    ) -> DatacenterEngine:
+        """Assemble machines, instances and the policy stack for one run.
+
+        Every binding carries a ``runtime_factory`` so a migration or a
+        failure restore can rebuild its instance on another machine.
+        Chaos and a fault plan wrap the named policy through
+        :func:`~repro.datacenter.controlplane.policy.inject_failures`.
+        ``journal`` attaches a
+        :class:`~repro.datacenter.journal.writer.JournalWriter`.
+        """
+        system = built_service_system()
+        machines = [experiment_machine() for _ in range(self.machines)]
+        target = measure_baseline_rate(
+            ServiceApp, service_training_jobs()[0], machines[0]
         )
-    if faults is not None:
-        if control_policy is None:
-            raise ControlError(
-                "fault injection requires a control policy: "
-                "pass a budget so a policy exists to wrap"
+        bindings = []
+        for index, tenant in enumerate(self.tenants):
+            table = (
+                system.table
+                if tenant.qos_cap is None
+                else system.table.with_qos_cap(tenant.qos_cap)
             )
-        if faults.kills:
-            control_policy = ChaosPolicy(
-                control_policy,
-                seed=faults.seed,
-                kill_times=faults.kills,
+
+            def make_runtime(machine, table=table):
+                return PowerDialRuntime(
+                    app=ServiceApp(),
+                    table=table,
+                    machine=machine,
+                    target_rate=target,
+                )
+
+            spec = TenantSpec(
+                name=tenant.name,
+                trace=tenant.trace(self.horizon),
+                sla=LatencySLA(tenant.latency_bound, tenant.attainment_target),
+                job_factory=request_stream(seed=100 + index),
+                qos_cap=tenant.qos_cap,
+                weight=tenant.weight,
             )
-        control_policy = DegradedModePolicy(control_policy)
-    return DatacenterEngine(
-        machines,
-        bindings,
-        policy=control_policy,
-        control_period=control_period,
-        attainment_window=attainment_window,
-        backend=backend,
-        workers=workers,
-        journal=journal,
-        faults=faults,
-    )
-
-
-def scenario_config(
-    tenants: tuple[TenantScenario, ...],
-    machines: int,
-    horizon: float,
-    budget_watts: float,
-    policy: str,
-    control_period: float = 10.0,
-    attainment_window: float = 20.0,
-    budget_trace: BudgetSchedule | None = None,
-    chaos: Mapping[str, int] | None = None,
-    faults: FaultPlan | None = None,
-) -> dict[str, Any]:
-    """The plain-JSON scenario description a journal header embeds.
-
-    Everything :func:`build_engine_from_config` needs to rebuild the
-    arbitrated engine of a :func:`run_datacenter` invocation — tenant
-    mix (seeds included), pool size, horizon, budget, policy name,
-    control cadence, budget schedule, chaos parameters, and the full
-    fault plan (:meth:`~repro.datacenter.faults.FaultPlan.to_config`)
-    — as JSON-native types only.
-    """
-    return {
-        "tenants": [asdict(tenant) for tenant in tenants],
-        "machines": machines,
-        "horizon": horizon,
-        "budget_watts": budget_watts,
-        "policy": policy,
-        "control_period": control_period,
-        "attainment_window": attainment_window,
-        "budget_trace": (
-            [[at, watts] for at, watts in budget_trace.entries]
-            if budget_trace is not None
-            else None
-        ),
-        "chaos": dict(chaos) if chaos else None,
-        "faults": faults.to_config() if faults is not None else None,
-    }
-
-
-def build_engine_from_config(
-    config: Mapping[str, Any],
-    backend: str = "serial",
-    workers: int | None = None,
-    journal: JournalWriter | None = None,
-) -> DatacenterEngine:
-    """Rebuild an engine from a :func:`scenario_config` dict.
-
-    The registered ``datacenter-experiment`` scenario builder: journal
-    headers written by :func:`run_datacenter` point here so ``replay``
-    and ``resume`` can reconstruct the engine from the journal alone.
-    """
-    tenants = tuple(
-        TenantScenario(**tenant) for tenant in config["tenants"]
-    )
-    budget_trace = None
-    if config.get("budget_trace") is not None:
-        budget_trace = BudgetSchedule(
-            tuple(
-                (float(at), float(watts))
-                for at, watts in config["budget_trace"]
+            bindings.append(
+                InstanceBinding(
+                    tenant=spec,
+                    runtime=make_runtime(machines[tenant.machine_index]),
+                    machine_index=tenant.machine_index,
+                    runtime_factory=make_runtime,
+                )
             )
+        policy = None
+        if self.budget_watts is not None:
+            chaos = self.chaos or {}
+            policy = inject_failures(
+                build_policy(
+                    self.policy,
+                    self.budget_watts,
+                    machines,
+                    schedule=self.budget_trace,
+                ),
+                chaos.get("kills", 0),
+                chaos.get("seed", 0),
+                self.faults,
+            )
+        return DatacenterEngine(
+            machines,
+            bindings,
+            policy=policy,
+            control_period=self.control_period,
+            attainment_window=self.attainment_window,
+            backend=backend,
+            workers=workers,
+            journal=journal,
+            faults=self.faults,
         )
-    chaos = config.get("chaos") or {}
-    faults = None
-    if config.get("faults") is not None:
-        faults = FaultPlan.from_config(config["faults"])
-    return build_engine(
-        tenants,
-        config["machines"],
-        config["horizon"],
-        config["budget_watts"],
-        config["policy"],
-        control_period=config.get("control_period", 10.0),
-        attainment_window=config.get("attainment_window", 20.0),
-        backend=backend,
-        workers=workers,
-        budget_trace=budget_trace,
-        journal=journal,
-        chaos_kills=int(chaos.get("kills", 0)),
-        chaos_seed=int(chaos.get("seed", 0)),
-        faults=faults,
-    )
+
+    def record(
+        self,
+        path: str,
+        backend: str = "serial",
+        workers: int | None = None,
+    ) -> DatacenterResult:
+        """Run this scenario journaled to ``path`` and return the result.
+
+        The header names this module's builder and embeds
+        :meth:`to_config`, so ``replay``/``resume`` rebuild the run
+        from the journal alone.
+        """
+        writer = JournalWriter(
+            path,
+            {
+                "scenario": {
+                    "builder": SCENARIO_BUILDER,
+                    "module": SCENARIO_MODULE,
+                    "config": self.to_config(),
+                },
+                "backend": backend,
+                "workers": workers,
+                "initial_budget_watts": self.budget_watts,
+            },
+        )
+        try:
+            return journaled_run(self.build(backend, workers), writer)
+        finally:
+            writer.close()
 
 
-register_scenario_builder("datacenter-experiment", build_engine_from_config)
+# Kept for the benchmark harness (perfbench), which builds its journaled
+# workload through these two names.
+def scenario_config(*args: Any, **kwargs: Any) -> dict[str, Any]:
+    """``Scenario(*args, **kwargs).to_config()``."""
+    return Scenario(*args, **kwargs).to_config()
+
+
+def build_engine_from_config(config, *args, **kwargs) -> DatacenterEngine:
+    """``Scenario.from_config(config).build(*args, **kwargs)``."""
+    return Scenario.from_config(config).build(*args, **kwargs)
 
 
 @dataclass
@@ -417,73 +480,31 @@ def run_datacenter(
     ``faults`` injects a gray-failure plan (sensor, actuator,
     straggler, and kill windows) on the arbitrated side only; the
     plan is embedded in the journal header so replay reproduces the
-    faulted run byte-exactly.
+    faulted run byte-exactly.  An invalid combination raises
+    :class:`ScenarioError` before anything runs.
     """
-    tenants = tenants if tenants is not None else default_tenant_mix()
-    horizon = 40.0 if scale is Scale.TINY else 120.0
-    writer = None
-    if journal is not None:
-        config = scenario_config(
-            tenants,
-            machines,
-            horizon,
-            budget_watts,
-            policy,
-            budget_trace=budget_trace,
-            chaos=(
-                {"kills": chaos, "seed": chaos_seed} if chaos > 0 else None
-            ),
-            faults=faults,
-        )
-        writer = JournalWriter(
-            journal,
-            {
-                "scenario": {
-                    "builder": "datacenter-experiment",
-                    "module": "repro.experiments.datacenter",
-                    "config": config,
-                },
-                "backend": backend,
-                "workers": workers,
-                "initial_budget_watts": budget_watts,
-            },
-        )
-    static = build_engine(
-        tenants,
+    scenario = Scenario(
+        tenants if tenants is not None else default_tenant_mix(),
         machines,
-        horizon,
-        budget_watts,
-        "static-equal",
-        backend=backend,
-        workers=workers,
-        budget_trace=budget_trace,
-    ).run()
-    arbitrated_engine = build_engine(
-        tenants,
-        machines,
-        horizon,
+        40.0 if scale is Scale.TINY else 120.0,
         budget_watts,
         policy,
-        backend=backend,
-        workers=workers,
         budget_trace=budget_trace,
-        journal=writer,
-        chaos_kills=chaos,
-        chaos_seed=chaos_seed,
+        chaos={"kills": chaos, "seed": chaos_seed} if chaos else None,
         faults=faults,
     )
-    if writer is not None:
-        try:
-            arbitrated = journaled_run(arbitrated_engine, writer)
-        finally:
-            writer.close()
+    static = replace(
+        scenario, policy="static-equal", chaos=None, faults=None
+    ).build(backend, workers).run()
+    if journal is not None:
+        arbitrated = scenario.record(journal, backend, workers)
     else:
-        arbitrated = arbitrated_engine.run()
+        arbitrated = scenario.build(backend, workers).run()
     return DatacenterExperiment(
-        tenants=tenants,
+        tenants=scenario.tenants,
         machines=machines,
         budget_watts=budget_watts,
-        horizon=horizon,
+        horizon=scenario.horizon,
         static=static,
         arbitrated=arbitrated,
         policy=policy,

@@ -239,20 +239,34 @@ class TestPerBeatReadsAcrossChanges:
         snapshot = source.snapshot()
         restored_speedup = snapshot.controller_state[0]
         assert restored_speedup > 1.0
+        assert snapshot.beats_in_quantum > 0
 
-        dest = recording_runtime(system)
-        dest.machine.set_frequency(1.6)
-        dest.machine.idle_until(source.machine.now)
-        dest.begin()
-        assert dest.step() is StepStatus.STARVED
-        assert dest.monitor.count == 0
-        dest.restore(snapshot)
-        for job in toy_jobs(count=2, items=60, seed=12):
-            dest.feed(job)
-        dest.close_input()
-        result = drain(dest)
+        def restored(starve_first):
+            dest = recording_runtime(system)
+            dest.machine.set_frequency(1.6)
+            dest.machine.idle_until(source.machine.now)
+            dest.begin()
+            if starve_first:
+                assert dest.step() is StepStatus.STARVED
+                assert dest.monitor.count == 0
+            dest.restore(snapshot)
+            for job in toy_jobs(count=2, items=60, seed=12):
+                dest.feed(job)
+            dest.close_input()
+            return dest, drain(dest)
+
+        dest, result = restored(starve_first=True)
         assert_matches_per_beat_reads(dest, result)
         assert result.columns.commanded_speedup[0] == restored_speedup
+        assert dest._restored_phase is None
+        # The first quantum continues the source's phase, so the run is
+        # the one a restore before any step() gives.
+        _, expected = restored(starve_first=False)
+        assert result.columns.time == expected.columns.time
+        assert (
+            result.columns.commanded_speedup
+            == expected.columns.commanded_speedup
+        )
 
 
 class TestMergeColumns:

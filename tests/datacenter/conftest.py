@@ -4,6 +4,30 @@ import pytest
 
 from repro.datacenter.engine import DatacenterEngine
 from repro.datacenter.journal import canonical_json, result_payload
+from repro.experiments.datacenter import Scenario, TenantScenario
+
+
+def tiny_scenario(
+    machines=2, budget=420.0, policy="sla-aware", control_period=6.0, **fields
+):
+    """Three mixed tenants spread over the first ``machines`` machines,
+    a 24 s horizon; ``fields`` sets the other :class:`Scenario` fields."""
+    tenants = (
+        TenantScenario("alpha", 0, "steady", rate=1.2, seed=1),
+        TenantScenario(
+            "beta", 1 % machines, "steady", rate=0.8, qos_cap=0.0, seed=2
+        ),
+        TenantScenario("gamma", 2 % machines, "burst", rate=1.5, seed=3),
+    )
+    return Scenario(
+        tenants,
+        machines,
+        24.0,
+        budget,
+        policy,
+        control_period=control_period,
+        **fields,
+    )
 
 
 def assert_same_result(left, right):

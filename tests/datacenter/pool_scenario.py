@@ -43,9 +43,8 @@ from repro.core.powerdial import measure_baseline_rate
 from repro.core.runtime import PowerDialRuntime
 from repro.datacenter.controlplane import (
     BudgetSchedule,
-    ChaosPolicy,
-    DegradedModePolicy,
     build_policy,
+    inject_failures,
 )
 from repro.datacenter.engine import DatacenterEngine, InstanceBinding
 from repro.datacenter.faults import FaultPlan
@@ -247,17 +246,10 @@ def build_pool_engine(
             machines,
             schedule=scenario.budget_schedule(),
         )
-    if scenario.chaos_kills:
-        policy = ChaosPolicy(
-            policy, kills=scenario.chaos_kills, seed=scenario.chaos_seed
-        )
     plan = scenario.fault_plan()
-    if plan is not None:
-        if plan.kills:
-            policy = ChaosPolicy(
-                policy, seed=plan.seed, kill_times=plan.kills
-            )
-        policy = DegradedModePolicy(policy)
+    policy = inject_failures(
+        policy, scenario.chaos_kills, scenario.chaos_seed, plan
+    )
     return DatacenterEngine(
         machines,
         bindings,

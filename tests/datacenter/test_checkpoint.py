@@ -29,10 +29,9 @@ from repro.datacenter.journal.codec import (
 from repro.datacenter.tenants import TenantStats
 from repro.experiments.common import Scale
 from repro.experiments.datacenter import (
+    Scenario,
     TenantScenario,
-    build_engine_from_config,
     run_datacenter,
-    scenario_config,
 )
 from repro.hardware.power import PowerMeter
 from tests.data.golden.regenerate import golden_settings, journal_path
@@ -180,14 +179,13 @@ class TestCacheStaysLocal:
 class TestMachineCheckpoint:
     @pytest.fixture
     def engine(self):
-        config = scenario_config(
+        return Scenario(
             (TenantScenario("alpha", 0, "steady", rate=1.0, seed=1),),
             1,
             12.0,
             420.0,
             "sla-aware",
-        )
-        return build_engine_from_config(config)
+        ).build()
 
     def test_no_samples_checkpoints_zero_mean_power(self, engine):
         checkpoint = capture_machine_checkpoint(engine, 0)

@@ -46,37 +46,28 @@ from repro.datacenter.faults import (
     parse_fault_plan,
 )
 from repro.datacenter.journal import (
-    JournalWriter,
     canonical_json,
     decode_fault_record,
     decode_retry_record,
     encode_fault_record,
     encode_retry_record,
-    journaled_run,
     read_journal,
     replay,
     result_payload,
     resume,
 )
-from repro.experiments.datacenter import (
-    TenantScenario,
-    build_engine_from_config,
-    scenario_config,
-)
+from repro.experiments.datacenter import ScenarioError
 from repro.heartbeats import (
     HEALTH_FRESH,
     HEALTH_STALE,
     HEALTH_UNRESPONSIVE,
     classify_heartbeat_age,
 )
-from tests.datacenter.conftest import assert_same_result
+from tests.datacenter.conftest import assert_same_result, tiny_scenario
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
 )
-
-HORIZON = 24.0
-
 
 # ---------------------------------------------------------------------------
 # FaultPlan purity and round-trips
@@ -429,17 +420,6 @@ class TestDegradedModePolicy:
 # End-to-end: engine runs under every fault class
 
 
-def tiny_tenants(machines):
-    """Three mixed tenants spread over the first ``machines`` machines."""
-    return (
-        TenantScenario("alpha", 0, "steady", rate=1.2, seed=1),
-        TenantScenario(
-            "beta", 1 % machines, "steady", rate=0.8, qos_cap=0.0, seed=2
-        ),
-        TenantScenario("gamma", 2 % machines, "burst", rate=1.5, seed=3),
-    )
-
-
 FAULT_PLANS = {
     "sensor-dropout": FaultPlan(
         sensors=(SensorFault(0, 6.0, 14.0, mode="dropout"),),
@@ -508,36 +488,21 @@ def result_digest(result):
     ).hexdigest()
 
 
-def faulted_config(plan, machines=3, policy="sla-aware", budget_trace=None):
-    return scenario_config(
-        tiny_tenants(machines),
-        machines,
-        HORIZON,
-        630.0,
-        policy,
-        control_period=6.0,
-        budget_trace=budget_trace,
-        faults=plan,
-    )
-
-
-def run_config(config, backend="serial", workers=None):
-    return build_engine_from_config(
-        config, backend=backend, workers=workers
-    ).run()
+def faulted_scenario(plan, machines=3, **fields):
+    return tiny_scenario(machines, 630.0, faults=plan, **fields)
 
 
 class TestFaultedRuns:
     @pytest.mark.parametrize("name", sorted(FAULT_PLANS))
     def test_conservation_holds(self, name):
-        result = run_config(faulted_config(FAULT_PLANS[name]))
+        result = faulted_scenario(FAULT_PLANS[name]).build().run()
         assert (
             result.energy_conservation_rel_error() <= CONSERVATION_TOLERANCE
         )
         assert result_digest(result) == FAULT_PLAN_DIGESTS[name]
 
     def test_faults_and_retries_are_journaled_in_result(self):
-        result = run_config(faulted_config(FAULT_PLANS["everything"]))
+        result = faulted_scenario(FAULT_PLANS["everything"]).build().run()
         kinds = {fault.kind for fault in result.faults}
         assert {"sensor", "actuator", "straggler", "recovered"} <= kinds
         assert result.retries, "actuator drop must produce retry records"
@@ -545,7 +510,7 @@ class TestFaultedRuns:
         assert result.failures, "the kill must fail-stop a machine"
 
     def test_actuator_drop_produces_failed_then_abandoned(self):
-        result = run_config(faulted_config(FAULT_PLANS["actuator-drop"]))
+        result = faulted_scenario(FAULT_PLANS["actuator-drop"]).build().run()
         outcomes = [r.outcome for r in result.retries]
         assert "failed" in outcomes
         # The drop window (6 -> 23 s) outlives the 9 s retry deadline,
@@ -556,11 +521,9 @@ class TestFaultedRuns:
         # A mid-window budget drop forces the commanded caps to move,
         # so the partial actuator visibly lands short of its target.
         trace = BudgetSchedule(((10.0, 600.0), (20.0, 630.0)))
-        result = run_config(
-            faulted_config(
-                FAULT_PLANS["actuator-partial"], budget_trace=trace
-            )
-        )
+        result = faulted_scenario(
+            FAULT_PLANS["actuator-partial"], budget_trace=trace
+        ).build().run()
         assert result_digest(result) == PARTIAL_TRACE_DIGEST
         partials = [r for r in result.retries if r.outcome == "partial"]
         assert partials
@@ -569,15 +532,15 @@ class TestFaultedRuns:
             assert record.applied_watts != record.target_watts
 
     def test_straggler_recovery_recorded(self):
-        result = run_config(faulted_config(FAULT_PLANS["straggler"]))
+        result = faulted_scenario(FAULT_PLANS["straggler"]).build().run()
         kinds = [fault.kind for fault in result.faults]
         assert "straggler" in kinds
         assert "recovered" in kinds
 
     def test_fault_plan_machine_out_of_range_rejected(self):
         plan = FaultPlan(sensors=(SensorFault(7, 1.0, 3.0),))
-        with pytest.raises(Exception, match="machine"):
-            run_config(faulted_config(plan, machines=2))
+        with pytest.raises(ScenarioError, match="references machine 7"):
+            faulted_scenario(plan, machines=2).build().run()
 
 
 class TestDelayViewLog:
@@ -591,18 +554,10 @@ class TestDelayViewLog:
     )
 
     @staticmethod
-    def dense_config(plan):
+    def dense_scenario(plan):
         # A barrier every second: an unbounded log would hold one entry
         # per barrier.
-        return scenario_config(
-            tiny_tenants(3),
-            3,
-            HORIZON,
-            630.0,
-            "sla-aware",
-            control_period=1.0,
-            faults=plan,
-        )
+        return tiny_scenario(3, 630.0, control_period=1.0, faults=plan)
 
     def test_log_length_is_bounded_by_the_delay(self, monkeypatch):
         lengths = []
@@ -614,7 +569,7 @@ class TestDelayViewLog:
             return observed
 
         monkeypatch.setattr(FaultInjector, "observe", spying)
-        run_config(self.dense_config(FAULT_PLANS["sensor-delay"]))
+        self.dense_scenario(FAULT_PLANS["sensor-delay"]).build().run()
         # Machine 1's window is 6 -> 16 s with a 4 s delay: the newest
         # entry at or before t - 4 and the four barriers after it.
         assert len(lengths) > 20
@@ -623,10 +578,10 @@ class TestDelayViewLog:
 
     @pytest.mark.parametrize("plan", ["sensor-delay", "early-delay"])
     def test_bounded_log_serves_the_same_views(self, monkeypatch, plan):
-        config = self.dense_config(
+        scenario = self.dense_scenario(
             self.EARLY_DELAY if plan == "early-delay" else FAULT_PLANS[plan]
         )
-        bounded = run_config(config)
+        bounded = scenario.build().run()
 
         def unbounded(injector, now, by_machine):
             for index, log in injector._view_log.items():
@@ -635,16 +590,16 @@ class TestDelayViewLog:
                 )
 
         monkeypatch.setattr(FaultInjector, "_log_views", unbounded)
-        assert result_digest(run_config(config)) == result_digest(bounded)
+        assert result_digest(scenario.build().run()) == result_digest(bounded)
 
 
 @needs_fork
 class TestFaultedParity:
     @pytest.mark.parametrize("name", sorted(FAULT_PLANS))
     def test_sharded_2_matches_serial(self, name):
-        config = faulted_config(FAULT_PLANS[name])
-        serial = run_config(config)
-        sharded = run_config(config, backend="sharded", workers=2)
+        scenario = faulted_scenario(FAULT_PLANS[name])
+        serial = scenario.build().run()
+        sharded = scenario.build("sharded", 2).run()
         assert_same_result(serial, sharded)
         assert serial.bills == sharded.bills
         assert serial.cap_history == sharded.cap_history
@@ -654,9 +609,9 @@ class TestFaultedParity:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_worker_counts_match_serial(self, workers):
-        config = faulted_config(FAULT_PLANS["everything"])
-        serial = run_config(config)
-        sharded = run_config(config, backend="sharded", workers=workers)
+        scenario = faulted_scenario(FAULT_PLANS["everything"])
+        serial = scenario.build().run()
+        sharded = scenario.build("sharded", workers).run()
         assert_same_result(serial, sharded)
         assert serial.bills == sharded.bills
         assert serial.faults == sharded.faults
@@ -667,31 +622,10 @@ class TestFaultedParity:
 # Journaled faulted runs: replay and resume stay byte-exact
 
 
-def record_run(path, config, backend="serial", workers=None):
-    writer = JournalWriter(
-        str(path),
-        {
-            "scenario": {
-                "builder": "datacenter-experiment",
-                "module": "repro.experiments.datacenter",
-                "config": config,
-            },
-            "backend": backend,
-            "workers": workers,
-            "initial_budget_watts": config["budget_watts"],
-        },
-    )
-    engine = build_engine_from_config(
-        config, backend=backend, workers=workers, journal=writer
-    )
-    with writer:
-        return journaled_run(engine, writer)
-
-
 class TestFaultedJournal:
     def test_barriers_carry_fault_and_retry_records(self, tmp_path):
         path = tmp_path / "gray.ndjson"
-        record_run(path, faulted_config(FAULT_PLANS["everything"]))
+        faulted_scenario(FAULT_PLANS["everything"]).record(str(path))
         journal = read_journal(str(path))
         assert any(barrier.faults for barrier in journal.barriers)
         assert any(barrier.retries for barrier in journal.barriers)
@@ -701,7 +635,7 @@ class TestFaultedJournal:
 
     def test_replay_is_byte_exact(self, tmp_path):
         path = tmp_path / "gray.ndjson"
-        live = record_run(path, faulted_config(FAULT_PLANS["everything"]))
+        live = faulted_scenario(FAULT_PLANS["everything"]).record(str(path))
         replayed = replay(str(path))
         assert canonical_json(result_payload(replayed)) == canonical_json(
             result_payload(live)
@@ -710,14 +644,14 @@ class TestFaultedJournal:
     @needs_fork
     def test_replay_parity_across_backends(self, tmp_path):
         path = tmp_path / "gray.ndjson"
-        record_run(path, faulted_config(FAULT_PLANS["everything"]))
+        faulted_scenario(FAULT_PLANS["everything"]).record(str(path))
         serial = replay(str(path))
         sharded = replay(str(path), backend="sharded", workers=2)
         assert_same_result(serial, sharded)
 
     def test_resume_finishes_truncated_faulted_run(self, tmp_path):
         path = tmp_path / "gray.ndjson"
-        live = record_run(path, faulted_config(FAULT_PLANS["everything"]))
+        live = faulted_scenario(FAULT_PLANS["everything"]).record(str(path))
         lines = path.read_text().splitlines()
         # Drop the result record and the last two barriers: a crash
         # two barriers before the end.

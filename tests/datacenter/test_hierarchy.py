@@ -15,20 +15,17 @@ from repro.datacenter import (
     fork_available,
 )
 from repro.datacenter.controlplane.actions import ClusterView, SetCaps
+from repro.datacenter.controlplane.budget import BudgetSchedule
 from repro.datacenter.controlplane.hierarchy import (
     DEFAULT_GROUPS,
     round_robin_groups,
 )
 from repro.datacenter.caps import ArbiterError
 from repro.datacenter.faults import ActuatorFault, FaultPlan, SensorFault
-from repro.datacenter.journal import JournalWriter, journaled_run, replay
+from repro.datacenter.journal import replay
 from repro.experiments.common import experiment_machine
 from tests.datacenter.conftest import assert_same_result
-from repro.experiments.datacenter import (
-    TenantScenario,
-    build_engine_from_config,
-    scenario_config,
-)
+from repro.experiments.datacenter import Scenario, TenantScenario
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -58,29 +55,23 @@ GRAY_PLAN = FaultPlan(
 
 SCENARIOS = {
     "plain": {},
-    "budget-shock": {"budget_trace": [[0.0, 840.0], [12.0, 790.0]]},
+    "budget-shock": {
+        "budget_trace": BudgetSchedule(((0.0, 840.0), (12.0, 790.0)))
+    },
     "chaos-kill": {"chaos": {"kills": 1, "seed": 3}},
     "gray-failure": {"faults": GRAY_PLAN},
 }
 
 
-def make_config(scenario="plain", machines=4, budget=840.0):
-    kwargs = dict(SCENARIOS[scenario])
-    trace = kwargs.pop("budget_trace", None)
-    if trace is not None:
-        from repro.datacenter.controlplane import BudgetSchedule
-
-        kwargs["budget_trace"] = BudgetSchedule(
-            tuple((at, watts) for at, watts in trace)
-        )
-    return scenario_config(
+def make_scenario(name="plain", machines=4, budget=840.0):
+    return Scenario(
         hier_tenants(machines),
         machines,
         HORIZON,
         budget,
         "hier-arbitrated",
         control_period=6.0,
-        **kwargs,
+        **SCENARIOS[name],
     )
 
 
@@ -180,16 +171,14 @@ class TestHierParity:
     @pytest.fixture(scope="class")
     def serial_results(self):
         return {
-            scenario: build_engine_from_config(make_config(scenario)).run()
+            scenario: make_scenario(scenario).build().run()
             for scenario in SCENARIOS
         }
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sharded_matches_serial(self, serial_results, scenario, workers):
-        sharded = build_engine_from_config(
-            make_config(scenario), backend="sharded", workers=workers
-        ).run()
+        sharded = make_scenario(scenario).build("sharded", workers).run()
         assert_identical(sharded, serial_results[scenario])
 
     def test_chaos_scenario_really_replaces_tenants(self, serial_results):
@@ -204,14 +193,12 @@ class TestHierParity:
 class TestBarrierStats:
     @needs_fork
     def test_bare_hierarchy_ships_tenant_views(self):
-        engine = build_engine_from_config(
-            make_config("plain"), backend="sharded", workers=2
-        )
+        engine = make_scenario().build("sharded", 2)
         engine.run()
         assert engine.barrier_stats["payload_bytes"] > 0
 
     def test_serial_reports_in_process_stats(self):
-        engine = build_engine_from_config(make_config("plain"))
+        engine = make_scenario().build()
         engine.run()
         assert engine.barrier_stats["payload_bytes"] == 0
         assert engine.barrier_stats["apply_seconds"] > 0.0
@@ -225,25 +212,7 @@ class TestHierJournalParity:
     serial backend to byte-identical bills."""
 
     def record(self, path, backend, workers=None):
-        config = make_config("plain")
-        writer = JournalWriter(
-            str(path),
-            {
-                "scenario": {
-                    "builder": "datacenter-experiment",
-                    "module": "repro.experiments.datacenter",
-                    "config": config,
-                },
-                "backend": backend,
-                "workers": workers,
-                "initial_budget_watts": config["budget_watts"],
-            },
-        )
-        engine = build_engine_from_config(
-            config, backend=backend, workers=workers, journal=writer
-        )
-        with writer:
-            return journaled_run(engine, writer)
+        return make_scenario().record(str(path), backend, workers)
 
     def test_journal_bytes_match_across_backends(self, tmp_path):
         serial_path = tmp_path / "serial.journal"

@@ -28,25 +28,18 @@ from repro.datacenter.controlplane import (
 from repro.datacenter.journal import (
     JournalDecodeError,
     JournalError,
-    JournalWriter,
     canonical_json,
     decode_action,
     decode_bill,
     encode_action,
     encode_bill,
-    journaled_run,
     read_journal,
     replay,
     result_payload,
     resume,
 )
 from repro.experiments.__main__ import main
-from repro.experiments.datacenter import (
-    TenantScenario,
-    build_engine_from_config,
-    scenario_config,
-)
-from tests.datacenter.conftest import assert_same_result
+from tests.datacenter.conftest import assert_same_result, tiny_scenario
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -58,54 +51,6 @@ RESUME_BACKENDS = [
     pytest.param("serial", None, id="serial"),
     pytest.param("sharded", 2, id="sharded-2", marks=needs_fork),
 ]
-
-HORIZON = 24.0
-
-
-def tiny_tenants(machines):
-    """Three mixed tenants spread over the first ``machines`` machines."""
-    return (
-        TenantScenario("alpha", 0, "steady", rate=1.2, seed=1),
-        TenantScenario(
-            "beta", 1 % machines, "steady", rate=0.8, qos_cap=0.0, seed=2
-        ),
-        TenantScenario("gamma", 2 % machines, "burst", rate=1.5, seed=3),
-    )
-
-
-def make_config(machines=2, budget=420.0, policy="sla-aware", chaos=None):
-    return scenario_config(
-        tiny_tenants(machines),
-        machines,
-        HORIZON,
-        budget,
-        policy,
-        control_period=6.0,
-        chaos=chaos,
-    )
-
-
-def record_run(path, config, backend="serial", workers=None):
-    """Record one journaled run of ``config``; return its live result."""
-    writer = JournalWriter(
-        str(path),
-        {
-            "scenario": {
-                "builder": "datacenter-experiment",
-                "module": "repro.experiments.datacenter",
-                "config": config,
-            },
-            "backend": backend,
-            "workers": workers,
-            "initial_budget_watts": config["budget_watts"],
-        },
-    )
-    engine = build_engine_from_config(
-        config, backend=backend, workers=workers, journal=writer
-    )
-    with writer:
-        return journaled_run(engine, writer)
-
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -310,7 +255,7 @@ class TestReplayParity:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("journal") / "run.ndjson"
-        result = record_run(path, make_config())
+        result = tiny_scenario().record(str(path))
         return path, result
 
     def test_journal_is_complete_and_typed(self, recorded):
@@ -356,7 +301,7 @@ class TestReplayParity:
     ):
         path, _ = recorded
         sharded_path = tmp_path / "sharded.ndjson"
-        record_run(sharded_path, make_config(), backend="sharded", workers=2)
+        tiny_scenario().record(str(sharded_path), "sharded", 2)
         serial_lines = path.read_text().splitlines()
         sharded_lines = sharded_path.read_text().splitlines()
         assert len(serial_lines) == len(sharded_lines)
@@ -367,15 +312,15 @@ class TestReplayParity:
 
 class TestChaosAndResume:
     @pytest.fixture(scope="class")
-    def chaos_config(self):
-        return make_config(
+    def chaos_scenario(self):
+        return tiny_scenario(
             machines=3, budget=640.0, chaos={"kills": 1, "seed": 7}
         )
 
     @pytest.fixture(scope="class")
-    def chaos_recorded(self, tmp_path_factory, chaos_config):
+    def chaos_recorded(self, tmp_path_factory, chaos_scenario):
         path = tmp_path_factory.mktemp("chaos") / "chaos.ndjson"
-        result = record_run(path, chaos_config)
+        result = chaos_scenario.record(str(path))
         return path, result
 
     def test_failure_recorded_and_billing_conserved(self, chaos_recorded):
@@ -413,12 +358,11 @@ class TestChaosAndResume:
         assert replayed.failures == live.failures
 
     @needs_fork
-    def test_sharded_chaos_matches_serial(self, chaos_recorded, chaos_config):
+    def test_sharded_chaos_matches_serial(
+        self, chaos_recorded, chaos_scenario
+    ):
         _, serial = chaos_recorded
-        engine = build_engine_from_config(
-            chaos_config, backend="sharded", workers=2
-        )
-        sharded = engine.run()
+        sharded = chaos_scenario.build("sharded", 2).run()
         assert_same_result(sharded, serial)
         assert sharded.failures == serial.failures
         assert sharded.bills == serial.bills
@@ -504,17 +448,49 @@ class TestChaosAndResume:
         assert replayed.bills == reference.bills
 
 
-def corrupt_barrier(path, tmp_path, corrupt, line=3):
-    """Copy the journal at ``path`` with ``corrupt`` applied to one line."""
+def corrupt_record(path, tmp_path, corrupt, line=3):
+    """Copy the journal at ``path`` with ``corrupt`` applied to one line
+    (by default the second barrier; line 1 is the header)."""
     lines = path.read_text().splitlines()
     record = json.loads(lines[line - 1])
-    assert record["kind"] == "barrier"
+    assert record["kind"] == ("header" if line == 1 else "barrier")
     corrupt(record)
     lines[line - 1] = json.dumps(record)
     copy = tmp_path / "corrupt.ndjson"
     copy.write_text("\n".join(lines) + "\n")
     return copy
 
+
+MALFORMED_HEADERS = [
+    pytest.param(
+        lambda h: h["scenario"]["config"].pop("machines"),
+        "scenario config is missing 'machines'",
+        id="missing-key",
+    ),
+    pytest.param(
+        lambda h: h["scenario"]["config"]["tenants"][0].update(
+            trace_kind="zig"
+        ),
+        "tenant 'alpha': unknown trace_kind 'zig'",
+        id="unknown-trace-kind",
+    ),
+    pytest.param(
+        lambda h: h["scenario"]["config"].update(machines=1),
+        "--machines must be >= 2 (the tenant mix places tenants on "
+        "machines 0-1), got 1",
+        id="too-few-machines",
+    ),
+    pytest.param(
+        lambda h: h["scenario"].update(builder="other"),
+        "scenario builder is 'other'; expected 'datacenter-experiment'",
+        id="wrong-builder",
+    ),
+    pytest.param(
+        lambda h: h["scenario"].update(module="os"),
+        "scenario module is 'os'; expected 'repro.experiments.datacenter'",
+        id="wrong-module",
+    ),
+]
 
 WRONG_TYPED_BARRIERS = [
     pytest.param(
@@ -559,7 +535,7 @@ class TestReaderErrors:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("reader") / "run.ndjson"
-        result = record_run(path, make_config())
+        result = tiny_scenario().record(str(path))
         return path, result
 
     def test_torn_final_line_is_tolerated(self, recorded, tmp_path):
@@ -588,7 +564,7 @@ class TestReaderErrors:
         self, recorded, tmp_path, corrupt, expected
     ):
         path, _ = recorded
-        copy = corrupt_barrier(path, tmp_path, corrupt)
+        copy = corrupt_record(path, tmp_path, corrupt)
         with pytest.raises(JournalDecodeError) as excinfo:
             read_journal(str(copy))
         message = str(excinfo.value)
@@ -599,17 +575,31 @@ class TestReaderErrors:
         self, recorded, tmp_path, capsys
     ):
         path, _ = recorded
-        copy = corrupt_barrier(path, tmp_path, lambda r: r.update(tenants=5))
+        copy = corrupt_record(path, tmp_path, lambda r: r.update(tenants=5))
         assert main(["replay", "--journal", str(copy)]) == 2
         err = capsys.readouterr().err
         assert "corrupt.ndjson:3" in err
         assert "must be a list" in err
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["replay", "resume"])
+    @pytest.mark.parametrize("corrupt, expected", MALFORMED_HEADERS)
+    def test_malformed_header_exits_2_naming_line_1(
+        self, recorded, tmp_path, capsys, corrupt, expected, resume
+    ):
+        path, _ = recorded
+        copy = corrupt_record(path, tmp_path, corrupt, line=1)
+        argv = ["replay", "--journal", str(copy)]
+        assert main(argv + ["--resume"] * resume) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {copy}:1 (header record): ")
+        assert expected in captured.err
+        assert captured.out == ""
+
     def test_a_malformed_checkpoint_is_reported_by_resume_not_replay(
         self, recorded, tmp_path, capsys
     ):
         path, live = recorded
-        copy = corrupt_barrier(
+        copy = corrupt_record(
             path,
             tmp_path,
             lambda r: r["tenants"][0].update(completions_delta=3),

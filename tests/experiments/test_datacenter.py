@@ -1,5 +1,6 @@
 """Tests for the datacenter experiment and its CLI entry (tiny scale)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from repro.datacenter import CONSERVATION_TOLERANCE, fork_available
 from repro.experiments import Scale, format_datacenter, run_datacenter
 from repro.experiments.__main__ import main
+from repro.datacenter.controlplane import BudgetSchedule
+from repro.datacenter.faults import FaultPlan, SensorFault
 from repro.experiments.datacenter import (
+    Scenario,
+    ScenarioError,
+    TenantScenario,
     billing_payload,
     default_tenant_mix,
     format_datacenter_bills,
@@ -51,6 +57,44 @@ class TestRunDatacenter:
 
     def test_mix_has_a_knob_poor_tenant(self):
         assert any(t.qos_cap == 0.0 for t in default_tenant_mix())
+
+
+class TestScenario:
+    FULL = Scenario(
+        default_tenant_mix(),
+        3,
+        40.0,
+        630.0,
+        "migrating",
+        budget_trace=BudgetSchedule(((15.0, 600.0),)),
+        chaos={"kills": 1, "seed": 7},
+        faults=FaultPlan(sensors=(SensorFault(2, 4.0, 8.0),), seed=3),
+    )
+
+    def test_config_round_trips(self):
+        config = json.loads(json.dumps(self.FULL.to_config()))
+        assert Scenario.from_config(config) == self.FULL
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"machines": 2}, "references machine 2 but the pool has only 2"),
+            ({"policy": "round-robin"}, "unknown policy 'round-robin'"),
+            ({"horizon": 0.0}, "horizon must be positive, got 0.0"),
+            ({"budget_watts": None}, "chaos injection requires a control"),
+            (
+                {"budget_watts": None, "chaos": None},
+                "fault injection requires a control",
+            ),
+            (
+                {"tenants": (TenantScenario("x", -1, "steady", 1.0),)},
+                "tenant 'x': machine_index must be >= 0, got -1",
+            ),
+        ],
+    )
+    def test_invalid_fields_are_rejected(self, changes, message):
+        with pytest.raises(ScenarioError, match=message):
+            dataclasses.replace(self.FULL, **changes)
 
 
 class TestFormat:
