@@ -79,7 +79,11 @@ class ItemResult(_ItemFields):
     """Result of processing one main-loop item (an immutable record).
 
     Built once per simulated item, so it is a checked named tuple rather
-    than a frozen dataclass.
+    than a frozen dataclass.  The check is a Python-level ``__new__``,
+    which costs more than the tuple; an application whose item work has
+    already passed :meth:`WorkTracker.add` (which rejects negative work
+    with the same :class:`ApplicationError`) may build the record with
+    ``tuple.__new__(ItemResult, (output, work))`` instead.
 
     Attributes:
         output: The item's output (application-specific).

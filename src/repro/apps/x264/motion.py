@@ -48,6 +48,7 @@ knobs' modelled cost range (Figure 5b, ~4.5x) unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -339,6 +340,34 @@ def _reach(profile: SubmeProfile) -> int:
     return 3 * (2 * profile.half_pel_iterations + profile.quarter_pel_iterations)
 
 
+@functools.lru_cache(maxsize=64)
+def _lane_geometry(
+    height: int, width: int, reach: int, count: int
+) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """``(offsets, row_stride, reference_stride, starts)`` of :class:`_Lanes`.
+
+    They depend only on the frame shape, the reach and the reference
+    count, so every searched frame of one shape shares one read-only
+    copy instead of rebuilding the tables.
+    """
+    plane_size = height * width
+    offsets = (
+        np.arange(BLOCK)[:, None] * width + np.arange(BLOCK)[None, :]
+    ).ravel()
+    rows = np.arange(-reach, 4 * (height - BLOCK) + reach + 1)
+    rows = np.minimum(np.maximum(rows, 0), 4 * (height - BLOCK))
+    cols = np.arange(-reach, 4 * (width - BLOCK) + reach + 1)
+    cols = np.minimum(np.maximum(cols, 0), 4 * (width - BLOCK))
+    starts = (
+        (16 * plane_size * np.arange(count))[:, None, None]
+        + (4 * (rows & 3) * plane_size + (rows >> 2) * width)[None, :, None]
+        + ((cols & 3) * plane_size + (cols >> 2))[None, None, :]
+    ).ravel()
+    offsets.setflags(write=False)
+    starts.setflags(write=False)
+    return offsets, cols.size, rows.size * cols.size, starts
+
+
 class _Lanes:
     """Gather geometry of one lock-step search.
 
@@ -357,23 +386,14 @@ class _Lanes:
     ) -> None:
         count = len(references)
         _, height, width = references[0].planes.shape
-        plane_size = height * width
         self.flat = np.stack([reference.planes for reference in references]).ravel()
-        self.offsets = (
-            np.arange(BLOCK)[:, None] * width + np.arange(BLOCK)[None, :]
-        ).ravel()
         self.reach = reach
-        rows = np.arange(-reach, 4 * (height - BLOCK) + reach + 1)
-        rows = np.minimum(np.maximum(rows, 0), 4 * (height - BLOCK))
-        cols = np.arange(-reach, 4 * (width - BLOCK) + reach + 1)
-        cols = np.minimum(np.maximum(cols, 0), 4 * (width - BLOCK))
-        self.row_stride = cols.size
-        self.reference_stride = rows.size * cols.size
-        self.starts = (
-            (16 * plane_size * np.arange(count))[:, None, None]
-            + (4 * (rows & 3) * plane_size + (rows >> 2) * width)[None, :, None]
-            + ((cols & 3) * plane_size + (cols >> 2))[None, None, :]
-        ).ravel()
+        (
+            self.offsets,
+            self.row_stride,
+            self.reference_stride,
+            self.starts,
+        ) = _lane_geometry(height, width, reach, count)
         self.sources = np.repeat(blocks.reshape(-1, BLOCK * BLOCK), count, axis=0)
 
     def position(

@@ -99,6 +99,14 @@ class ActuationPlan:
         for segment in self.segments:
             if not 0.0 < segment.fraction <= 1.0 + 1e-12:
                 raise ActuatorError(f"segment fraction {segment.fraction!r} invalid")
+        # (end, setting) per segment for setting_at, which runs once per
+        # beat: each end is the running fraction sum less 1e-15.
+        ends = []
+        cumulative = 0.0
+        for segment in self.segments:
+            cumulative += segment.fraction
+            ends.append((cumulative - 1e-15, segment.setting))
+        object.__setattr__(self, "_ends", tuple(ends))
 
     def setting_at(self, quantum_position: float) -> KnobSetting | None:
         """The setting active at ``quantum_position`` in [0, 1)."""
@@ -106,11 +114,9 @@ class ActuationPlan:
             raise ActuatorError(
                 f"quantum position must be in [0,1), got {quantum_position!r}"
             )
-        cumulative = 0.0
-        for segment in self.segments:
-            cumulative += segment.fraction
-            if quantum_position < cumulative - 1e-15:
-                return segment.setting
+        for end, setting in self._ends:
+            if quantum_position < end:
+                return setting
         return self.segments[-1].setting
 
     def expected_qos_loss(self) -> float:

@@ -87,15 +87,6 @@ class StepStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class _PendingJob:
-    """A queued job, its submitter's completion callback, and its tag."""
-
-    job: Any
-    on_complete: Callable[[float], None] | None = None
-    tag: Any = None
-
-
-@dataclass(frozen=True)
 class RuntimeSample:
     """One per-heartbeat observation of the controlled system.
 
@@ -260,6 +251,10 @@ class RuntimeSnapshot:
     taken_at: float
 
 
+_LAST_POSITION = 1.0 - 1e-9
+"""The latest quantum position a beat looks its setting up at."""
+
+
 class PowerDialRuntime:
     """Runs an application under PowerDial control on a simulated machine.
 
@@ -331,7 +326,9 @@ class PowerDialRuntime:
         # controller's output is unchanged — the common steady-state case.
         self._plan_cache: tuple[float, ActuationPlan] | None = None
         self._current_setting: KnobSetting | None = None
-        self._job_queue: deque[_PendingJob] = deque()
+        # Queued jobs as plain (job, on_complete, tag) tuples: one is
+        # built per request, so it is not a dataclass.
+        self._job_queue: deque[tuple[Any, Any, Any]] = deque()
         self._event_heap: list[tuple[int, int, RuntimeEvent]] = []
         self._event_seq = 0
         self._input_closed = False
@@ -346,8 +343,6 @@ class PowerDialRuntime:
     # ------------------------------------------------------------------
     def _apply_setting(self, setting: KnobSetting) -> None:
         """Poke the setting's recorded control-variable values."""
-        if self._current_setting is setting:
-            return
         for name, value in setting.control_values.items():
             self.space.poke(name, value)
         self._current_setting = setting
@@ -405,7 +400,7 @@ class PowerDialRuntime:
         app.initialize(self.table.baseline.configuration.as_dict(), self.space)
         self._current_setting = None
         self._apply_setting(self.table.baseline)
-        self._job_queue = deque(_PendingJob(job) for job in jobs)
+        self._job_queue = deque((job, None, None) for job in jobs)
         self._event_heap = []
         self._event_seq = 0
         self._input_closed = False
@@ -435,7 +430,7 @@ class PowerDialRuntime:
             raise RuntimeError("begin() must be called before feed()")
         if self._input_closed:
             raise RuntimeError("cannot feed jobs after close_input()")
-        self._job_queue.append(_PendingJob(job, on_complete, tag))
+        self._job_queue.append((job, on_complete, tag))
 
     def extract_pending(self) -> list[tuple[Any, Any]]:
         """Remove and return queued-but-unstarted jobs as (job, tag).
@@ -449,7 +444,7 @@ class PowerDialRuntime:
         """
         if self._stepper is None:
             raise RuntimeError("begin() must be called before extract_pending()")
-        extracted = [(pending.job, pending.tag) for pending in self._job_queue]
+        extracted = [(job, tag) for job, _, tag in self._job_queue]
         self._job_queue.clear()
         return extracted
 
@@ -463,7 +458,7 @@ class PowerDialRuntime:
         """
         if self._stepper is None:
             raise RuntimeError("begin() must be called before peek_pending()")
-        return [(pending.job, pending.tag) for pending in self._job_queue]
+        return [(job, tag) for job, _, tag in self._job_queue]
 
     def close_input(self) -> None:
         """Declare the job stream complete; step() drains what remains."""
@@ -589,10 +584,17 @@ class PowerDialRuntime:
         self._phase = self._restored_phase
 
     def _stepping(self):
-        """The run loop as a generator, yielding at quantum boundaries."""
+        """The run loop as a generator, yielding at quantum boundaries.
+
+        One pass of the inner loop is one beat.  The calls that do its
+        work (``heartbeat``, ``process_item``, ``execute``) are bound
+        once per run and made exactly once per beat.
+        """
         app, machine, monitor = self.app, self.machine, self.monitor
         clock, processor, space = machine.clock, machine.processor, self.space
         queue, events = self._job_queue, self._event_heap
+        heartbeat, window_rate_of = monitor.heartbeat, monitor.window_rate
+        process_item, execute = app.process_item, machine.execute
         target_rate = self.target_rate
         # "We heuristically establish the time quantum as the time required
         # to process twenty heartbeats" — at the target rate, so it is a
@@ -643,16 +645,18 @@ class PowerDialRuntime:
                 self._phase = (beats_in_quantum, quantum_start)
                 yield StepStatus.STARVED
                 commanded, frequency = in_force()
-                if clock.now > stalled_at:
+                now = clock.now
+                if now > stalled_at:
                     # The host idled the machine (or ran co-tenants) while
                     # we were starved; restart the quantum so the gap is
                     # not billed to this instance as slowness.
-                    quantum_start = clock.now
+                    quantum_start = now
                     beats_in_quantum = 0
                 continue
-            pending_job = queue.popleft()
+            job, on_complete, _ = queue.popleft()
             outputs: list[Any] = []
-            for item in app.prepare(pending_job.job):
+            add_output = outputs.append
+            for item in app.prepare(job):
                 # External events (power caps, load changes).
                 while events and events[0][0] <= monitor.count:
                     heapq.heappop(events)[2].action(machine)
@@ -669,9 +673,13 @@ class PowerDialRuntime:
                     commanded, frequency = in_force()
                     now = clock.now
 
-                # Locate ourselves inside the quantum and pick the setting.
+                # Locate ourselves inside the quantum and pick the setting
+                # (the position clamped to [0, _LAST_POSITION]).
                 fraction = (now - quantum_start) / quantum_duration
-                fraction = min(max(fraction, 0.0), 1.0 - 1e-9)
+                if fraction < 0.0:
+                    fraction = 0.0
+                elif fraction > _LAST_POSITION:
+                    fraction = _LAST_POSITION
                 setting = plan.setting_at(fraction)
                 if setting is None:
                     # Race-to-idle tail: idle out the quantum, then replan.
@@ -687,19 +695,20 @@ class PowerDialRuntime:
                     setting = plan.setting_at(0.0)
                     if setting is None:  # pragma: no cover - plans run first
                         setting = self.table.fastest
-                self._apply_setting(setting)
+                if setting is not self._current_setting:
+                    self._apply_setting(setting)
 
-                sequence, timestamp, _ = monitor.heartbeat()
+                sequence, timestamp, _ = heartbeat()
                 if first_beat_time is None:
                     first_beat_time = timestamp
                     space.mark_first_heartbeat()
 
-                result = app.process_item(item, space, tracker)
-                machine.execute(result.work, threads=threads)
-                outputs.append(result.output)
+                output, work = process_item(item, space, tracker)
+                execute(work, threads)
+                add_output(output)
                 beats_in_quantum += 1
 
-                window_rate = monitor.window_rate()
+                window_rate = window_rate_of()
                 add_beat(sequence)
                 add_time(timestamp)
                 add_rate(window_rate)
@@ -711,8 +720,8 @@ class PowerDialRuntime:
                 add_frequency(frequency)
                 add_setting(setting)
             outputs_by_job.append(outputs)
-            if pending_job.on_complete is not None:
-                pending_job.on_complete(clock.now)
+            if on_complete is not None:
+                on_complete(clock.now)
                 commanded, frequency = in_force()
 
         self._phase = (beats_in_quantum, quantum_start)

@@ -83,6 +83,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.runtime import PowerDialRuntime, RunResult, StepStatus
@@ -295,9 +296,20 @@ class _Host:
 
     def next_runnable(self) -> InstanceBinding | None:
         """Round-robin over instances that can make progress."""
-        for offset in range(len(self.instances)):
-            index = (self._rr + offset) % len(self.instances)
-            instance = self.instances[index]
+        instances = self.instances
+        count = len(instances)
+        if count == 1:
+            # The round robin below, without its loop: every call lands
+            # on index 0 and leaves _rr at 1.
+            instance = instances[0]
+            if instance.finished or instance.starved:
+                return None
+            self._rr = 1
+            return instance
+        start = self._rr
+        for offset in range(count):
+            index = (start + offset) % count
+            instance = instances[index]
             if not instance.finished and not instance.starved:
                 self._rr = index + 1
                 return instance
@@ -606,9 +618,7 @@ class HostGroup:
         for index, arrival in checkpoint.pending:
             runtime.feed(
                 binding.tenant.job_factory(index),
-                on_complete=lambda completion, arrival=arrival: (
-                    stats.record_completion(arrival, completion)
-                ),
+                on_complete=partial(stats.record_completion, arrival),
                 tag=(index, arrival),
             )
         engine.hosts[dest].instances.append(binding)
@@ -1254,7 +1264,9 @@ class DatacenterEngine:
         if host.index in self.dead_machines:
             return
         machine = host.machine
-        while machine.now < until - SETTLE_SLACK:
+        clock = machine.clock
+        settled = until - SETTLE_SLACK
+        while clock.now < settled:
             instance = host.next_runnable()
             if instance is None:
                 energy_before = machine.meter.energy_joules
@@ -1278,12 +1290,12 @@ class DatacenterEngine:
         conservation invariant breaks.
         """
         machine = host.machine
-        meter = machine.meter
+        meter, clock = machine.meter, machine.clock
         energy_before = meter.energy_joules
-        started = machine.now
+        started = clock.now
         status = instance.runtime.step()
         instance.ledger.charge(
-            meter.energy_joules - energy_before, machine.now - started
+            meter.energy_joules - energy_before, clock.now - started
         )
         return status
 
@@ -1299,18 +1311,16 @@ class DatacenterEngine:
 
     def _dispatch_arrival(self, binding: InstanceBinding, now: float) -> None:
         """Offer one arrival to its tenant: admission control + feed."""
-        binding.stats.record_offer()
-        if binding.runtime.pending_jobs >= binding.tenant.max_queue_depth:
-            binding.stats.record_rejection()
+        stats, runtime, tenant = binding.stats, binding.runtime, binding.tenant
+        stats.record_offer()
+        if runtime.pending_jobs >= tenant.max_queue_depth:
+            stats.record_rejection()
             return
         index = binding.next_request
-        binding.next_request += 1
-        stats = binding.stats
-        binding.runtime.feed(
-            binding.tenant.job_factory(index),
-            on_complete=lambda completion, arrival=now: stats.record_completion(
-                arrival, completion
-            ),
+        binding.next_request = index + 1
+        runtime.feed(
+            tenant.job_factory(index),
+            on_complete=partial(stats.record_completion, now),
             tag=(index, now),
         )
         binding.starved = False

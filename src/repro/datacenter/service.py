@@ -47,6 +47,8 @@ WORK_SCALE = 1.0e3
 REQUEST_BLOCK = 16
 """Requests drawn by one generator (see :func:`request_stream`)."""
 
+_new_tuple = tuple.__new__
+
 
 class ServiceApp(Application):
     """Estimates request values with a knob-controlled iteration count."""
@@ -72,7 +74,9 @@ class ServiceApp(Application):
         tracker.add("serve", work)
         # Deterministic 1/n convergence toward the true value.
         estimate = item * (1.0 + 1.0 / iterations)
-        return ItemResult(output=estimate, work=work)
+        # tracker.add has rejected negative work, so skip ItemResult's
+        # Python-level re-check (see ItemResult).
+        return _new_tuple(ItemResult, (estimate, work))
 
     def batch_process(
         self, items: list[Any], space: AddressSpace, tracker: WorkTracker

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,9 @@ __all__ = [
     "TenantStats",
     "TenantReport",
 ]
+
+
+_new_tuple = tuple.__new__
 
 
 class TenantError(ValueError):
@@ -109,9 +112,12 @@ class TenantSpec:
             raise TenantError(f"qos cap must be >= 0, got {self.qos_cap!r}")
 
 
-@dataclass(frozen=True)
-class CompletedRequest:
-    """One served request's timing.
+class CompletedRequest(NamedTuple):
+    """One served request's timing (an immutable record).
+
+    One is built per served request, so it is a named tuple, and
+    :meth:`TenantStats.record_completion` builds it with
+    ``tuple.__new__`` after its own check.
 
     Attributes:
         arrival: Global arrival time.
@@ -199,7 +205,9 @@ class TenantStats:
             raise TenantError(
                 f"completion {completion!r} precedes arrival {arrival!r}"
             )
-        self.completions.append(CompletedRequest(arrival, completion))
+        self.completions.append(
+            _new_tuple(CompletedRequest, (arrival, completion))
+        )
 
     def recent_attainment(
         self, bound: float, since: float, until: float

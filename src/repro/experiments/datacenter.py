@@ -34,14 +34,17 @@ signal alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
 from repro.core.powerdial import measure_baseline_rate
 from repro.core.runtime import PowerDialRuntime
+from repro.datacenter.caps import machine_cap_floor
 from repro.datacenter.controlplane import (
     POLICY_NAMES,
     BudgetSchedule,
+    BudgetTraceError,
     build_policy,
     inject_failures,
 )
@@ -60,6 +63,7 @@ from repro.datacenter.journal import (
 from repro.datacenter.journal.replay import SCENARIO_BUILDER, SCENARIO_MODULE
 from repro.datacenter.service import ServiceApp, request_stream, service_training_jobs
 from repro.datacenter.tenants import LatencySLA, TenantSpec
+from repro.datacenter.tolerances import WATT_SLACK
 from repro.datacenter.traffic import (
     TrafficTrace,
     burst_trace,
@@ -159,6 +163,57 @@ class ScenarioError(ValueError):
     """A :class:`Scenario` that describes no buildable run."""
 
 
+def _check_tenant(tenant: TenantScenario) -> None:
+    """Raise :class:`ScenarioError` unless ``tenant`` can be built.
+
+    The same bounds the trace generators, :class:`LatencySLA` and
+    :class:`TenantSpec` enforce, checked here so that a scenario read
+    from a journal header is refused as a whole, before anything runs.
+    """
+    where = f"tenant {tenant.name!r}"
+    if tenant.trace_kind not in TRACE_KINDS:
+        raise ScenarioError(
+            f"{where}: unknown trace_kind {tenant.trace_kind!r}; "
+            f"expected one of {TRACE_KINDS}"
+        )
+    if not isinstance(tenant.machine_index, int):
+        raise ScenarioError(
+            f"{where}: machine_index must be an integer, got "
+            f"{tenant.machine_index!r}"
+        )
+    if tenant.machine_index < 0:
+        raise ScenarioError(
+            f"{where}: machine_index must be >= 0, got {tenant.machine_index}"
+        )
+    if not (tenant.rate > 0 and math.isfinite(tenant.rate)):
+        raise ScenarioError(
+            f"{where}: rate must be positive and finite, got {tenant.rate!r}"
+        )
+    if not tenant.latency_bound > 0:
+        raise ScenarioError(
+            f"{where}: latency_bound must be positive, got "
+            f"{tenant.latency_bound!r}"
+        )
+    if not 0.0 < tenant.attainment_target <= 1.0:
+        raise ScenarioError(
+            f"{where}: attainment_target must be in (0, 1], got "
+            f"{tenant.attainment_target!r}"
+        )
+    if not tenant.weight > 0:
+        raise ScenarioError(
+            f"{where}: weight must be positive, got {tenant.weight!r}"
+        )
+    if tenant.qos_cap is not None and not tenant.qos_cap >= 0:
+        raise ScenarioError(
+            f"{where}: qos_cap must be >= 0, got {tenant.qos_cap!r}"
+        )
+    if not isinstance(tenant.seed, int) or tenant.seed < 0:
+        raise ScenarioError(
+            f"{where}: seed must be a non-negative integer, got "
+            f"{tenant.seed!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One datacenter run: described, checked and built in one place.
@@ -190,18 +245,19 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ScenarioError("a scenario needs at least one tenant")
+        names: set[str] = set()
         for tenant in self.tenants:
-            if tenant.trace_kind not in TRACE_KINDS:
+            _check_tenant(tenant)
+            if tenant.name in names:
                 raise ScenarioError(
-                    f"tenant {tenant.name!r}: unknown trace_kind "
-                    f"{tenant.trace_kind!r}; expected one of {TRACE_KINDS}"
+                    f"tenant {tenant.name!r}: tenant names must be unique"
                 )
-            if tenant.machine_index < 0:
-                raise ScenarioError(
-                    f"tenant {tenant.name!r}: machine_index must be >= 0, "
-                    f"got {tenant.machine_index}"
-                )
+            names.add(tenant.name)
         fewest = 1 + max(tenant.machine_index for tenant in self.tenants)
+        if not isinstance(self.machines, int):
+            raise ScenarioError(
+                f"machines must be an integer, got {self.machines!r}"
+            )
         if self.machines < fewest:
             raise ScenarioError(
                 f"--machines must be >= {fewest} (the tenant mix places "
@@ -224,6 +280,20 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ScenarioError(f"{name} must be positive, got {value!r}")
+        if self.budget_watts is not None:
+            # Every machine build() makes is an experiment machine.
+            floor = machine_cap_floor(experiment_machine()) * self.machines
+            if self.budget_watts < floor - WATT_SLACK:
+                raise ScenarioError(
+                    f"budget_watts {self.budget_watts!r} is below the "
+                    f"pool's floor {floor:.1f} W ({self.machines} machines "
+                    "pinned to their slowest P-state)"
+                )
+            if self.budget_trace is not None:
+                try:
+                    self.budget_trace.check_floor(floor)
+                except BudgetTraceError as error:
+                    raise ScenarioError(f"budget_trace {error}") from None
         if self.policy not in POLICY_NAMES:
             raise ScenarioError(
                 f"unknown policy {self.policy!r}; expected one of "

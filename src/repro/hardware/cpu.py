@@ -96,7 +96,7 @@ class Processor:
     @property
     def frequency_ghz(self) -> float:
         """Current clock frequency in GHz."""
-        return self.pstate.frequency_ghz
+        return self.pstates[self.state_index].frequency_ghz
 
     @property
     def max_frequency_ghz(self) -> float:

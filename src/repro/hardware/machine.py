@@ -113,18 +113,22 @@ class Machine:
         The busy interval is reported to the power meter at the utilization
         implied by ``threads`` (default: all cores).
         """
-        threads = self.cores if threads is None else threads
-        if threads < 1 or threads > self.cores:
-            raise MachineError(f"threads must be in 1..{self.cores}, got {threads!r}")
+        cores = self.cores
+        if threads is None:
+            threads = cores
+        if not 1 <= threads <= cores:
+            raise MachineError(f"threads must be in 1..{cores}, got {threads!r}")
         if work_units < 0:
             raise CpuError(f"work must be non-negative, got {work_units!r}")
-        rate, watts = self._derive(threads)
-        seconds = work_units / rate
-        seconds *= self.load_factor
+        # _derive's cache hit, inline: this runs once per simulated item.
+        derived = self._derived.get((self.processor.state_index, threads))
+        if derived is None:
+            derived = self._derive(threads)
+        rate, watts = derived
+        seconds = work_units / rate * self.load_factor
         clock = self.clock
         start = clock.now
-        end = clock.advance(seconds)
-        self.meter.observe(start, end, watts)
+        self.meter.observe(start, clock.advance(seconds), watts)
         return seconds
 
     def execute_run(
@@ -182,18 +186,18 @@ class Machine:
             raise MachineError(f"cannot idle for negative {seconds!r}s")
         if seconds == 0:
             return
-        start = self.clock.now
-        end = self.clock.advance(seconds)
-        self.meter.observe(start, end, self._derive(0)[1])
+        clock = self.clock
+        start = clock.now
+        self.meter.observe(start, clock.advance(seconds), self._derive(0)[1])
 
     def idle_until(self, timestamp: float) -> None:
         """Idle until the absolute virtual ``timestamp``."""
-        if timestamp < self.clock.now:
+        now = self.clock.now
+        if timestamp < now:
             raise MachineError(
-                f"idle_until target {timestamp!r} is in the past "
-                f"(now {self.clock.now!r})"
+                f"idle_until target {timestamp!r} is in the past (now {now!r})"
             )
-        self.idle(timestamp - self.clock.now)
+        self.idle(timestamp - now)
 
     def current_power(self, utilization: float) -> float:
         """Instantaneous power at ``utilization`` in the current P-state."""

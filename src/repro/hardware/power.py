@@ -136,18 +136,25 @@ class PowerMeter:
         """
         if end < start:
             raise PowerError(f"interval end {end!r} before start {start!r}")
-        if self._last_time is not None and start < self._last_time - 1e-9:
+        last = self._last_time
+        if last is not None and start < last - 1e-9:
             raise PowerError(
-                f"interval start {start!r} precedes last observed {self._last_time!r}"
+                f"interval start {start!r} precedes last observed {last!r}"
             )
-        if self._next_sample_time is None:
-            self._next_sample_time = start + self.interval
+        due = self._next_sample_time
+        if due is None:
+            due = self._next_sample_time = start + self.interval
         self._energy_joules += watts * (end - start)
-        while self._next_sample_time <= end + 1e-12:
-            self._timestamps.append(self._next_sample_time)
-            self._watts.append(watts)
-            self._next_sample_time += self.interval
         self._last_time = end
+        horizon = end + 1e-12
+        if due > horizon:
+            return  # the common case: the interval ends before a sample
+        interval = self.interval
+        while due <= horizon:
+            self._timestamps.append(due)
+            self._watts.append(watts)
+            due += interval
+        self._next_sample_time = due
 
     def observe_run(self, times: np.ndarray, watts: float) -> None:
         """Record a run of back-to-back constant-power intervals at once.

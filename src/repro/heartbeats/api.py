@@ -30,12 +30,19 @@ __all__ = [
 ]
 
 
+_new_tuple = tuple.__new__
+
+
 class HeartbeatError(RuntimeError):
     """Raised for invalid heartbeat API usage."""
 
 
 class HeartbeatRecord(NamedTuple):
-    """One emitted heartbeat (an immutable record, cheap to build).
+    """One emitted heartbeat (an immutable record).
+
+    :meth:`HeartbeatMonitor.heartbeat` builds one per beat with
+    ``tuple.__new__`` directly: a named tuple's own ``__new__`` is a
+    Python function, whose frame costs more than the tuple.
 
     Attributes:
         sequence: Monotonically increasing beat number, starting at 0.
@@ -174,14 +181,15 @@ class HeartbeatMonitor:
             if interval < 0:
                 raise HeartbeatError("heartbeat timestamps went backwards")
             intervals = self._intervals
+            window_sum = self._window_sum
             if len(intervals) == self._window_size:
-                self._window_sum -= intervals[0]
+                window_sum -= intervals[0]
             intervals.append(interval)
-            self._window_sum += interval
+            self._window_sum = window_sum + interval
         if tag is not None:
             self._tags[local] = tag
         times.append(now)
-        return HeartbeatRecord(self._base + local, now, tag)
+        return _new_tuple(HeartbeatRecord, (self._base + local, now, tag))
 
     def commit_run(
         self, timestamps: Sequence[float]

@@ -93,11 +93,13 @@ class AddressSpace:
 
     def read(self, name: str) -> Any:
         """Read the variable ``name`` (an application read)."""
-        if name not in self._values:
-            raise AddressSpaceError(f"unknown variable {name!r}")
+        try:
+            value = self._values[name]
+        except KeyError:
+            raise AddressSpaceError(f"unknown variable {name!r}") from None
         if self._log:
             self.reads.append(Access(name, self._phase, _caller_site()))
-        return self._values[name]
+        return value
 
     # -- runtime (non-application) operations -------------------------------
     def poke(self, name: str, value: Any) -> None:

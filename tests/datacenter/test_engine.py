@@ -1,6 +1,7 @@
 """Integration tests for the event-driven datacenter engine."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -28,9 +29,13 @@ from repro.datacenter.controlplane import (
     FailMachine,
     Migrate,
 )
+from repro.datacenter.billing import TenantLedger
 from repro.datacenter.faults import KillFault
 from repro.datacenter.engine import HostGroup
 from repro.experiments.common import experiment_machine
+from repro.hardware.machine import Machine
+from repro.heartbeats.api import HeartbeatMonitor
+from tests.datacenter.conftest import tiny_scenario
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -510,3 +515,38 @@ class TestMoveRebuildGuards:
                 r"failed:(.|\n)*ControlError: " + re.escape(message),
             ):
                 engine.run()
+
+
+class TestHotPathCalls:
+    """The beat's entry points are the calls that do its work, once each.
+
+    ``perfbench/trace.py`` counts beats, executes, items and steps by
+    patching these methods by name, so a beat that skipped one (or made
+    it twice) would break the traced layer counts as well.
+    """
+
+    @pytest.mark.parametrize("policy", ["sla-aware", "migrating"])
+    def test_one_call_per_beat_and_per_metered_step(self, monkeypatch, policy):
+        engine = tiny_scenario(policy=policy).build()
+        calls = Counter()
+        for owner, name in (
+            (HeartbeatMonitor, "heartbeat"),
+            (Machine, "execute"),
+            (ServiceApp, "process_item"),
+            (PowerDialRuntime, "step"),
+            (TenantLedger, "charge"),
+        ):
+
+            def counted(*args, original=getattr(owner, name), name=name, **kw):
+                calls[name] += 1
+                return original(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        result = engine.run()
+        beats = sum(len(run.columns.beat) for run in result.run_results.values())
+        assert beats > 0
+        assert calls["heartbeat"] == beats
+        assert calls["execute"] == beats
+        assert calls["process_item"] == beats
+        steps = sum(binding.ledger.steps for binding in engine.bindings)
+        assert calls["step"] == calls["charge"] == steps

@@ -481,6 +481,39 @@ MALFORMED_HEADERS = [
         id="too-few-machines",
     ),
     pytest.param(
+        lambda h: h["scenario"]["config"]["tenants"][1].update(name="alpha"),
+        "tenant 'alpha': tenant names must be unique",
+        id="duplicate-tenant-name",
+    ),
+    pytest.param(
+        lambda h: h["scenario"]["config"]["tenants"][0].update(rate=-1),
+        "tenant 'alpha': rate must be positive and finite, got -1",
+        id="negative-rate",
+    ),
+    pytest.param(
+        lambda h: h["scenario"]["config"]["tenants"][0].update(
+            latency_bound=-1
+        ),
+        "tenant 'alpha': latency_bound must be positive, got -1",
+        id="negative-latency-bound",
+    ),
+    pytest.param(
+        lambda h: h["scenario"]["config"]["tenants"][0].update(seed="1"),
+        "tenant 'alpha': seed must be a non-negative integer, got '1'",
+        id="string-seed",
+    ),
+    pytest.param(
+        lambda h: h["scenario"]["config"].update(budget_watts=10.0),
+        "budget_watts 10.0 is below the pool's floor 365.9 W",
+        id="budget-below-floor",
+    ),
+    pytest.param(
+        lambda h: h["scenario"]["config"].update(budget_trace=[[5.0, 10.0]]),
+        "budget_trace entry 0 (t=5 s): budget 10 W is below the fleet-wide "
+        "cap floor 365.9 W",
+        id="budget-trace-below-floor",
+    ),
+    pytest.param(
         lambda h: h["scenario"].update(builder="other"),
         "scenario builder is 'other'; expected 'datacenter-experiment'",
         id="wrong-builder",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.base import WorkTracker
+from repro.apps.base import ApplicationError, ItemResult, WorkTracker
 from repro.datacenter import ServiceApp, request_stream
 from repro.tracing.variables import AddressSpace
 
@@ -76,6 +76,25 @@ class TestRequestStream:
     def test_rejects_empty_requests(self):
         with pytest.raises(ValueError):
             request_stream(seed=1, items_per_request=0)
+
+
+class TestProcessItem:
+    def test_returns_an_item_result(self):
+        app = ServiceApp()
+        space = AddressSpace()
+        app.initialize(app.default_configuration(), space)
+        result = app.process_item(2.0, space, WorkTracker())
+        assert type(result) is ItemResult
+        assert result == ItemResult(output=2.0 * (1.0 + 1.0 / 800), work=8.0e5)
+
+    def test_negative_work_is_still_rejected(self):
+        """The record skips ItemResult's check; WorkTracker.add makes it."""
+        app = ServiceApp()
+        space = AddressSpace()
+        app.initialize(app.default_configuration(), space)
+        space.poke("iterations", -200)
+        with pytest.raises(ApplicationError):
+            app.process_item(2.0, space, WorkTracker())
 
 
 class TestBatchProcess:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datacenter.tenants import (
+    CompletedRequest,
     LatencySLA,
     TenantError,
     TenantSpec,
@@ -46,6 +47,14 @@ class TestStats:
         stats.record_rejection()
         assert stats.admitted == 4
         assert stats.rejected == 1
+
+    def test_completions_are_completed_request_records(self):
+        stats = TenantStats()
+        stats.record_completion(arrival=1.0, completion=1.5)
+        (record,) = stats.completions
+        assert type(record) is CompletedRequest
+        assert record == CompletedRequest(arrival=1.0, completion=1.5)
+        assert record.latency == 0.5
 
     def test_completion_before_arrival_rejected(self):
         stats = TenantStats()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -89,6 +90,41 @@ class TestScenario:
             (
                 {"tenants": (TenantScenario("x", -1, "steady", 1.0),)},
                 "tenant 'x': machine_index must be >= 0, got -1",
+            ),
+            ({"machines": 3.0}, "machines must be an integer, got 3.0"),
+            (
+                {"tenants": (TenantScenario("x", 0.5, "steady", 1.0),)},
+                "tenant 'x': machine_index must be an integer, got 0.5",
+            ),
+            (
+                {"tenants": (TenantScenario("x", 0, "steady", math.inf),)},
+                "tenant 'x': rate must be positive and finite, got inf",
+            ),
+            (
+                {
+                    "tenants": (
+                        TenantScenario(
+                            "x", 0, "steady", 1.0, attainment_target=1.5
+                        ),
+                    )
+                },
+                r"tenant 'x': attainment_target must be in \(0, 1\], got 1.5",
+            ),
+            (
+                {"tenants": (TenantScenario("x", 0, "steady", 1.0, weight=0),)},
+                "tenant 'x': weight must be positive, got 0",
+            ),
+            (
+                {
+                    "tenants": (
+                        TenantScenario("x", 0, "steady", 1.0, qos_cap=-0.1),
+                    )
+                },
+                "tenant 'x': qos_cap must be >= 0, got -0.1",
+            ),
+            (
+                {"tenants": (TenantScenario("x", 0, "steady", 1.0, seed=-3),)},
+                "tenant 'x': seed must be a non-negative integer, got -3",
             ),
         ],
     )

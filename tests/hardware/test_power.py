@@ -1,7 +1,7 @@
 """Unit tests for the power model and the sampling power meter."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from repro.hardware.cpu import XEON_E5530_PSTATES, Processor
 from repro.hardware.power import PowerError, PowerMeter, PowerModel
@@ -156,3 +156,68 @@ class TestPowerMeter:
         low = min(w for _, w in segments)
         high = max(w for _, w in segments)
         assert low - 1e-9 <= meter.mean_power() <= high + 1e-9
+
+
+class LoopMeter:
+    """``PowerMeter.observe`` as a plain loop: the reference its early
+    return and local bindings must match float for float (an interval
+    that starts before the last one ended must still be refused)."""
+
+    def __init__(self, interval):
+        self.interval = interval
+        self.energy = 0.0
+        self.timestamps = []
+        self.watts = []
+        self.next_sample = None
+
+    def observe(self, start, end, watts):
+        if self.next_sample is None:
+            self.next_sample = start + self.interval
+        self.energy += watts * (end - start)
+        while self.next_sample <= end + 1e-12:
+            self.timestamps.append(self.next_sample)
+            self.watts.append(watts)
+            self.next_sample += self.interval
+
+
+def _observations(interval):
+    """(gap before, duration, watts) triples; the durations are empty,
+    shorter than one interval, or span one or many sample instants."""
+    durations = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=0.99 * interval),
+        st.floats(min_value=interval, max_value=3.0 * interval),
+        st.floats(min_value=3.0 * interval, max_value=40.0 * interval),
+    )
+    gaps = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+    watts = st.floats(min_value=0.0, max_value=1e4)
+    return st.lists(st.tuples(gaps, durations, watts), max_size=40)
+
+
+class TestObserveMatchesTheLoop:
+    @given(
+        st.sampled_from([0.25, 1.0, 1.5]).flatmap(
+            lambda interval: st.tuples(
+                st.just(interval),
+                st.floats(min_value=0.0, max_value=1e3),
+                _observations(interval),
+            )
+        )
+    )
+    def test_energy_and_sample_columns(self, case):
+        interval, origin, observations = case
+        meter = PowerMeter(interval=interval)
+        reference = LoopMeter(interval)
+        now = origin
+        for gap, duration, watts in observations:
+            start = now + gap
+            now = start + duration
+            before = len(reference.timestamps)
+            meter.observe(start, now, watts)
+            reference.observe(start, now, watts)
+            event(f"samples due: {min(len(reference.timestamps) - before, 2)}")
+            assert meter.energy_joules == reference.energy
+            assert [s.timestamp for s in meter.samples] == reference.timestamps
+            assert [s.watts for s in meter.samples] == reference.watts
+            with pytest.raises(PowerError, match="precedes last observed"):
+                meter.observe(now - 1.0, now, watts)

@@ -26,6 +26,12 @@ class TestHeartbeatEmission:
         assert second.sequence == 1 and second.timestamp == 0.5
         assert second.tag == "frame-1"
 
+    def test_heartbeat_returns_a_heartbeat_record(self):
+        monitor = HeartbeatMonitor(VirtualClock(2.0))
+        record = monitor.heartbeat(tag="t")
+        assert type(record) is HeartbeatRecord
+        assert record == HeartbeatRecord(sequence=0, timestamp=2.0, tag="t")
+
     def test_count_tracks_beats(self):
         clock = VirtualClock()
         monitor = HeartbeatMonitor(clock)
