@@ -25,7 +25,7 @@ Run:
 """
 
 from repro.datacenter import fork_available, parse_fault_plan
-from repro.datacenter.journal import canonical_json, encode_bill
+from repro.datacenter.journal import canonical_json, encode_record
 from repro.experiments.common import Scale
 from repro.experiments.datacenter import run_datacenter
 
@@ -80,9 +80,9 @@ def main():
     ).arbitrated
     assert sharded.faults == live.faults, "fault records diverged"
     assert sharded.retries == live.retries, "retry records diverged"
-    serial_bills = [canonical_json(encode_bill(bill)) for bill in live.bills]
+    serial_bills = [canonical_json(encode_record(bill)) for bill in live.bills]
     sharded_bills = [
-        canonical_json(encode_bill(bill)) for bill in sharded.bills
+        canonical_json(encode_record(bill)) for bill in sharded.bills
     ]
     assert sharded_bills == serial_bills, "bills diverged"
     print(

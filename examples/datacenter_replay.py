@@ -26,7 +26,12 @@ from pathlib import Path
 
 from repro.experiments.common import Scale
 from repro.experiments.datacenter import run_datacenter
-from repro.datacenter.journal import canonical_json, encode_bill, replay, resume
+from repro.datacenter.journal import (
+    canonical_json,
+    encode_record,
+    replay,
+    resume,
+)
 
 BUDGET_WATTS = 640.0  # three machines: cap floor ~549 W, ceiling 660 W
 
@@ -56,9 +61,9 @@ def main():
 
     print("\n2. Replaying the journal (no inputs beyond the file)...")
     replayed = replay(str(journal))
-    live_bills = [canonical_json(encode_bill(bill)) for bill in live.bills]
+    live_bills = [canonical_json(encode_record(bill)) for bill in live.bills]
     replay_bills = [
-        canonical_json(encode_bill(bill)) for bill in replayed.bills
+        canonical_json(encode_record(bill)) for bill in replayed.bills
     ]
     assert replay_bills == live_bills, "replayed bills diverged"
     print(f"   {len(replay_bills)} tenant bills byte-identical to the live run")
@@ -70,7 +75,7 @@ def main():
     crashed.write_text("\n".join(lines[:crash_after] + ['{"kind":"barr']) + "\n")
     resumed = resume(str(crashed))
     resumed_bills = [
-        canonical_json(encode_bill(bill)) for bill in resumed.bills
+        canonical_json(encode_record(bill)) for bill in resumed.bills
     ]
     assert resumed_bills == live_bills, "resumed bills diverged"
     conservation = resumed.energy_conservation_rel_error()

@@ -1,4 +1,12 @@
-"""Per-barrier cluster checkpoints: the one tenant state record.
+"""What a control barrier records: the barrier record and its checkpoints.
+
+A :class:`BarrierRecord` is the one thing a barrier produces: its
+time, the policy's raw actions, the budget and caps in force after
+it, and what it applied (migrations, failures, gray faults, applier
+retries).  The engine keeps one per barrier
+(``DatacenterEngine.barriers``), derives the result's histories from
+them, and the journal codec encodes each one as a barrier line; the
+reader decodes the same type back.
 
 A tenant instance is fully described by plain data — a
 :class:`~repro.core.runtime.RuntimeSnapshot`, the queued requests'
@@ -48,9 +56,16 @@ from typing import TYPE_CHECKING, Any
 from repro.hardware.power import PowerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.datacenter.controlplane.actions import (
+        Action,
+        FailureRecord,
+        MigrationRecord,
+    )
     from repro.datacenter.engine import DatacenterEngine, InstanceBinding
+    from repro.datacenter.faults import FaultRecord, RetryRecord
 
 __all__ = [
+    "BarrierRecord",
     "TenantCheckpoint",
     "MachineCheckpoint",
     "capture_tenant_checkpoint",
@@ -128,6 +143,44 @@ class MachineCheckpoint:
     idle_energy_joules: float
     mean_power: float
     alive: bool
+
+
+@dataclass(frozen=True)
+class BarrierRecord:
+    """One control barrier: what it decided, applied and captured.
+
+    Attributes:
+        index: Zero-based barrier index (0 is the time-zero barrier).
+        time: The barrier's facility time.
+        actions: The policy's raw actions.
+        budget_watts: Global budget in force after the barrier.
+        caps: Commanded caps in force after the barrier (None before
+            the first ``SetCaps``).
+        tenants: Tenant checkpoints keyed by name, in binding order —
+            *pre-decision* state, with completions re-accumulated
+            across barriers — or None: the engine's live records never
+            hold checkpoints, and neither does a journal read without
+            them.
+        machines: Machine checkpoints in pool order (pre-decision), or
+            None as for ``tenants``.
+        migrations: Migrations applied at this barrier.
+        failures: Machine failures applied at this barrier.
+        faults: Gray faults that first bit at this barrier (sensor /
+            actuator / straggler windows and straggler recoveries).
+        retries: Applier retry attempts made at this barrier.
+    """
+
+    index: int
+    time: float
+    actions: tuple[Action, ...]
+    budget_watts: float | None
+    caps: tuple[float, ...] | None
+    tenants: dict[str, TenantCheckpoint] | None
+    machines: tuple[MachineCheckpoint, ...] | None
+    migrations: tuple[MigrationRecord, ...]
+    failures: tuple[FailureRecord, ...]
+    faults: tuple[FaultRecord, ...]
+    retries: tuple[RetryRecord, ...]
 
 
 def capture_tenant_checkpoint(

@@ -43,8 +43,9 @@ the same loop on every backend::
         gather    settle every host to ``now``; read tenant views and,
                   when something reads this barrier's checkpoints,
                   every tenant and machine checkpoint
-        barrier   view -> decide -> record -> actuate -> place failures
-                  and migrations -> effect -> journal
+        barrier   view -> decide -> actuate -> place failures and
+                  migrations -> effect -> one ``BarrierRecord``,
+                  kept and journaled
 
 A *transport* supplies the two ends that touch live instances:
 ``gather`` and the effect (``apply``: fail-stops, caps, victim
@@ -94,6 +95,7 @@ from repro.datacenter.billing import (
     conservation_summary,
 )
 from repro.datacenter.checkpoint import (
+    BarrierRecord,
     MachineCheckpoint,
     TenantCheckpoint,
     capture_machine_checkpoint,
@@ -107,6 +109,8 @@ from repro.datacenter.controlplane.actions import (
     FailureRecord,
     MachineView,
     MigrationRecord,
+    SetBudget,
+    SetCaps,
     TenantView,
 )
 from repro.datacenter.controlplane.applier import (
@@ -848,18 +852,14 @@ class DatacenterEngine:
             if faults is not None
             else None
         )
-        self._budget: float | None = (
+        self._initial_budget: float | None = (
             policy.initial_budget_watts() if policy is not None else None
         )
+        self._budget = self._initial_budget
         self._caps: tuple[float, ...] | None = None
-        # (time, watts) per budget level, starting with the initial one.
-        self.budget_history: list[tuple[float, float]] = []
-        # (time, per-machine caps) per applied SetCaps.
-        self.cap_history: list[tuple[float, tuple[float, ...]]] = []
-        # Applied migrations, in application order.
-        self.migration_history: list[MigrationRecord] = []
-        # Applied machine failures (chaos injection), in order.
-        self.failure_history: list[FailureRecord] = []
+        # One record per control barrier, in order: the run's only
+        # per-barrier history, which the result's histories derive from.
+        self.barriers: list[BarrierRecord] = []
         # Watts last handed to each machine's transport, so a barrier
         # sends only the caps that change.
         self._sent_watts: list[float | None] = [None] * len(self.machines)
@@ -878,7 +878,6 @@ class DatacenterEngine:
         # The previous journaled barrier's tenant checkpoints, so each
         # barrier record stores completions as an append-only delta.
         self._journaled_checkpoints: dict[str, TenantCheckpoint] = {}
-        self._barrier_index = 0
         # Watt-seconds per machine that no tenant was running for; the
         # billing conservation invariant is
         #   sum(binding.ledger.energy_joules) + sum(idle_energy_joules)
@@ -1120,16 +1119,10 @@ class DatacenterEngine:
             )
         return failures, restores
 
-    def _journal_barrier(
-        self,
-        now: float,
-        actions: Sequence[Action],
-        migrations: Sequence[MigrationRecord],
-        failures: Sequence[FailureRecord],
-        fault_records: Sequence[FaultRecord] = (),
-        retry_records: Sequence[RetryRecord] = (),
-    ) -> None:
-        """Append one barrier record to the run journal (if attached).
+    def _journal_barrier(self, record: BarrierRecord) -> None:
+        """Append ``record`` with this barrier's checkpoints to the run
+        journal (if attached): tenants in binding order, machines in
+        pool order.
 
         Written *after* the barrier's actions applied — a crash inside
         a barrier therefore leaves a journal ending at the previous
@@ -1141,65 +1134,33 @@ class DatacenterEngine:
         # this engine, so a module-level import would be circular.
         from repro.datacenter.journal import codec
 
-        checkpoints = self._last_checkpoints or {}
-        machine_checkpoints = self._last_machine_checkpoints
-        record = {
-            "kind": "barrier",
-            "index": self._barrier_index,
-            "time": now,
-            "actions": [codec.encode_action(action) for action in actions],
-            "budget_watts": self._budget,
-            "caps": list(self._caps) if self._caps is not None else None,
-            "tenants": [
-                codec.encode_tenant_checkpoint(
-                    checkpoints[binding.tenant.name],
-                    self._journaled_checkpoints.get(binding.tenant.name),
-                )
-                for binding in self.bindings
-            ],
-            "machines": [
-                codec.encode_machine_checkpoint(machine_checkpoints[index])
-                for index in range(len(machine_checkpoints))
-            ],
-            "migrations": [
-                codec.encode_migration_record(record)
-                for record in migrations
-            ],
-            "failures": [
-                codec.encode_failure_record(record) for record in failures
-            ],
-            "faults": [
-                codec.encode_fault_record(record) for record in fault_records
-            ],
-            "retries": [
-                codec.encode_retry_record(record) for record in retry_records
-            ],
-        }
-        self.journal.write_record(record)
-        self._journaled_checkpoints = dict(checkpoints)
-        self._barrier_index += 1
-
-    def _record_plan(self, plan: ControlPlan, now: float) -> None:
-        """Book-keep a validated plan (budget level, cap history)."""
-        if plan.budget_watts is not None:
-            self._budget = plan.budget_watts
-            self.budget_history.append((now, plan.budget_watts))
-        if plan.caps is not None:
-            self._caps = plan.caps
-            self.cap_history.append((now, plan.caps))
+        tenants = self._last_checkpoints or {}
+        machines = self._last_machine_checkpoints
+        self.journal.write_record(
+            codec.encode_barrier(
+                record,
+                (
+                    [tenants[binding.tenant.name] for binding in self.bindings],
+                    [machines[index] for index in range(len(machines))],
+                ),
+                self._journaled_checkpoints,
+            )
+        )
+        self._journaled_checkpoints = dict(tenants)
 
     def _barrier(self, now: float, gathered: tuple[Any, Any], transport) -> None:
         """Run one control barrier; the same step on every backend.
 
         ``gathered`` is the transport's ``(tenant views, checkpoints)``
-        for the settled barrier.  Then: view -> decide -> record ->
-        actuate -> place failures and migrations -> the transport's
-        effect -> journal.  Application order is canonical — budget,
-        then caps, then failures, then migrations — so a migration's
-        source-host drain always runs under the freshly enforced caps
-        and never races a machine dying at the same barrier.  The
-        journal record (actions, applied effects, checkpoints) is
-        written after everything applied.
+        for the settled barrier.  Then: view -> decide -> budget and
+        caps -> actuate -> place failures and migrations -> the
+        transport's effect -> one :class:`BarrierRecord`, appended to
+        ``barriers`` and journaled.  Application order is canonical —
+        budget, then caps, then failures, then migrations — so a
+        migration's source-host drain always runs under the freshly
+        enforced caps and never races a machine dying at the same
+        barrier.  The record (actions, applied effects) and its journal
+        line (with the checkpoints) are made after everything applied.
         """
         started = time.perf_counter()
         views, checkpoints = gathered
@@ -1207,13 +1168,16 @@ class DatacenterEngine:
             checkpoints if checkpoints is not None else (None, {})
         )
         actions, plan = self._decide_plan(self._control_view(now, views))
-        self._record_plan(plan, now)
+        if plan.budget_watts is not None:
+            self._budget = plan.budget_watts
+        if plan.caps is not None:
+            self._caps = plan.caps
         # The commanded caps became the control plane's belief above;
         # what lands may differ under faults.
-        applied, fault_records, retry_records = plan.caps, [], []
+        applied, faults, retries = plan.caps, (), ()
         if self.faults is not None:
             dying = {failure.machine_index for failure in plan.failures}
-            applied, fault_records, retry_records = self.faults.actuate(
+            applied, faults, retries = self.faults.actuate(
                 now, plan.caps, self.dead_machines, dying
             )
         caps = self._changed_caps(applied)
@@ -1239,11 +1203,21 @@ class DatacenterEngine:
             *migrations,
         ):
             self._by_name[record.tenant].machine_index = record.dest_machine_index
-        self.failure_history.extend(failures)
-        self.migration_history.extend(migrations)
-        self._journal_barrier(
-            now, actions, migrations, failures, fault_records, retry_records
+        record = BarrierRecord(
+            index=len(self.barriers),
+            time=now,
+            actions=tuple(actions),
+            budget_watts=self._budget,
+            caps=self._caps,
+            tenants=None,
+            machines=None,
+            migrations=tuple(migrations),
+            failures=tuple(failures),
+            faults=faults,
+            retries=retries,
         )
+        self.barriers.append(record)
+        self._journal_barrier(record)
         stats = self.barrier_stats
         stats["apply_seconds"] += time.perf_counter() - started
         stats["barriers"] += 1
@@ -1360,8 +1334,6 @@ class DatacenterEngine:
         self.barrier_stats = _barrier_stats()
         local = HostGroup(self, range(len(self.machines)))
         if self.policy is not None:
-            if self._budget is not None:
-                self.budget_history.append((0.0, self._budget))
             # Enforce the budget from time zero (no SLA signal yet, and
             # no arrival dispatched, so nothing settles).  Shard workers
             # fork from its outcome.
@@ -1386,7 +1358,10 @@ class DatacenterEngine:
         float is summed in the same order whichever backend — and
         however many groups — produced it.  The engine's bindings and
         idle account are updated to match, so callers inspecting the
-        engine after ``run()`` see the same data on every backend.
+        engine after ``run()`` see the same data on every backend.  The
+        histories derive from ``barriers``: caps at each ``SetCaps``
+        barrier, the initial budget and then each ``SetBudget``
+        barrier's, and every barrier's own records in barrier order.
         """
         parts: dict[str, dict] = {
             key: {}
@@ -1406,6 +1381,15 @@ class DatacenterEngine:
         for index in machines:
             self.idle_energy_joules[index] = parts["machine_idle"][index]
         segments = parts["run_segments"]
+        barriers = self.barriers
+        budgets = (
+            [] if self._initial_budget is None else [(0.0, self._initial_budget)]
+        )
+        budgets.extend(
+            (barrier.time, barrier.budget_watts)
+            for barrier in barriers
+            if any(isinstance(action, SetBudget) for action in barrier.actions)
+        )
         reports = [parts["reports"][b.tenant.name] for b in self.bindings]
         return DatacenterResult(
             tenant_reports=reports,
@@ -1427,12 +1411,16 @@ class DatacenterEngine:
             total_energy_joules=sum(parts["machine_energy"][i] for i in machines),
             makespan=max(parts["machine_now"][i] for i in machines),
             budget_watts=self._budget,
-            cap_history=list(self.cap_history),
-            budget_history=list(self.budget_history),
-            migrations=list(self.migration_history),
-            failures=list(self.failure_history),
-            faults=list(self.faults.fault_history) if self.faults else [],
-            retries=list(self.faults.retry_history) if self.faults else [],
+            cap_history=[
+                (barrier.time, barrier.caps)
+                for barrier in barriers
+                if any(isinstance(action, SetCaps) for action in barrier.actions)
+            ],
+            budget_history=budgets,
+            migrations=[m for barrier in barriers for m in barrier.migrations],
+            failures=[f for barrier in barriers for f in barrier.failures],
+            faults=[f for barrier in barriers for f in barrier.faults],
+            retries=[r for barrier in barriers for r in barrier.retries],
         )
 
 

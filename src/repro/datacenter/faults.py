@@ -30,8 +30,9 @@ backends stay byte-identical under every fault class.
 
 The plan says *when* a fault bites; one :class:`FaultInjector` per run
 says *what it does*, and owns all per-run fault state: machine health,
-the applier's retry loops (:class:`RetryState`), the stragglers, and
-the fault and retry histories.
+the applier's retry loops (:class:`RetryState`) and the stragglers.  It
+keeps no history: each barrier's fault and retry records go to that
+barrier's record.
 
 Plans can also be written by hand and loaded with
 :func:`load_fault_plan` (the CLI's ``--faults FILE``): one fault per
@@ -694,8 +695,9 @@ class FaultInjector:
     The plan says *when* a fault bites; the injector owns everything
     a fault does and remembers — machine health and its reintegration
     deadlines, the last trusted telemetry, the applier's retry loops,
-    the watts that actually landed, the straggling machines, and every
-    :class:`FaultRecord` and :class:`RetryRecord`.  It works on plain
+    the watts that actually landed and the straggling machines — and
+    hands each barrier's :class:`FaultRecord` and :class:`RetryRecord`
+    entries to that barrier, keeping none.  It works on plain
     data and never sees the engine, whose barrier step calls
     :meth:`observe` on the true cluster view and :meth:`actuate` on the
     validated caps, once each per barrier, on the coordinator only.
@@ -743,17 +745,17 @@ class FaultInjector:
         self._applied_watts: dict[int, float] = {}
         self._straggling: set[int] = set()
         # Fault windows already recorded (once, at the first barrier
-        # each bites), and where this barrier's records start.
+        # each bites), and this barrier's records until actuate()
+        # hands them over.
         self._announced: set[Any] = set()
-        self._barrier_start = 0
-        self.fault_history: list[FaultRecord] = []
-        self.retry_history: list[RetryRecord] = []
+        self._faults: list[FaultRecord] = []
+        self._retried: list[RetryRecord] = []
 
     def _record(
         self, now: float, kind: str, index: int, mode: str | None = None
     ) -> None:
         """Append one fault record: the one path every record takes."""
-        self.fault_history.append(FaultRecord(now, kind, index, mode))
+        self._faults.append(FaultRecord(now, kind, index, mode))
 
     def _announce(self, now: float, kind: str, fault: Any) -> None:
         """Record a fault window once, at the first barrier it bites."""
@@ -776,11 +778,11 @@ class FaultInjector:
         finished flag) stay current — only performance telemetry lies
         — and the machines' true physics (and therefore billing) are
         untouched.  Every machine's ``health`` is derived here from the
-        age of its last trusted sample (:meth:`_health_of`).  Opens the
-        barrier whose fault records :meth:`actuate` returns.
+        age of its last trusted sample (:meth:`_health_of`).  The sensor
+        faults it records are returned by this barrier's
+        :meth:`actuate`.
         """
         now = view.time
-        self._barrier_start = len(self.fault_history)
         by_machine: dict[int, list[TenantView]] = {}
         for tenant in view.tenants:
             by_machine.setdefault(tenant.machine_index, []).append(tenant)
@@ -916,7 +918,9 @@ class FaultInjector:
         dead: Collection[int],
         dying: Collection[int],
     ) -> tuple[
-        tuple[float | None, ...] | None, list[FaultRecord], list[RetryRecord]
+        tuple[float | None, ...] | None,
+        tuple[FaultRecord, ...],
+        tuple[RetryRecord, ...],
     ]:
         """Push the commanded ``caps`` through the (possibly faulty)
         actuators.
@@ -928,17 +932,18 @@ class FaultInjector:
         (:func:`retry_backoff_seconds`), every attempt recorded.
         Straggler windows then pin their machine to its cap floor
         whatever was commanded, and restore the last landed watts when
-        the window ends.  Machines ``dead`` or ``dying`` at this barrier
-        are left alone and their loops dropped.
+        the window ends — the machine's ceiling, its pre-cap state, if
+        no cap ever landed.  Machines ``dead`` or ``dying`` at this
+        barrier are left alone and their loops dropped.
 
         Returns the per-machine watts to apply (a None entry leaves
         that machine's DVFS state alone; None when no entry is set),
-        and the barrier's fault and retry records.  The commanded caps
+        and the barrier's fault records (this barrier's
+        :meth:`observe` included) and retry records.  The commanded caps
         still become the control plane's belief — exactly the
         gray-failure illusion — while the injector tracks the truth.
         """
         plan = self.plan
-        retries_start = len(self.retry_history)
         applied: list[float | None] = [None] * len(self._floors)
         live = []
         for index in range(len(applied)):
@@ -952,25 +957,27 @@ class FaultInjector:
             target = caps[index] if caps is not None else None
             applied[index] = self._apply(now, index, target)
         # Straggler overlay: the machine's clock runs slow no matter
-        # what the applier landed; recovery restores the landed watts.
+        # what the applier landed; recovery restores the landed watts,
+        # or the ceiling where none ever landed.  Each window that
+        # bites is announced once, an abutting one included.
         for index in live:
             straggle = plan.straggler_at(index, now)
             if straggle is not None:
-                if index not in self._straggling:
-                    self._straggling.add(index)
-                    self._announce(now, "straggler", straggle)
+                self._straggling.add(index)
+                self._announce(now, "straggler", straggle)
                 applied[index] = self._floors[index]
             elif index in self._straggling:
                 self._straggling.discard(index)
                 self._record(now, "recovered", index)
                 if applied[index] is None:
-                    applied[index] = self._applied_watts.get(index)
+                    applied[index] = self._applied_watts.get(
+                        index, self._ceilings[index]
+                    )
         landing = None if all(w is None for w in applied) else tuple(applied)
-        return (
-            landing,
-            self.fault_history[self._barrier_start:],
-            self.retry_history[retries_start:],
-        )
+        faults, retries = tuple(self._faults), tuple(self._retried)
+        self._faults.clear()
+        self._retried.clear()
+        return landing, faults, retries
 
     def _apply(
         self, now: float, index: int, target: float | None
@@ -1023,7 +1030,7 @@ class FaultInjector:
                 target, started, number, now + backoff
             )
         if outcome is not None:
-            self.retry_history.append(
+            self._retried.append(
                 RetryRecord(now, index, target, landed, number, outcome)
             )
         return landed

@@ -23,32 +23,28 @@ Module map:
   per-line-flushed NDJSON writer and destination validation
   (:func:`~repro.datacenter.journal.writer.prepare_journal_path`).
 * :mod:`~repro.datacenter.journal.reader` — journal parsing into typed
-  :class:`~repro.datacenter.journal.reader.BarrierRecord`\\ s, with
-  crash-torn final lines tolerated.
+  :class:`~repro.datacenter.checkpoint.BarrierRecord`\\ s — the same
+  record the engine keeps per barrier — with crash-torn final lines
+  tolerated.
 * :mod:`~repro.datacenter.journal.replay` — the three consumers:
   ``replay()``, ``resume()``, and the ``journaled_run()`` recorder,
   plus the header check that rebuilds a run from its scenario.
 """
 
+from repro.datacenter.checkpoint import BarrierRecord
 from repro.datacenter.journal.codec import (
     CODEC_VERSION,
     JournalDecodeError,
     JournalError,
     canonical_json,
     decode_action,
-    decode_bill,
-    decode_fault_record,
-    decode_retry_record,
+    decode_barrier,
+    decode_record,
     encode_action,
-    encode_bill,
-    encode_fault_record,
-    encode_retry_record,
+    encode_barrier,
+    encode_record,
 )
-from repro.datacenter.journal.reader import (
-    BarrierRecord,
-    Journal,
-    read_journal,
-)
+from repro.datacenter.journal.reader import Journal, read_journal
 from repro.datacenter.journal.replay import (
     ReplayPolicy,
     build_engine_from_header,
@@ -75,13 +71,11 @@ __all__ = [
     "build_engine_from_header",
     "canonical_json",
     "decode_action",
-    "decode_bill",
-    "decode_fault_record",
-    "decode_retry_record",
+    "decode_barrier",
+    "decode_record",
     "encode_action",
-    "encode_bill",
-    "encode_fault_record",
-    "encode_retry_record",
+    "encode_barrier",
+    "encode_record",
     "journaled_run",
     "prepare_journal_path",
     "read_journal",

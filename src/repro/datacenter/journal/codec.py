@@ -8,6 +8,13 @@ via Python's shortest-repr (which round-trips every IEEE-754 double
 exactly), so ``encode(decode(encode(x))) == encode(x)`` byte for byte
 — the property the journal's replay guarantee rests on.
 
+Flat records — every field a JSON scalar — go through one generic
+pair, :func:`encode_record`/:func:`decode_record`, driven by the
+dataclass's own fields.  Only what is not flat is written by hand:
+actions (type-tagged), runtime snapshots, failure records (nested
+re-placements), tenant checkpoints (completions as a delta) and the
+barrier record (:func:`encode_barrier`/:func:`decode_barrier`).
+
 Decode errors raise :class:`JournalDecodeError` naming the offending
 record (and, via the reader, its line number) instead of surfacing a
 bare ``KeyError`` from deep inside the engine.
@@ -17,11 +24,16 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from typing import Any
+from dataclasses import fields
+from functools import cache
+from typing import Any, TypeVar
 
 from repro.core.runtime import RuntimeSnapshot
-from repro.datacenter.billing import TenantBill
-from repro.datacenter.checkpoint import MachineCheckpoint, TenantCheckpoint
+from repro.datacenter.checkpoint import (
+    BarrierRecord,
+    MachineCheckpoint,
+    TenantCheckpoint,
+)
 from repro.datacenter.controlplane.actions import (
     Action,
     FailMachine,
@@ -39,26 +51,21 @@ __all__ = [
     "JournalError",
     "JournalDecodeError",
     "canonical_json",
+    "encode_record",
+    "decode_record",
     "encode_action",
     "decode_action",
-    "encode_migration_record",
-    "decode_migration_record",
     "encode_failure_record",
     "decode_failure_record",
-    "encode_fault_record",
-    "decode_fault_record",
-    "encode_retry_record",
-    "decode_retry_record",
     "encode_snapshot",
     "decode_snapshot",
     "encode_tenant_checkpoint",
     "decode_tenant_checkpoint",
-    "encode_machine_checkpoint",
-    "decode_machine_checkpoint",
-    "encode_bill",
-    "decode_bill",
-    "require_list",
+    "encode_barrier",
+    "decode_barrier",
 ]
+
+_Record = TypeVar("_Record")
 
 CODEC_VERSION = 1
 """Version of the JSON wire format this module reads and writes."""
@@ -99,12 +106,8 @@ def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
-def require_list(obj: Mapping[str, Any], key: str, where: str) -> list[Any]:
-    """Field ``key`` of a decoded object, which must be a JSON array.
-
-    Raises :class:`JournalDecodeError` naming the field and its value
-    when it is missing or of another type.
-    """
+def _require_list(obj: Mapping[str, Any], key: str, where: str) -> list[Any]:
+    """Field ``key`` of a decoded object, which must be a JSON array."""
     value = _require(obj, key, where)
     if not isinstance(value, list):
         raise JournalDecodeError(
@@ -117,13 +120,40 @@ def _require_pairs(
     obj: Mapping[str, Any], key: str, where: str
 ) -> tuple[tuple[Any, Any], ...]:
     """Field ``key`` as a tuple of two-element tuples."""
-    items = require_list(obj, key, where)
+    items = _require_list(obj, key, where)
     for item in items:
         if not (isinstance(item, list) and len(item) == 2):
             raise JournalDecodeError(
                 f"field {key!r} holds {item!r}, not a two-element list", where
             )
     return tuple((first, second) for first, second in items)
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A record dataclass's field names, in declaration order."""
+    return tuple(field.name for field in fields(cls))
+
+
+def encode_record(record: Any) -> dict[str, Any]:
+    """A flat record dataclass as a JSON object, one key per field.
+
+    For records whose every field is a JSON scalar:
+    :class:`~repro.datacenter.controlplane.actions.MigrationRecord`,
+    :class:`~repro.datacenter.faults.FaultRecord`,
+    :class:`~repro.datacenter.faults.RetryRecord`,
+    :class:`~repro.datacenter.checkpoint.MachineCheckpoint`,
+    :class:`~repro.datacenter.billing.TenantBill` and
+    :class:`~repro.datacenter.tenants.TenantReport`.
+    """
+    return {name: getattr(record, name) for name in _field_names(type(record))}
+
+
+def decode_record(
+    cls: type[_Record], obj: Mapping[str, Any], where: str
+) -> _Record:
+    """The inverse of :func:`encode_record`: every field is required."""
+    return cls(**{name: _require(obj, name, where) for name in _field_names(cls)})
 
 
 def encode_action(action: Action) -> dict[str, Any]:
@@ -149,7 +179,7 @@ def decode_action(obj: Mapping[str, Any], where: str = "action") -> Action:
     """The inverse of :func:`encode_action`, with actionable errors."""
     kind = _require(obj, "type", where)
     if kind == "set_caps":
-        return SetCaps(caps=tuple(require_list(obj, "caps", where)))
+        return SetCaps(caps=tuple(_require_list(obj, "caps", where)))
     if kind == "set_budget":
         return SetBudget(budget_watts=_require(obj, "budget_watts", where))
     if kind == "migrate":
@@ -164,40 +194,12 @@ def decode_action(obj: Mapping[str, Any], where: str = "action") -> Action:
     raise JournalDecodeError(f"unknown action type {kind!r}", where)
 
 
-def encode_migration_record(record: MigrationRecord) -> dict[str, Any]:
-    """One applied migration as a JSON object."""
-    return {
-        "time": record.time,
-        "tenant": record.tenant,
-        "source_machine_index": record.source_machine_index,
-        "dest_machine_index": record.dest_machine_index,
-        "cost_seconds": record.cost_seconds,
-        "warm": record.warm,
-    }
-
-
-def decode_migration_record(
-    obj: Mapping[str, Any], where: str = "migration record"
-) -> MigrationRecord:
-    """The inverse of :func:`encode_migration_record`."""
-    return MigrationRecord(
-        time=_require(obj, "time", where),
-        tenant=_require(obj, "tenant", where),
-        source_machine_index=_require(obj, "source_machine_index", where),
-        dest_machine_index=_require(obj, "dest_machine_index", where),
-        cost_seconds=_require(obj, "cost_seconds", where),
-        warm=_require(obj, "warm", where),
-    )
-
-
 def encode_failure_record(record: FailureRecord) -> dict[str, Any]:
     """One applied machine failure (with its re-placements) as JSON."""
     return {
         "time": record.time,
         "machine_index": record.machine_index,
-        "replacements": [
-            encode_migration_record(r) for r in record.replacements
-        ],
+        "replacements": [encode_record(r) for r in record.replacements],
     }
 
 
@@ -209,57 +211,9 @@ def decode_failure_record(
         time=_require(obj, "time", where),
         machine_index=_require(obj, "machine_index", where),
         replacements=tuple(
-            decode_migration_record(r, where)
-            for r in require_list(obj, "replacements", where)
+            decode_record(MigrationRecord, r, where)
+            for r in _require_list(obj, "replacements", where)
         ),
-    )
-
-
-def encode_fault_record(record: FaultRecord) -> dict[str, Any]:
-    """One injected gray fault as a JSON object."""
-    return {
-        "time": record.time,
-        "kind": record.kind,
-        "machine_index": record.machine_index,
-        "mode": record.mode,
-    }
-
-
-def decode_fault_record(
-    obj: Mapping[str, Any], where: str = "fault record"
-) -> FaultRecord:
-    """The inverse of :func:`encode_fault_record`."""
-    return FaultRecord(
-        time=_require(obj, "time", where),
-        kind=_require(obj, "kind", where),
-        machine_index=_require(obj, "machine_index", where),
-        mode=_require(obj, "mode", where),
-    )
-
-
-def encode_retry_record(record: RetryRecord) -> dict[str, Any]:
-    """One applier retry attempt as a JSON object."""
-    return {
-        "time": record.time,
-        "machine_index": record.machine_index,
-        "target_watts": record.target_watts,
-        "applied_watts": record.applied_watts,
-        "attempt": record.attempt,
-        "outcome": record.outcome,
-    }
-
-
-def decode_retry_record(
-    obj: Mapping[str, Any], where: str = "retry record"
-) -> RetryRecord:
-    """The inverse of :func:`encode_retry_record`."""
-    return RetryRecord(
-        time=_require(obj, "time", where),
-        machine_index=_require(obj, "machine_index", where),
-        target_watts=_require(obj, "target_watts", where),
-        applied_watts=_require(obj, "applied_watts", where),
-        attempt=_require(obj, "attempt", where),
-        outcome=_require(obj, "outcome", where),
     )
 
 
@@ -414,59 +368,101 @@ def decode_tenant_checkpoint(
     )
 
 
-def encode_machine_checkpoint(checkpoint: MachineCheckpoint) -> dict[str, Any]:
-    """One machine checkpoint as JSON."""
+def encode_barrier(
+    record: BarrierRecord,
+    checkpoints: tuple[Sequence[TenantCheckpoint], Sequence[MachineCheckpoint]],
+    previous: Mapping[str, TenantCheckpoint],
+) -> dict[str, Any]:
+    """One barrier as its journal line.
+
+    ``checkpoints`` is the barrier's ``(tenants, machines)``, tenants
+    in binding order and machines in pool order; the journal lists
+    them in that order whatever order they were captured in.
+    ``previous`` holds each tenant's checkpoint at the previous
+    journaled barrier, by name, for the completions delta.
+    """
+    tenants, machines = checkpoints
     return {
-        "index": checkpoint.index,
-        "now": checkpoint.now,
-        "frequency_ghz": checkpoint.frequency_ghz,
-        "energy_joules": checkpoint.energy_joules,
-        "idle_energy_joules": checkpoint.idle_energy_joules,
-        "mean_power": checkpoint.mean_power,
-        "alive": checkpoint.alive,
+        "kind": "barrier",
+        "index": record.index,
+        "time": record.time,
+        "actions": [encode_action(action) for action in record.actions],
+        "budget_watts": record.budget_watts,
+        "caps": None if record.caps is None else list(record.caps),
+        "tenants": [
+            encode_tenant_checkpoint(checkpoint, previous.get(checkpoint.tenant))
+            for checkpoint in tenants
+        ],
+        "machines": [encode_record(checkpoint) for checkpoint in machines],
+        "migrations": [encode_record(r) for r in record.migrations],
+        "failures": [encode_failure_record(r) for r in record.failures],
+        "faults": [encode_record(r) for r in record.faults],
+        "retries": [encode_record(r) for r in record.retries],
     }
 
 
-def decode_machine_checkpoint(
-    obj: Mapping[str, Any], where: str = "machine checkpoint"
-) -> MachineCheckpoint:
-    """The inverse of :func:`encode_machine_checkpoint`."""
-    return MachineCheckpoint(
-        index=_require(obj, "index", where),
-        now=_require(obj, "now", where),
-        frequency_ghz=_require(obj, "frequency_ghz", where),
-        energy_joules=_require(obj, "energy_joules", where),
-        idle_energy_joules=_require(obj, "idle_energy_joules", where),
-        mean_power=_require(obj, "mean_power", where),
-        alive=_require(obj, "alive", where),
+def decode_barrier(
+    obj: Mapping[str, Any],
+    previous: Mapping[str, TenantCheckpoint],
+    where: str,
+    checkpoints: bool = True,
+) -> BarrierRecord:
+    """The inverse of :func:`encode_barrier`; ``previous`` holds the
+    prior barrier's tenants.
+
+    Without ``checkpoints`` the tenant and machine entries are only
+    required to be lists, and the record's ``tenants`` and ``machines``
+    are None.
+    """
+    index = _require(obj, "index", where)
+    if type(index) is not int:
+        raise JournalDecodeError(
+            f"barrier index must be an integer, got {index!r}", where
+        )
+    tenant_objs = _require_list(obj, "tenants", where)
+    machine_objs = _require_list(obj, "machines", where)
+    tenants: dict[str, TenantCheckpoint] | None = None
+    machines: tuple[MachineCheckpoint, ...] | None = None
+    if checkpoints:
+        tenants = {}
+        for entry in tenant_objs:
+            name = entry.get("tenant") if isinstance(entry, dict) else None
+            prior = previous.get(name) if isinstance(name, str) else None
+            checkpoint = decode_tenant_checkpoint(entry, prior, where)
+            tenants[checkpoint.tenant] = checkpoint
+        machines = tuple(
+            decode_record(MachineCheckpoint, entry, where)
+            for entry in machine_objs
+        )
+    time = _require(obj, "time", where)
+    actions = tuple(
+        decode_action(entry, where)
+        for entry in _require_list(obj, "actions", where)
     )
-
-
-_BILL_FIELDS = (
-    "tenant",
-    "machine_index",
-    "offered",
-    "admitted",
-    "rejected",
-    "completed",
-    "busy_seconds",
-    "energy_joules",
-    "qos_loss_seconds",
-    "mean_qos_loss",
-    "attainment",
-    "sla_met",
-)
-
-
-def encode_bill(bill: TenantBill) -> dict[str, Any]:
-    """One :class:`~repro.datacenter.billing.TenantBill` as JSON."""
-    return {field: getattr(bill, field) for field in _BILL_FIELDS}
-
-
-def decode_bill(
-    obj: Mapping[str, Any], where: str = "tenant bill"
-) -> TenantBill:
-    """The inverse of :func:`encode_bill`."""
-    return TenantBill(
-        **{field: _require(obj, field, where) for field in _BILL_FIELDS}
+    budget_watts = _require(obj, "budget_watts", where)
+    caps = _require(obj, "caps", where)
+    return BarrierRecord(
+        index=index,
+        time=time,
+        actions=actions,
+        budget_watts=budget_watts,
+        caps=None if caps is None else tuple(_require_list(obj, "caps", where)),
+        tenants=tenants,
+        machines=machines,
+        migrations=tuple(
+            decode_record(MigrationRecord, entry, where)
+            for entry in _require_list(obj, "migrations", where)
+        ),
+        failures=tuple(
+            decode_failure_record(entry, where)
+            for entry in _require_list(obj, "failures", where)
+        ),
+        faults=tuple(
+            decode_record(FaultRecord, entry, where)
+            for entry in _require_list(obj, "faults", where)
+        ),
+        retries=tuple(
+            decode_record(RetryRecord, entry, where)
+            for entry in _require_list(obj, "retries", where)
+        ),
     )

@@ -1,5 +1,10 @@
 """Read a run journal back into typed records.
 
+Each barrier line decodes, through
+:func:`~repro.datacenter.journal.codec.decode_barrier`, into the same
+:class:`~repro.datacenter.checkpoint.BarrierRecord` the engine kept
+for that barrier, plus the checkpoints the engine does not keep.
+
 Line-by-line NDJSON parsing with errors that name the journal path,
 the line number, and the record kind — a truncated *final* line (the
 classic crash artifact: the process died mid-write) is tolerated and
@@ -24,63 +29,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.datacenter.checkpoint import MachineCheckpoint, TenantCheckpoint
-from repro.datacenter.controlplane.actions import (
-    Action,
-    FailureRecord,
-    MigrationRecord,
-)
-from repro.datacenter.faults import FaultRecord, RetryRecord
-from repro.datacenter.journal.codec import (
-    JournalDecodeError,
-    decode_action,
-    decode_failure_record,
-    decode_fault_record,
-    decode_migration_record,
-    decode_retry_record,
-    decode_tenant_checkpoint,
-    decode_machine_checkpoint,
-    require_list,
-)
+from repro.datacenter.checkpoint import BarrierRecord, TenantCheckpoint
+from repro.datacenter.journal.codec import JournalDecodeError, decode_barrier
 from repro.datacenter.journal.writer import JOURNAL_SCHEMA_VERSION
 
-__all__ = ["BarrierRecord", "Journal", "read_journal"]
-
-
-@dataclass(frozen=True)
-class BarrierRecord:
-    """One journaled control barrier, fully decoded.
-
-    Attributes:
-        index: Zero-based barrier index (0 is the time-zero barrier).
-        time: The barrier's facility time.
-        actions: The policy's raw actions, decoded.
-        budget_watts: Global budget in force after the barrier.
-        caps: Enforced caps after the barrier (None before the first
-            ``SetCaps``).
-        tenants: Tenant checkpoints keyed by name — *pre-decision*
-            state, with completions re-accumulated across barriers —
-            or None when the journal was read without checkpoints.
-        machines: Machine checkpoints in pool order (pre-decision), or
-            None when the journal was read without checkpoints.
-        migrations: Migrations applied at this barrier.
-        failures: Machine failures applied at this barrier.
-        faults: Gray faults that first bit at this barrier (sensor /
-            actuator / straggler windows and straggler recoveries).
-        retries: Applier retry attempts made at this barrier.
-    """
-
-    index: int
-    time: float
-    actions: tuple[Action, ...]
-    budget_watts: float | None
-    caps: tuple[float, ...] | None
-    tenants: dict[str, TenantCheckpoint] | None
-    machines: tuple[MachineCheckpoint, ...] | None
-    migrations: tuple[MigrationRecord, ...]
-    failures: tuple[FailureRecord, ...]
-    faults: tuple[FaultRecord, ...] = ()
-    retries: tuple[RetryRecord, ...] = ()
+__all__ = ["Journal", "read_journal"]
 
 
 @dataclass(frozen=True)
@@ -159,14 +112,7 @@ def read_journal(path: str, checkpoints: bool = True) -> Journal:
                     "barrier record before the header", where
                 )
             where = f"{where} (barrier record)"
-            try:
-                barrier = _decode_barrier(
-                    record, previous, where, checkpoints
-                )
-            except KeyError as error:
-                raise JournalDecodeError(
-                    f"missing field {error.args[0]!r}", where
-                ) from None
+            barrier = decode_barrier(record, previous, where, checkpoints)
             if barrier.index != len(barriers):
                 raise JournalDecodeError(
                     f"barrier index {barrier.index!r} out of order "
@@ -194,68 +140,4 @@ def read_journal(path: str, checkpoints: bool = True) -> Journal:
         header=header,
         barriers=tuple(barriers),
         result=result,
-    )
-
-
-def _decode_barrier(
-    record: dict[str, Any],
-    previous: dict[str, TenantCheckpoint],
-    where: str,
-    checkpoints: bool,
-) -> BarrierRecord:
-    """One barrier record; ``previous`` holds the prior barrier's tenants.
-
-    Without ``checkpoints`` the tenant and machine entries are only
-    required to be lists.
-    """
-    index = record["index"]
-    if type(index) is not int:
-        raise JournalDecodeError(
-            f"barrier index must be an integer, got {index!r}", where
-        )
-    tenant_objs = require_list(record, "tenants", where)
-    machine_objs = require_list(record, "machines", where)
-    tenants: dict[str, TenantCheckpoint] | None = None
-    machines: tuple[MachineCheckpoint, ...] | None = None
-    if checkpoints:
-        tenants = {}
-        for obj in tenant_objs:
-            name = obj.get("tenant") if isinstance(obj, dict) else None
-            prior = previous.get(name) if isinstance(name, str) else None
-            checkpoint = decode_tenant_checkpoint(obj, prior, where)
-            tenants[checkpoint.tenant] = checkpoint
-        machines = tuple(
-            decode_machine_checkpoint(obj, where) for obj in machine_objs
-        )
-    return BarrierRecord(
-        index=index,
-        time=record["time"],
-        actions=tuple(
-            decode_action(obj, where)
-            for obj in require_list(record, "actions", where)
-        ),
-        budget_watts=record["budget_watts"],
-        caps=(
-            None
-            if record["caps"] is None
-            else tuple(require_list(record, "caps", where))
-        ),
-        tenants=tenants,
-        machines=machines,
-        migrations=tuple(
-            decode_migration_record(obj, where)
-            for obj in require_list(record, "migrations", where)
-        ),
-        failures=tuple(
-            decode_failure_record(obj, where)
-            for obj in require_list(record, "failures", where)
-        ),
-        faults=tuple(
-            decode_fault_record(obj, where)
-            for obj in require_list(record, "faults", where)
-        ),
-        retries=tuple(
-            decode_retry_record(obj, where)
-            for obj in require_list(record, "retries", where)
-        ),
     )

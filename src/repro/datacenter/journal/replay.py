@@ -40,7 +40,6 @@ module's :class:`~repro.experiments.datacenter.Scenario`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict
 from typing import Any, Mapping
 
 from repro.datacenter.controlplane.actions import FailMachine
@@ -50,11 +49,8 @@ from repro.datacenter.journal.codec import (
     JournalError,
     canonical_json,
     encode_action,
-    encode_bill,
     encode_failure_record,
-    encode_fault_record,
-    encode_migration_record,
-    encode_retry_record,
+    encode_record,
     encode_tenant_checkpoint,
 )
 from repro.datacenter.journal.reader import Journal, read_journal
@@ -233,33 +229,29 @@ def _samples_digest(result: DatacenterResult) -> str:
 def result_payload(result: DatacenterResult) -> dict[str, Any]:
     """A :class:`DatacenterResult` as the canonical JSON result record.
 
-    Everything scalar is encoded through the shared codec; the
+    Every record is encoded through the shared codec; the
     per-heartbeat run samples (thousands of floats per tenant) are
     folded into a SHA-256 digest over their exact ``float.hex`` forms
     (:func:`_samples_digest`), so the record stays small while still
     pinning every sample bit.
     """
     return {
-        "bills": [encode_bill(bill) for bill in result.bills],
-        "tenant_reports": [asdict(report) for report in result.tenant_reports],
+        "bills": [encode_record(bill) for bill in result.bills],
+        "tenant_reports": [
+            encode_record(report) for report in result.tenant_reports
+        ],
         "cap_history": [
             [time, list(caps)] for time, caps in result.cap_history
         ],
         "budget_history": [
             [time, watts] for time, watts in result.budget_history
         ],
-        "migrations": [
-            encode_migration_record(record) for record in result.migrations
-        ],
+        "migrations": [encode_record(record) for record in result.migrations],
         "failures": [
             encode_failure_record(record) for record in result.failures
         ],
-        "faults": [
-            encode_fault_record(record) for record in result.faults
-        ],
-        "retries": [
-            encode_retry_record(record) for record in result.retries
-        ],
+        "faults": [encode_record(record) for record in result.faults],
+        "retries": [encode_record(record) for record in result.retries],
         "idle_energy_joules": list(result.idle_energy_joules),
         "machine_mean_power": list(result.machine_mean_power),
         "total_energy_joules": result.total_energy_joules,

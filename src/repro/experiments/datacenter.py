@@ -57,7 +57,7 @@ from repro.datacenter.faults import FaultPlan
 from repro.datacenter.journal import (
     CODEC_VERSION,
     JournalWriter,
-    encode_bill,
+    encode_record,
     journaled_run,
 )
 from repro.datacenter.journal.replay import SCENARIO_BUILDER, SCENARIO_MODULE
@@ -586,12 +586,12 @@ def _policy_billing(result: DatacenterResult) -> dict[str, Any]:
     """One policy's bills plus the energy-conservation accounting.
 
     Bills go through the journal codec's :func:`~repro.datacenter.
-    journal.codec.encode_bill` — the one serialization shared with
+    journal.codec.encode_record` — the one serialization shared with
     journal result records, so ``--bill`` output and journaled bills
     compare byte-for-byte.
     """
     return {
-        "bills": [encode_bill(bill) for bill in result.bills],
+        "bills": [encode_record(bill) for bill in result.bills],
         "idle_energy_joules_per_machine": list(result.idle_energy_joules),
         "energy_conservation": result.energy_conservation(),
     }

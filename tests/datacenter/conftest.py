@@ -31,15 +31,23 @@ def tiny_scenario(
 
 
 def assert_same_result(left, right):
-    """Whole-result byte parity of two runs.
+    """Whole-result byte parity of two runs: the one parity check.
 
     Compares the canonical result record — bills, reports, every
-    history, pool energy and a digest of every heartbeat sample — so a
-    parity test misses no field a replay would check.
+    history, pool energy, the final budget and a digest of every
+    heartbeat sample — so a parity test misses no field a replay would
+    check, and then what that record leaves out of each tenant's run:
+    its samples, its per-job outputs and its mean power.
     """
     assert canonical_json(result_payload(left)) == canonical_json(
         result_payload(right)
     )
+    assert left.run_results.keys() == right.run_results.keys()
+    for name, run in left.run_results.items():
+        other = right.run_results[name]
+        assert run.samples == other.samples, name
+        assert run.outputs_by_job == other.outputs_by_job, name
+        assert run.mean_power == other.mean_power, name
 
 
 @pytest.fixture

@@ -46,11 +46,10 @@ from repro.datacenter.faults import (
     parse_fault_plan,
 )
 from repro.datacenter.journal import (
+    JournalDecodeError,
     canonical_json,
-    decode_fault_record,
-    decode_retry_record,
-    encode_fault_record,
-    encode_retry_record,
+    decode_record,
+    encode_record,
     read_journal,
     replay,
     result_payload,
@@ -227,22 +226,29 @@ class TestRecordCodecs:
     @given(record=fault_records)
     @settings(max_examples=50, deadline=None)
     def test_fault_record_round_trip_byte_identical(self, record):
-        encoded = encode_fault_record(record)
-        decoded = decode_fault_record(encoded, "test")
+        encoded = encode_record(record)
+        decoded = decode_record(FaultRecord, encoded, "test")
         assert decoded == record
-        assert canonical_json(encode_fault_record(decoded)) == canonical_json(
+        assert canonical_json(encode_record(decoded)) == canonical_json(
             encoded
         )
 
     @given(record=retry_records)
     @settings(max_examples=50, deadline=None)
     def test_retry_record_round_trip_byte_identical(self, record):
-        encoded = encode_retry_record(record)
-        decoded = decode_retry_record(encoded, "test")
+        encoded = encode_record(record)
+        decoded = decode_record(RetryRecord, encoded, "test")
         assert decoded == record
-        assert canonical_json(encode_retry_record(decoded)) == canonical_json(
+        assert canonical_json(encode_record(decoded)) == canonical_json(
             encoded
         )
+
+    @pytest.mark.parametrize("record_type", [FaultRecord, RetryRecord])
+    def test_missing_field_is_named(self, record_type):
+        with pytest.raises(
+            JournalDecodeError, match="test: missing field 'time'"
+        ):
+            decode_record(record_type, {}, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +542,35 @@ class TestFaultedRuns:
         kinds = [fault.kind for fault in result.faults]
         assert "straggler" in kinds
         assert "recovered" in kinds
+
+    def test_straggler_end_without_a_landed_cap_restores_the_ceiling(self):
+        # No cap ever lands on machine 1, so its pre-cap state — the
+        # fastest P-state, its ceiling — is what recovery restores, not
+        # the floor the window pinned it to.
+        engine = faulted_scenario(
+            FaultPlan(stragglers=(StragglerFault(1, 4.0, 8.0),))
+        ).build()
+        engine.policy = _FixedPolicy([])
+        result = engine.run()
+        assert [(f.kind, f.time) for f in result.faults] == [
+            ("straggler", 4.0),
+            ("recovered", 8.0),
+        ]
+        assert engine.machines[1].processor.state_index == 0
+
+    def test_abutting_straggler_windows_are_each_announced(self):
+        plan = FaultPlan(
+            stragglers=(
+                StragglerFault(1, 8.0, 12.0),
+                StragglerFault(1, 12.0, 16.0),
+            )
+        )
+        result = faulted_scenario(plan).build().run()
+        assert [(f.kind, f.time) for f in result.faults] == [
+            ("straggler", 8.0),
+            ("straggler", 12.0),
+            ("recovered", 16.0),
+        ]
 
     def test_fault_plan_machine_out_of_range_rejected(self):
         plan = FaultPlan(sensors=(SensorFault(7, 1.0, 3.0),))

