@@ -51,8 +51,9 @@ the journal codec's append-only check compares shared elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from repro.core.runtime import RuntimeSnapshot
 from repro.hardware.power import PowerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,7 +116,7 @@ class TenantCheckpoint:
     busy_seconds: float
     steps: int
     finished: bool
-    snapshot: Any
+    snapshot: RuntimeSnapshot | None
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ Module map:
 
 * :mod:`~repro.datacenter.journal.codec` — the one versioned JSON
   codec every serialized control-plane object goes through (journal
-  records, ``--bill`` output); canonical bytes, actionable decode
-  errors.
+  records, ``--bill`` output); canonical bytes, one schema read from
+  the records' field annotations, and decode errors that name the
+  offending field.
 * :mod:`~repro.datacenter.journal.writer` — the append-only,
   per-line-flushed NDJSON writer and destination validation
   (:func:`~repro.datacenter.journal.writer.prepare_journal_path`).
@@ -37,10 +38,8 @@ from repro.datacenter.journal.codec import (
     JournalDecodeError,
     JournalError,
     canonical_json,
-    decode_action,
     decode_barrier,
     decode_record,
-    encode_action,
     encode_barrier,
     encode_record,
 )
@@ -70,10 +69,8 @@ __all__ = [
     "ReplayPolicy",
     "build_engine_from_header",
     "canonical_json",
-    "decode_action",
     "decode_barrier",
     "decode_record",
-    "encode_action",
     "encode_barrier",
     "encode_record",
     "journaled_run",

@@ -8,43 +8,45 @@ via Python's shortest-repr (which round-trips every IEEE-754 double
 exactly), so ``encode(decode(encode(x))) == encode(x)`` byte for byte
 — the property the journal's replay guarantee rests on.
 
-Flat records — every field a JSON scalar — go through one generic
-pair, :func:`encode_record`/:func:`decode_record`, driven by the
-dataclass's own fields.  Only what is not flat is written by hand:
-actions (type-tagged), runtime snapshots, failure records (nested
-re-placements), tenant checkpoints (completions as a delta) and the
-barrier record (:func:`encode_barrier`/:func:`decode_barrier`).
-
-Decode errors raise :class:`JournalDecodeError` naming the offending
-record (and, via the reader, its line number) instead of surfacing a
-bare ``KeyError`` from deep inside the engine.
+One schema reads every record: its dataclass's field annotations
+(:func:`typing.get_type_hints`).  :func:`decode_record` checks each
+value as its type before it builds anything: ``float`` (an int too,
+except in ``SetCaps.caps``, which the encoder writes through
+``float()``), ``int`` and ``bool`` (neither stands in for the other,
+nor ``2.0`` for an int), ``str``, ``X | None``, ``tuple[X, ...]``,
+``tuple[X, Y]``, a nested record, ``Any`` (the controller state's
+opaque tree of scalars and lists) and the action union, tagged by
+``type``.  An error names the record and the field's path:
+``run.ndjson:3 (barrier record): actions[0].caps[1]: expected float,
+got 'a'``.  Only the tenant checkpoint's pair is hand-written: no
+annotation describes its layout (completions as a delta, the ledger
+nested), but its values go through the same typed codecs.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
-from dataclasses import fields
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import fields, is_dataclass
 from functools import cache
-from typing import Any, TypeVar
+from itertools import repeat
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
-from repro.core.runtime import RuntimeSnapshot
+from repro.datacenter import faults
 from repro.datacenter.checkpoint import (
     BarrierRecord,
     MachineCheckpoint,
     TenantCheckpoint,
 )
+from repro.datacenter.controlplane import actions
 from repro.datacenter.controlplane.actions import (
     Action,
     FailMachine,
-    FailureRecord,
     Migrate,
-    MigrationRecord,
     SetBudget,
     SetCaps,
 )
-from repro.datacenter.faults import FaultRecord, RetryRecord
-from repro.heartbeats.api import HeartbeatWindowState
 
 __all__ = [
     "CODEC_VERSION",
@@ -53,22 +55,47 @@ __all__ = [
     "canonical_json",
     "encode_record",
     "decode_record",
-    "encode_action",
-    "decode_action",
-    "encode_failure_record",
-    "decode_failure_record",
-    "encode_snapshot",
-    "decode_snapshot",
     "encode_tenant_checkpoint",
     "decode_tenant_checkpoint",
     "encode_barrier",
     "decode_barrier",
 ]
 
-_Record = TypeVar("_Record")
-
 CODEC_VERSION = 1
 """Version of the JSON wire format this module reads and writes."""
+
+Encoder = Callable[[Any], Any]
+Decoder = Callable[[Any], Any]
+
+_ACTION_TAGS: dict[str, type] = {
+    "set_caps": SetCaps,
+    "set_budget": SetBudget,
+    "migrate": Migrate,
+    "fail_machine": FailMachine,
+}
+"""The control-action union's members by their JSON ``type`` tag."""
+
+_TAG_OF = {cls: tag for tag, cls in _ACTION_TAGS.items()}
+
+_COERCED = frozenset({(SetCaps, "caps")})
+"""Float fields the encoder writes through ``float()``; a JSON int
+there is one the encoder never writes, so their decoder refuses it."""
+
+_HINT_NAMES = {n: getattr(m, n) for m in (actions, faults) for n in m.__all__}
+"""The names the checkpoint module imports only for type checking."""
+
+_LEDGER = ("energy_joules", "busy_seconds", "steps")
+"""The tenant checkpoint's billing-ledger fields, nested on the wire."""
+
+
+def _fields_but(cls: type, *omitted: str) -> tuple[str, ...]:
+    """``cls``'s field names in declaration order, but ``omitted``."""
+    return tuple(f.name for f in fields(cls) if f.name not in omitted)
+
+
+# What the schema writes of the two records with a hand-written layout.
+_TENANT_TOP = _fields_but(TenantCheckpoint, "completions", *_LEDGER)
+_BARRIER_TOP = _fields_but(BarrierRecord, "tenants", "machines")
 
 
 class JournalError(RuntimeError):
@@ -88,6 +115,21 @@ class JournalDecodeError(JournalError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
+class _FieldError(Exception):
+    """A value that is not its field's type; each enclosing container
+    prepends its part of the path as the error propagates."""
+
+    path = ""
+
+    def within(self, part: str) -> _FieldError:
+        self.path = part + self.path
+        return self
+
+    def located(self, where: str) -> JournalDecodeError:
+        path = self.path.removeprefix(".")
+        return JournalDecodeError(f"{path}: {self}" if path else str(self), where)
+
+
 def canonical_json(obj: Any) -> str:
     """Serialize to the codec's canonical byte form (one line, no NL).
 
@@ -98,123 +140,46 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
-    if not isinstance(obj, Mapping):
-        raise JournalDecodeError(f"expected an object, got {obj!r}", where)
+def _scalar(kind: str, *accepted: type) -> Decoder:
+    """A decoder taking values of exactly the ``accepted`` JSON types."""
+
+    def decode(value: Any) -> Any:
+        if type(value) in accepted:
+            return value
+        raise _FieldError(f"expected {kind}, got {value!r}")
+
+    return decode
+
+
+def _list(value: Any, size: int | None = None) -> list[Any]:
+    """``value``, which must be a JSON array (of ``size`` items)."""
+    if type(value) is list and size in (None, len(value)):
+        return value
+    expected = "a list" if size is None else f"a {size}-element list"
+    raise _FieldError(f"expected {expected}, got {value!r}")
+
+
+def _decode_field(obj: Any, key: str, decode: Decoder) -> Any:
+    """``obj[key]`` as ``decode`` reads it, errors located at ``key``."""
+    if not isinstance(obj, dict):
+        raise _FieldError(f"expected an object, got {obj!r}")
     if key not in obj:
-        raise JournalDecodeError(f"missing field {key!r}", where)
-    return obj[key]
+        raise _FieldError(f"missing field {key!r}")
+    try:
+        return decode(obj[key])
+    except _FieldError as error:
+        raise error.within(f".{key}")
 
 
-def _require_list(obj: Mapping[str, Any], key: str, where: str) -> list[Any]:
-    """Field ``key`` of a decoded object, which must be a JSON array."""
-    value = _require(obj, key, where)
-    if not isinstance(value, list):
-        raise JournalDecodeError(
-            f"field {key!r} must be a list, got {value!r}", where
-        )
-    return value
-
-
-def _require_pairs(
-    obj: Mapping[str, Any], key: str, where: str
-) -> tuple[tuple[Any, Any], ...]:
-    """Field ``key`` as a tuple of two-element tuples."""
-    items = _require_list(obj, key, where)
-    for item in items:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise JournalDecodeError(
-                f"field {key!r} holds {item!r}, not a two-element list", where
-            )
-    return tuple((first, second) for first, second in items)
-
-
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    """A record dataclass's field names, in declaration order."""
-    return tuple(field.name for field in fields(cls))
-
-
-def encode_record(record: Any) -> dict[str, Any]:
-    """A flat record dataclass as a JSON object, one key per field.
-
-    For records whose every field is a JSON scalar:
-    :class:`~repro.datacenter.controlplane.actions.MigrationRecord`,
-    :class:`~repro.datacenter.faults.FaultRecord`,
-    :class:`~repro.datacenter.faults.RetryRecord`,
-    :class:`~repro.datacenter.checkpoint.MachineCheckpoint`,
-    :class:`~repro.datacenter.billing.TenantBill` and
-    :class:`~repro.datacenter.tenants.TenantReport`.
-    """
-    return {name: getattr(record, name) for name in _field_names(type(record))}
-
-
-def decode_record(
-    cls: type[_Record], obj: Mapping[str, Any], where: str
-) -> _Record:
-    """The inverse of :func:`encode_record`: every field is required."""
-    return cls(**{name: _require(obj, name, where) for name in _field_names(cls)})
-
-
-def encode_action(action: Action) -> dict[str, Any]:
-    """One control action as a type-tagged JSON object."""
-    if isinstance(action, SetCaps):
-        return {"type": "set_caps", "caps": [float(c) for c in action.caps]}
-    if isinstance(action, SetBudget):
-        return {"type": "set_budget", "budget_watts": action.budget_watts}
-    if isinstance(action, Migrate):
-        return {
-            "type": "migrate",
-            "tenant": action.tenant,
-            "dest_machine_index": action.dest_machine_index,
-            "cost_seconds": action.cost_seconds,
-            "warm": action.warm,
-        }
-    if isinstance(action, FailMachine):
-        return {"type": "fail_machine", "machine_index": action.machine_index}
-    raise JournalError(f"cannot encode unknown control action {action!r}")
-
-
-def decode_action(obj: Mapping[str, Any], where: str = "action") -> Action:
-    """The inverse of :func:`encode_action`, with actionable errors."""
-    kind = _require(obj, "type", where)
-    if kind == "set_caps":
-        return SetCaps(caps=tuple(_require_list(obj, "caps", where)))
-    if kind == "set_budget":
-        return SetBudget(budget_watts=_require(obj, "budget_watts", where))
-    if kind == "migrate":
-        return Migrate(
-            tenant=_require(obj, "tenant", where),
-            dest_machine_index=_require(obj, "dest_machine_index", where),
-            cost_seconds=_require(obj, "cost_seconds", where),
-            warm=_require(obj, "warm", where),
-        )
-    if kind == "fail_machine":
-        return FailMachine(machine_index=_require(obj, "machine_index", where))
-    raise JournalDecodeError(f"unknown action type {kind!r}", where)
-
-
-def encode_failure_record(record: FailureRecord) -> dict[str, Any]:
-    """One applied machine failure (with its re-placements) as JSON."""
-    return {
-        "time": record.time,
-        "machine_index": record.machine_index,
-        "replacements": [encode_record(r) for r in record.replacements],
-    }
-
-
-def decode_failure_record(
-    obj: Mapping[str, Any], where: str = "failure record"
-) -> FailureRecord:
-    """The inverse of :func:`encode_failure_record`."""
-    return FailureRecord(
-        time=_require(obj, "time", where),
-        machine_index=_require(obj, "machine_index", where),
-        replacements=tuple(
-            decode_record(MigrationRecord, r, where)
-            for r in _require_list(obj, "replacements", where)
-        ),
-    )
+def _decode_items(decoders: Any, value: list[Any]) -> tuple[Any, ...]:
+    """Each item of ``value`` read by its decoder, errors at its index."""
+    items = []
+    for index, (decode, item) in enumerate(zip(decoders, value)):
+        try:
+            items.append(decode(item))
+        except _FieldError as error:
+            raise error.within(f"[{index}]")
+    return tuple(items)
 
 
 def _encode_opaque(value: Any) -> Any:
@@ -223,61 +188,140 @@ def _encode_opaque(value: Any) -> Any:
         return [_encode_opaque(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    raise JournalError(
-        f"cannot encode opaque controller state containing {value!r}"
-    )
+    raise JournalError(f"cannot encode opaque controller state {value!r}")
 
 
 def _decode_opaque(value: Any) -> Any:
     """Decode an opaque scalar tree, lists back to tuples."""
-    if isinstance(value, list):
-        return tuple(_decode_opaque(v) for v in value)
+    if type(value) is list:
+        return _decode_items(repeat(_decode_opaque), value)
+    if isinstance(value, dict):
+        raise _FieldError(f"expected a scalar or a list, got {value!r}")
     return value
 
 
-def encode_snapshot(snapshot: RuntimeSnapshot | None) -> dict[str, Any] | None:
-    """A warm :class:`RuntimeSnapshot` as JSON (None stays None)."""
-    if snapshot is None:
-        return None
-    window = snapshot.window
-    return {
-        "controller_state": _encode_opaque(snapshot.controller_state),
-        "plan_speedup": snapshot.plan_speedup,
-        "window": {
-            "count": window.count,
-            "last_timestamp": window.last_timestamp,
-            "intervals": list(window.intervals),
-            "window_sum": window.window_sum,
-        },
-        "beats_in_quantum": snapshot.beats_in_quantum,
-        "quantum_start": snapshot.quantum_start,
-        "taken_at": snapshot.taken_at,
-    }
+def _encode_action(action: Any) -> dict[str, Any]:
+    """One control action as its type-tagged object."""
+    if type(action) not in _TAG_OF:
+        raise JournalError(f"cannot encode unknown control action {action!r}")
+    return _schema(type(action)).encode(action)
 
 
-def decode_snapshot(
-    obj: Mapping[str, Any] | None, where: str = "snapshot"
-) -> RuntimeSnapshot | None:
-    """The inverse of :func:`encode_snapshot`."""
-    if obj is None:
-        return None
-    window_obj = _require(obj, "window", where)
-    window = HeartbeatWindowState(
-        count=_require(window_obj, "count", where),
-        last_timestamp=window_obj.get("last_timestamp"),
-        intervals=tuple(_require(window_obj, "intervals", where)),
-        window_sum=_require(window_obj, "window_sum", where),
-    )
-    return RuntimeSnapshot(
-        controller_state=_decode_opaque(
-            _require(obj, "controller_state", where)
-        ),
-        plan_speedup=obj.get("plan_speedup"),
-        window=window,
-        beats_in_quantum=_require(obj, "beats_in_quantum", where),
-        quantum_start=_require(obj, "quantum_start", where),
-        taken_at=_require(obj, "taken_at", where),
-    )
+def _decode_action(value: Any) -> Any:
+    """The action its ``type`` tag names, read as that record."""
+    tag = _decode_field(value, "type", lambda tag: tag)
+    if type(tag) is not str or tag not in _ACTION_TAGS:
+        raise _FieldError(f"unknown action type {tag!r}")
+    return _schema(_ACTION_TAGS[tag]).decode(value)
+
+
+@cache
+def _codec(tp: Any, coerced: bool = False) -> tuple[Encoder | None, Decoder]:
+    """The encoder and decoder of one annotated type.
+
+    The encoder is None where the value is already its JSON form.
+    ``coerced`` marks a float the encoder writes through ``float()``.
+    """
+    if tp is float:
+        if coerced:
+            return float, _scalar("float", float)
+        return None, _scalar("float", float, int)
+    if tp in (int, bool, str):
+        return None, _scalar(tp.__name__, tp)
+    if tp is Any:
+        return _encode_opaque, _decode_opaque
+    if tp == Action:
+        return _encode_action, _decode_action
+    if is_dataclass(tp):
+        return _schema(tp).encode, _schema(tp).decode
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        encode, decode = _codec(args[args[0] is type(None)], coerced)
+        return encode and (lambda v: None if v is None else encode(v)), (
+            lambda v: None if v is None else decode(v)
+        )
+    if origin is tuple and args[1:] == (Ellipsis,):
+        encode, decode = _codec(args[0], coerced)
+
+        def decode_sequence(value: Any) -> tuple[Any, ...]:
+            items = _list(value)
+            try:
+                return tuple(map(decode, items))
+            except _FieldError:  # read again, item by item, to locate it
+                return _decode_items(repeat(decode), items)
+
+        return list if encode is None else lambda v: list(map(encode, v)), (
+            decode_sequence
+        )
+    if origin is tuple and not any(_codec(arg)[0] for arg in args):
+        decoders = [_codec(arg)[1] for arg in args]
+        return list, lambda v: _decode_items(decoders, _list(v, len(args)))
+    raise TypeError(f"the journal schema has no codec for {tp!r}")
+
+
+class _Schema:
+    """Some of a record dataclass's fields, each with its codec."""
+
+    def __init__(self, cls: type, names: tuple[str, ...]) -> None:
+        hints = get_type_hints(cls, localns=_HINT_NAMES)
+        self.cls = cls
+        self.codecs = {
+            name: _codec(hints[name], (cls, name) in _COERCED) for name in names
+        }
+        # ``encode`` is one dict display compiled once (as dataclasses
+        # compiles ``__init__``): as fast as a hand-written literal.
+        items = [
+            f"{n!r}: r.{n}" if enc is None else f"{n!r}: _{n}(r.{n})"
+            for n, (enc, _) in self.codecs.items()
+        ]
+        if cls in _TAG_OF:
+            items.append(f"'type': {_TAG_OF[cls]!r}")
+        scope = {f"_{n}": enc for n, (enc, _) in self.codecs.items()}
+        self.encode = eval(f"lambda r: {{{', '.join(items)}}}", scope)
+
+    def decode_fields(self, obj: Any) -> dict[str, Any]:
+        """Every field of ``obj``, checked as its type, by name."""
+        return {
+            name: _decode_field(obj, name, decode)
+            for name, (_, decode) in self.codecs.items()
+        }
+
+    def decode(self, obj: Any) -> Any:
+        """The record ``obj`` holds."""
+        return self.cls(**self.decode_fields(obj))
+
+
+@cache
+def _schema(cls: type, names: tuple[str, ...] | None = None) -> _Schema:
+    """The schema of ``cls``'s fields ``names`` (default: all)."""
+    if not is_dataclass(cls):
+        raise JournalError(f"cannot encode {cls.__name__!r}: not a record")
+    return _Schema(cls, names or _fields_but(cls))
+
+
+def _located(decode: Callable[..., Any], where: str, *args: Any) -> Any:
+    """``decode(*args)``, a field error raised as naming ``where``."""
+    try:
+        return decode(*args)
+    except _FieldError as error:
+        raise error.located(where) from None
+
+
+def encode_record(record: Any) -> dict[str, Any]:
+    """A record dataclass as a JSON object, one key per field (and an
+    action's ``type`` tag); the tenant checkpoint and the barrier
+    record have their own encoders."""
+    return _schema(type(record)).encode(record)
+
+
+def decode_record(cls: Any, obj: Any, where: str) -> Any:
+    """The inverse of :func:`encode_record`.
+
+    ``cls`` is a record dataclass or the control-action union.  Every
+    field is required and checked as its annotated type; an error
+    names ``where`` and the offending field's path.
+    """
+    return _located(_codec(cls)[1], where, obj)
 
 
 def encode_tenant_checkpoint(
@@ -286,7 +330,8 @@ def encode_tenant_checkpoint(
 ) -> dict[str, Any]:
     """One tenant checkpoint as JSON, completions as a delta.
 
-    Completions only ever append, so each barrier records just the
+    Written by hand because no annotation describes its layout:
+    completions only ever append, so each barrier records just the
     requests completed since ``previous`` (the same tenant's checkpoint
     at the previous journaled barrier) plus the cumulative count; the
     reader re-accumulates.  The billing ledger is recorded cumulatively
@@ -301,34 +346,39 @@ def encode_tenant_checkpoint(
             f"tenant {checkpoint.tenant!r}: completions are not "
             "append-only against the previous checkpoint"
         )
-    return {
-        "tenant": checkpoint.tenant,
-        "machine_index": checkpoint.machine_index,
-        "offered": checkpoint.offered,
-        "rejected": checkpoint.rejected,
-        "completed_total": len(checkpoint.completions),
-        "completions_delta": [
-            [arrival, completion]
-            for arrival, completion in checkpoint.completions[prior:]
-        ],
-        "next_request": checkpoint.next_request,
-        "pending": [[index, arrival] for index, arrival in checkpoint.pending],
-        "ledger": {
-            "energy_joules": checkpoint.energy_joules,
-            "busy_seconds": checkpoint.busy_seconds,
-            "steps": checkpoint.steps,
-        },
-        "ledger_delta": {
-            "energy_joules": checkpoint.energy_joules
-            - (0.0 if previous is None else previous.energy_joules),
-            "busy_seconds": checkpoint.busy_seconds
-            - (0.0 if previous is None else previous.busy_seconds),
-            "steps": checkpoint.steps
-            - (0 if previous is None else previous.steps),
-        },
-        "finished": checkpoint.finished,
-        "snapshot": encode_snapshot(checkpoint.snapshot),
+    obj = _schema(TenantCheckpoint, _TENANT_TOP).encode(checkpoint)
+    obj["completed_total"] = len(checkpoint.completions)
+    obj["completions_delta"] = list(map(list, checkpoint.completions[prior:]))
+    obj["ledger"] = _schema(TenantCheckpoint, _LEDGER).encode(checkpoint)
+    obj["ledger_delta"] = {
+        "energy_joules": checkpoint.energy_joules
+        - (0.0 if previous is None else previous.energy_joules),
+        "busy_seconds": checkpoint.busy_seconds
+        - (0.0 if previous is None else previous.busy_seconds),
+        "steps": checkpoint.steps - (0 if previous is None else previous.steps),
     }
+    return obj
+
+
+def _decode_tenant(
+    obj: Any, previous: TenantCheckpoint | None
+) -> TenantCheckpoint:
+    """:func:`decode_tenant_checkpoint`, its errors not yet located."""
+    values = _schema(TenantCheckpoint, _TENANT_TOP).decode_fields(obj)
+    ledger = _schema(TenantCheckpoint, _LEDGER).decode_fields
+    values.update(_decode_field(obj, "ledger", ledger))
+    _decode_field(obj, "ledger_delta", ledger)
+    completions = _schema(TenantCheckpoint).codecs["completions"][1]
+    delta = _decode_field(obj, "completions_delta", completions)
+    total = _decode_field(obj, "completed_total", _codec(int)[1])
+    base = () if previous is None else previous.completions
+    completions = values["completions"] = base + delta
+    if len(completions) != total:
+        raise _FieldError(
+            f"completions reconstruct to {len(completions)} entries but the "
+            f"record claims {total} (journal barriers missing or reordered?)"
+        )
+    return TenantCheckpoint(**values)
 
 
 def decode_tenant_checkpoint(
@@ -336,36 +386,11 @@ def decode_tenant_checkpoint(
     previous: TenantCheckpoint | None = None,
     where: str = "tenant checkpoint",
 ) -> TenantCheckpoint:
-    """The inverse of :func:`encode_tenant_checkpoint`.
-
-    ``previous`` supplies the completions accumulated through the
-    previous barrier; the record's delta extends them, and the
-    cumulative count cross-checks the reconstruction.
-    """
-    base = () if previous is None else previous.completions
-    completions = base + _require_pairs(obj, "completions_delta", where)
-    total = _require(obj, "completed_total", where)
-    if len(completions) != total:
-        raise JournalDecodeError(
-            f"completions reconstruct to {len(completions)} entries but the "
-            f"record claims {total} (journal barriers missing or reordered?)",
-            where,
-        )
-    ledger = _require(obj, "ledger", where)
-    return TenantCheckpoint(
-        tenant=_require(obj, "tenant", where),
-        machine_index=_require(obj, "machine_index", where),
-        offered=_require(obj, "offered", where),
-        rejected=_require(obj, "rejected", where),
-        completions=completions,
-        next_request=_require(obj, "next_request", where),
-        pending=_require_pairs(obj, "pending", where),
-        energy_joules=_require(ledger, "energy_joules", where),
-        busy_seconds=_require(ledger, "busy_seconds", where),
-        steps=_require(ledger, "steps", where),
-        finished=_require(obj, "finished", where),
-        snapshot=decode_snapshot(obj.get("snapshot"), where),
-    )
+    """The inverse of :func:`encode_tenant_checkpoint`, by hand for the
+    same layout: ``previous`` supplies the completions accumulated
+    through the previous barrier, the record's delta extends them, and
+    the cumulative count cross-checks the reconstruction."""
+    return _located(_decode_tenant, where, obj, previous)
 
 
 def encode_barrier(
@@ -382,23 +407,40 @@ def encode_barrier(
     journaled barrier, by name, for the completions delta.
     """
     tenants, machines = checkpoints
-    return {
-        "kind": "barrier",
-        "index": record.index,
-        "time": record.time,
-        "actions": [encode_action(action) for action in record.actions],
-        "budget_watts": record.budget_watts,
-        "caps": None if record.caps is None else list(record.caps),
-        "tenants": [
-            encode_tenant_checkpoint(checkpoint, previous.get(checkpoint.tenant))
-            for checkpoint in tenants
-        ],
-        "machines": [encode_record(checkpoint) for checkpoint in machines],
-        "migrations": [encode_record(r) for r in record.migrations],
-        "failures": [encode_failure_record(r) for r in record.failures],
-        "faults": [encode_record(r) for r in record.faults],
-        "retries": [encode_record(r) for r in record.retries],
-    }
+    line = _schema(BarrierRecord, _BARRIER_TOP).encode(record)
+    line["kind"] = "barrier"
+    line["tenants"] = [
+        encode_tenant_checkpoint(checkpoint, previous.get(checkpoint.tenant))
+        for checkpoint in tenants
+    ]
+    line["machines"] = [encode_record(checkpoint) for checkpoint in machines]
+    return line
+
+
+def _decode_barrier(
+    obj: Any, previous: Mapping[str, TenantCheckpoint], checkpoints: bool
+) -> BarrierRecord:
+    """:func:`decode_barrier`, its errors not yet located."""
+    values = _schema(BarrierRecord, _BARRIER_TOP).decode_fields(obj)
+    tenant_objs = _decode_field(obj, "tenants", _list)
+    _decode_field(obj, "machines", _list)
+    if not checkpoints:
+        return BarrierRecord(**values, tenants=None, machines=None)
+    tenants = {}
+    for index, entry in enumerate(tenant_objs):
+        name = entry.get("tenant") if isinstance(entry, dict) else None
+        prior = previous.get(name) if isinstance(name, str) else None
+        try:
+            checkpoint = _decode_tenant(entry, prior)
+        except _FieldError as error:
+            raise error.within(f"[{index}]").within(".tenants")
+        tenants[checkpoint.tenant] = checkpoint
+    machines = _codec(tuple[MachineCheckpoint, ...])[1]
+    return BarrierRecord(
+        **values,
+        tenants=tenants,
+        machines=_decode_field(obj, "machines", machines),
+    )
 
 
 def decode_barrier(
@@ -410,59 +452,10 @@ def decode_barrier(
     """The inverse of :func:`encode_barrier`; ``previous`` holds the
     prior barrier's tenants.
 
+    The record's own fields go through the schema; the tenant entries
+    are read by hand, since each extends ``previous``'s completions.
     Without ``checkpoints`` the tenant and machine entries are only
     required to be lists, and the record's ``tenants`` and ``machines``
     are None.
     """
-    index = _require(obj, "index", where)
-    if type(index) is not int:
-        raise JournalDecodeError(
-            f"barrier index must be an integer, got {index!r}", where
-        )
-    tenant_objs = _require_list(obj, "tenants", where)
-    machine_objs = _require_list(obj, "machines", where)
-    tenants: dict[str, TenantCheckpoint] | None = None
-    machines: tuple[MachineCheckpoint, ...] | None = None
-    if checkpoints:
-        tenants = {}
-        for entry in tenant_objs:
-            name = entry.get("tenant") if isinstance(entry, dict) else None
-            prior = previous.get(name) if isinstance(name, str) else None
-            checkpoint = decode_tenant_checkpoint(entry, prior, where)
-            tenants[checkpoint.tenant] = checkpoint
-        machines = tuple(
-            decode_record(MachineCheckpoint, entry, where)
-            for entry in machine_objs
-        )
-    time = _require(obj, "time", where)
-    actions = tuple(
-        decode_action(entry, where)
-        for entry in _require_list(obj, "actions", where)
-    )
-    budget_watts = _require(obj, "budget_watts", where)
-    caps = _require(obj, "caps", where)
-    return BarrierRecord(
-        index=index,
-        time=time,
-        actions=actions,
-        budget_watts=budget_watts,
-        caps=None if caps is None else tuple(_require_list(obj, "caps", where)),
-        tenants=tenants,
-        machines=machines,
-        migrations=tuple(
-            decode_record(MigrationRecord, entry, where)
-            for entry in _require_list(obj, "migrations", where)
-        ),
-        failures=tuple(
-            decode_failure_record(entry, where)
-            for entry in _require_list(obj, "failures", where)
-        ),
-        faults=tuple(
-            decode_record(FaultRecord, entry, where)
-            for entry in _require_list(obj, "faults", where)
-        ),
-        retries=tuple(
-            decode_record(RetryRecord, entry, where)
-            for entry in _require_list(obj, "retries", where)
-        ),
-    )
+    return _located(_decode_barrier, where, obj, previous, checkpoints)

@@ -1,14 +1,17 @@
 """Read a run journal back into typed records.
 
-Each barrier line decodes, through
-:func:`~repro.datacenter.journal.codec.decode_barrier`, into the same
-:class:`~repro.datacenter.checkpoint.BarrierRecord` the engine kept
-for that barrier, plus the checkpoints the engine does not keep.
+Each barrier line decodes, through the codec's one annotation-driven
+schema (:func:`~repro.datacenter.journal.codec.decode_barrier`), into
+the same :class:`~repro.datacenter.checkpoint.BarrierRecord` the
+engine kept for that barrier, plus the checkpoints the engine does not
+keep.  The header's ``journal_schema`` and ``codec`` versions must be
+the ones this build reads.
 
 Line-by-line NDJSON parsing with errors that name the journal path,
-the line number, and the record kind — a truncated *final* line (the
-classic crash artifact: the process died mid-write) is tolerated and
-dropped, since by construction everything before it is complete.
+the line number, the record kind and the field — a truncated *final*
+line (the classic crash artifact: the process died mid-write) is
+tolerated and dropped, since by construction everything before it is
+complete.
 
 One reader loop serves every consumer, and each decodes only what it
 reads.  By default every record is decoded and validated, the
@@ -17,10 +20,10 @@ per-barrier tenant and machine checkpoints included, which is what
 ``checkpoints=False`` (what
 :func:`~repro.datacenter.journal.replay.replay` reads, since it
 re-executes actions and compares results) still checks the header,
-every line, the barrier order, the actions and the result, and that
-each barrier's ``tenants`` and ``machines`` are lists, but leaves the
-checkpoint entries undecoded: a malformed checkpoint is reported by
-the default read, not by that one.
+every line, the barrier order, every barrier field outside the
+checkpoints and the result, and that each barrier's ``tenants`` and
+``machines`` are lists, but leaves the checkpoint entries undecoded: a
+malformed checkpoint is reported by the default read, not by that one.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.datacenter.checkpoint import BarrierRecord, TenantCheckpoint
-from repro.datacenter.journal.codec import JournalDecodeError, decode_barrier
+from repro.datacenter.journal.codec import (
+    CODEC_VERSION,
+    JournalDecodeError,
+    decode_barrier,
+)
 from repro.datacenter.journal.writer import JOURNAL_SCHEMA_VERSION
 
 __all__ = ["Journal", "read_journal"]
@@ -96,15 +103,18 @@ def read_journal(path: str, checkpoints: bool = True) -> Journal:
             )
         kind = record.get("kind")
         if kind == "header":
+            where = f"{where} (header record)"
             if header is not None:
                 raise JournalDecodeError("duplicate header record", where)
-            version = record.get("journal_schema")
-            if version != JOURNAL_SCHEMA_VERSION:
-                raise JournalDecodeError(
-                    f"schema version {version!r} != supported "
-                    f"{JOURNAL_SCHEMA_VERSION}",
-                    where,
-                )
+            for key, supported in (
+                ("journal_schema", JOURNAL_SCHEMA_VERSION),
+                ("codec", CODEC_VERSION),
+            ):
+                version = record.get(key)
+                if type(version) is not int or version != supported:
+                    raise JournalDecodeError(
+                        f"{key} {version!r} != supported {supported}", where
+                    )
             header = record
         elif kind == "barrier":
             if header is None:

@@ -48,8 +48,6 @@ from repro.datacenter.journal.codec import (
     JournalDecodeError,
     JournalError,
     canonical_json,
-    encode_action,
-    encode_failure_record,
     encode_record,
     encode_tenant_checkpoint,
 )
@@ -247,9 +245,7 @@ def result_payload(result: DatacenterResult) -> dict[str, Any]:
             [time, watts] for time, watts in result.budget_history
         ],
         "migrations": [encode_record(record) for record in result.migrations],
-        "failures": [
-            encode_failure_record(record) for record in result.failures
-        ],
+        "failures": [encode_record(record) for record in result.failures],
         "faults": [encode_record(record) for record in result.faults],
         "retries": [encode_record(record) for record in result.retries],
         "idle_energy_joules": list(result.idle_energy_joules),
@@ -385,8 +381,8 @@ class _AttestingPolicy:
                     f"t={view.time!r} but the journal records "
                     f"t={barrier.time!r}"
                 )
-            live = [encode_action(action) for action in actions]
-            recorded = [encode_action(action) for action in barrier.actions]
+            live = [encode_record(action) for action in actions]
+            recorded = [encode_record(action) for action in barrier.actions]
             if canonical_json(live) != canonical_json(recorded):
                 raise JournalError(
                     f"resume: the live policy diverged from the journal at "

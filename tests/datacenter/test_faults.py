@@ -2,7 +2,8 @@
 
 Pins the fault layer's contracts: a ``FaultPlan`` is a byte-stable pure
 function of (seed, config); fault and retry journal records round-trip
-through the codec byte-identically; every fault class preserves
+through the codec byte-identically (pinned in test_journal.py with
+every other record type); every fault class preserves
 serial-vs-sharded byte parity and billing conservation; faulted runs
 replay and resume byte-exactly; and the degraded-mode policy holds,
 quarantines, and reintegrates the way ``docs/ARCHITECTURE.md``
@@ -46,10 +47,7 @@ from repro.datacenter.faults import (
     parse_fault_plan,
 )
 from repro.datacenter.journal import (
-    JournalDecodeError,
     canonical_json,
-    decode_record,
-    encode_record,
     read_journal,
     replay,
     result_payload,
@@ -193,7 +191,8 @@ class TestFaultValidation:
 
 
 # ---------------------------------------------------------------------------
-# Journal record codecs
+# Journal record strategies (their round trips are tested with every
+# other record type's in test_journal.py)
 
 
 finite_time = st.floats(
@@ -220,35 +219,6 @@ retry_records = st.builds(
     attempt=st.integers(min_value=1, max_value=12),
     outcome=st.sampled_from(RETRY_OUTCOMES),
 )
-
-
-class TestRecordCodecs:
-    @given(record=fault_records)
-    @settings(max_examples=50, deadline=None)
-    def test_fault_record_round_trip_byte_identical(self, record):
-        encoded = encode_record(record)
-        decoded = decode_record(FaultRecord, encoded, "test")
-        assert decoded == record
-        assert canonical_json(encode_record(decoded)) == canonical_json(
-            encoded
-        )
-
-    @given(record=retry_records)
-    @settings(max_examples=50, deadline=None)
-    def test_retry_record_round_trip_byte_identical(self, record):
-        encoded = encode_record(record)
-        decoded = decode_record(RetryRecord, encoded, "test")
-        assert decoded == record
-        assert canonical_json(encode_record(decoded)) == canonical_json(
-            encoded
-        )
-
-    @pytest.mark.parametrize("record_type", [FaultRecord, RetryRecord])
-    def test_missing_field_is_named(self, record_type):
-        with pytest.raises(
-            JournalDecodeError, match="test: missing field 'time'"
-        ):
-            decode_record(record_type, {}, "test")
 
 
 # ---------------------------------------------------------------------------

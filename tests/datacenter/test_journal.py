@@ -10,13 +10,14 @@ statistic for its run (ARCHITECTURE.md invariant 7).
 import hashlib
 import json
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.runtime import RunResult, SampleColumns
+from repro.core.runtime import RunResult, RuntimeSnapshot, SampleColumns
 from repro.datacenter import DatacenterEngine, DatacenterResult, fork_available
 from repro.datacenter import engine as engine_module
 from repro.datacenter.billing import TenantBill
@@ -26,6 +27,7 @@ from repro.datacenter.checkpoint import (
     TenantCheckpoint,
 )
 from repro.datacenter.controlplane import (
+    Action,
     FailMachine,
     FailureRecord,
     Migrate,
@@ -33,14 +35,13 @@ from repro.datacenter.controlplane import (
     SetBudget,
     SetCaps,
 )
+from repro.datacenter.faults import FaultRecord, RetryRecord
 from repro.datacenter.journal import (
     JournalDecodeError,
     JournalError,
     canonical_json,
-    decode_action,
     decode_barrier,
     decode_record,
-    encode_action,
     encode_barrier,
     encode_record,
     read_journal,
@@ -48,10 +49,12 @@ from repro.datacenter.journal import (
     result_payload,
     resume,
 )
+from repro.datacenter.tenants import TenantReport
 from repro.experiments import datacenter as experiments_module
 from repro.experiments.__main__ import main
 from repro.experiments.common import Scale
 from repro.experiments.datacenter import run_datacenter
+from repro.heartbeats.api import HeartbeatWindowState
 from tests.datacenter.conftest import assert_same_result, tiny_scenario
 from tests.datacenter.test_faults import (
     FAULT_PLANS,
@@ -134,8 +137,54 @@ def tuples_of(elements, max_size=3):
     return st.lists(elements, max_size=max_size).map(tuple)
 
 
-# Cold tenant checkpoints (no warm snapshot), renamed so each barrier's
-# tenants are unique by name, as the journal keys them.
+tenant_reports = st.builds(
+    TenantReport,
+    name=st.text(max_size=12),
+    offered=counts,
+    admitted=counts,
+    rejected=counts,
+    completed=counts,
+    mean_latency=finite,
+    p95_latency=finite,
+    attainment=finite,
+    sla_met=st.booleans(),
+)
+
+failure_records = st.builds(
+    FailureRecord,
+    time=finite,
+    machine_index=indices,
+    replacements=tuples_of(migration_records),
+)
+
+windows = st.builds(
+    HeartbeatWindowState,
+    count=counts,
+    last_timestamp=st.one_of(st.none(), finite),
+    intervals=tuples_of(finite, max_size=20),
+    window_sum=finite,
+)
+
+# Controller state is an opaque tree of JSON scalars and tuples.
+opaque_states = st.recursive(
+    st.one_of(st.none(), st.booleans(), counts, finite, st.text(max_size=4)),
+    lambda children: tuples_of(children),
+    max_leaves=6,
+)
+
+snapshots = st.builds(
+    RuntimeSnapshot,
+    controller_state=opaque_states,
+    plan_speedup=st.one_of(st.none(), finite),
+    window=windows,
+    beats_in_quantum=counts,
+    quantum_start=finite,
+    taken_at=finite,
+)
+
+
+# Tenant checkpoints, warm or cold, renamed so each barrier's tenants
+# are unique by name, as the journal keys them.
 barrier_tenants = tuples_of(
     st.builds(
         TenantCheckpoint,
@@ -150,7 +199,7 @@ barrier_tenants = tuples_of(
         busy_seconds=finite,
         steps=counts,
         finished=st.booleans(),
-        snapshot=st.none(),
+        snapshot=st.one_of(st.none(), snapshots),
     )
 ).map(
     lambda tenants: tuple(
@@ -170,52 +219,47 @@ barrier_records = st.builds(
     tenants=st.none(),
     machines=st.none(),
     migrations=tuples_of(migration_records),
-    failures=tuples_of(
-        st.builds(
-            FailureRecord,
-            time=finite,
-            machine_index=indices,
-            replacements=tuples_of(migration_records),
-        )
-    ),
+    failures=tuples_of(failure_records),
     faults=tuples_of(fault_records),
     retries=tuples_of(retry_records),
 )
 
 
-def assert_record_round_trip(record_type, record):
-    """decode(encode(x)) == x, and encode -> decode -> encode is
-    byte-stable, through the generic flat-record pair."""
-    first = encode_record(record)
-    assert decode_record(record_type, first, "test") == record
-    again = encode_record(decode_record(record_type, first, "test"))
-    assert canonical_json(again) == canonical_json(first)
+# Every type the schema reads through decode_record, with its values.
+RECORD_TYPES = [
+    pytest.param(Action, actions, id="action"),
+    pytest.param(TenantBill, bills, id="bill"),
+    pytest.param(TenantReport, tenant_reports, id="tenant-report"),
+    pytest.param(MigrationRecord, migration_records, id="migration"),
+    pytest.param(FailureRecord, failure_records, id="failure"),
+    pytest.param(FaultRecord, fault_records, id="fault"),
+    pytest.param(RetryRecord, retry_records, id="retry"),
+    pytest.param(MachineCheckpoint, machine_checkpoints, id="machine"),
+    pytest.param(HeartbeatWindowState, windows, id="window"),
+    pytest.param(RuntimeSnapshot, snapshots, id="snapshot"),
+]
 
 
 class TestCodecRoundTrip:
     """encode -> decode -> encode is byte-stable for every finite value."""
 
-    @given(actions)
-    def test_action_round_trip_is_byte_stable(self, action):
-        first = encode_action(action)
-        again = encode_action(decode_action(first))
-        assert canonical_json(again) == canonical_json(first)
+    @pytest.mark.parametrize("record_type, records", RECORD_TYPES)
+    @given(data=st.data())
+    def test_record_round_trip_is_exact(self, record_type, records, data):
+        record = data.draw(records)
+        first = encode_record(record)
+        line = json.loads(canonical_json(first))
+        decoded = decode_record(record_type, line, "test")
+        assert decoded == record
+        assert canonical_json(encode_record(decoded)) == canonical_json(first)
 
-    @given(actions)
-    def test_action_round_trip_preserves_equality(self, action):
-        assert decode_action(encode_action(action)) == action
-
-    @given(bills)
-    def test_bill_round_trip_is_exact(self, bill):
-        assert_record_round_trip(TenantBill, bill)
-
-    @given(migration_records)
-    def test_migration_record_round_trip_is_exact(self, record):
-        assert_record_round_trip(MigrationRecord, record)
-
-    @given(machine_checkpoints)
-    def test_machine_checkpoint_round_trip_is_exact(self, checkpoint):
-        assert_record_round_trip(MachineCheckpoint, checkpoint)
+    @pytest.mark.parametrize("record_type, records", RECORD_TYPES)
+    def test_missing_field_is_named(self, record_type, records):
+        first = "type" if record_type is Action else fields(record_type)[0].name
+        with pytest.raises(
+            JournalDecodeError, match=f"^test: missing field '{first}'$"
+        ):
+            decode_record(record_type, {}, "test")
 
     @given(
         barrier_records,
@@ -238,11 +282,66 @@ class TestCodecRoundTrip:
         # Read without checkpoints, the line is the record itself.
         assert decode_barrier(line, {}, "test", checkpoints=False) == record
 
-    def test_decode_action_errors_name_the_problem(self):
+    def test_action_errors_name_the_problem(self):
         with pytest.raises(JournalDecodeError, match="unknown action type"):
-            decode_action({"type": "reboot"}, where="barrier 3 action 1")
-        with pytest.raises(JournalDecodeError, match="barrier 3"):
-            decode_action({"caps": [1.0]}, where="barrier 3 action 1")
+            decode_record(Action, {"type": "reboot"}, "barrier 3 action 1")
+        with pytest.raises(
+            JournalDecodeError,
+            match="^barrier 3 action 1: missing field 'type'$",
+        ):
+            decode_record(Action, {"caps": [1.0]}, "barrier 3 action 1")
+
+    def test_only_coerced_floats_refuse_an_int(self):
+        # SetCaps.caps is written through float(), so a JSON int there
+        # is one the encoder never writes; other float fields are
+        # written as they are, and take one.
+        with pytest.raises(
+            JournalDecodeError, match=r"^a: caps\[0\]: expected float, got 5$"
+        ):
+            decode_record(Action, {"type": "set_caps", "caps": [5]}, "a")
+        budget = {"type": "set_budget", "budget_watts": 5}
+        assert decode_record(Action, budget, "a") == SetBudget(5)
+        assert canonical_json(encode_record(SetCaps((5,)))) == (
+            '{"caps":[5.0],"type":"set_caps"}'
+        )
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (True, "index: expected int, got True"),
+            (2.0, "index: expected int, got 2.0"),
+            ("2", "index: expected int, got '2'"),
+        ],
+    )
+    def test_an_int_field_takes_neither_bool_nor_float(self, value, expected):
+        with pytest.raises(JournalDecodeError, match=f"^m: {expected}$"):
+            decode_record(MachineCheckpoint, {"index": value}, "m")
+
+    def test_opaque_controller_state_refuses_an_object(self):
+        snapshot = json.loads(
+            canonical_json(
+                encode_record(
+                    RuntimeSnapshot(
+                        (1.0, (2, "x", None)),
+                        None,
+                        HeartbeatWindowState(0, None, (), 0.0),
+                        0,
+                        0.0,
+                        0.0,
+                    )
+                )
+            )
+        )
+        assert decode_record(RuntimeSnapshot, snapshot, "s").controller_state == (
+            1.0,
+            (2, "x", None),
+        )
+        snapshot["controller_state"][1][0] = {"a": 1}
+        with pytest.raises(
+            JournalDecodeError,
+            match=r"^s: controller_state\[1\]\[0\]: expected a scalar or a list",
+        ):
+            decode_record(RuntimeSnapshot, snapshot, "s")
 
 
 SAMPLED_FIELDS = (
@@ -739,43 +838,111 @@ MALFORMED_HEADERS = [
         "scenario module is 'os'; expected 'repro.experiments.datacenter'",
         id="wrong-module",
     ),
+    pytest.param(
+        lambda h: h.update(codec=99),
+        "codec 99 != supported 1",
+        id="codec-99",
+    ),
+    pytest.param(
+        lambda h: h.update(codec=True),
+        "codec True != supported 1",
+        id="codec-true",
+    ),
+    pytest.param(
+        lambda h: h.update(journal_schema=99),
+        "journal_schema 99 != supported 2",
+        id="schema-99",
+    ),
 ]
 
 WRONG_TYPED_BARRIERS = [
     pytest.param(
         lambda r: r.update(tenants=5),
-        "field 'tenants' must be a list, got 5",
+        "tenants: expected a list, got 5",
         id="tenants-not-a-list",
     ),
     pytest.param(
         lambda r: r.update(caps=5),
-        "field 'caps' must be a list, got 5",
+        "caps: expected a list, got 5",
         id="caps-not-a-list",
     ),
     pytest.param(
         lambda r: r["tenants"][0].update(completions_delta=3),
-        "field 'completions_delta' must be a list, got 3",
+        "tenants[0].completions_delta: expected a list, got 3",
         id="completions-not-a-list",
     ),
     pytest.param(
         lambda r: r["tenants"][0].update(completions_delta=[[1.0]]),
-        "field 'completions_delta' holds [1.0], not a two-element list",
+        "tenants[0].completions_delta[0]: expected a 2-element list, "
+        "got [1.0]",
         id="one-element-completion",
     ),
     pytest.param(
         lambda r: r["tenants"][0].update(completions_delta=["ab"]),
-        "field 'completions_delta' holds 'ab', not a two-element list",
+        "tenants[0].completions_delta[0]: expected a 2-element list, "
+        "got 'ab'",
         id="string-completion",
     ),
     pytest.param(
         lambda r: r["tenants"][0].update(pending=[{"x": 1, "y": 2}]),
-        "field 'pending' holds {'x': 1, 'y': 2}, not a two-element list",
+        "tenants[0].pending[0]: expected a 2-element list, got "
+        "{'x': 1, 'y': 2}",
         id="object-pending",
     ),
     pytest.param(
         lambda r: r.update(index=str(r["index"])),
-        "barrier index must be an integer, got '1'",
+        "index: expected int, got '1'",
         id="string-index",
+    ),
+    pytest.param(
+        lambda r: r.update(time=str(r["time"])),
+        "time: expected float, got '6.0'",
+        id="string-time",
+    ),
+    pytest.param(
+        lambda r: r.update(budget_watts="lots"),
+        "budget_watts: expected float, got 'lots'",
+        id="string-budget",
+    ),
+    pytest.param(
+        lambda r: r["actions"][0].update(caps=["a", "b"]),
+        "actions[0].caps[0]: expected float, got 'a'",
+        id="string-action-cap",
+    ),
+    pytest.param(
+        lambda r: r["actions"][0].update(caps="ab"),
+        "actions[0].caps: expected a list, got 'ab'",
+        id="string-action-caps",
+    ),
+    pytest.param(
+        lambda r: r["tenants"][0]["ledger"].update(energy_joules="1.0"),
+        "tenants[0].ledger.energy_joules: expected float, got '1.0'",
+        id="string-ledger",
+    ),
+    pytest.param(
+        lambda r: r["tenants"][1]["ledger_delta"].update(steps=1.0),
+        "tenants[1].ledger_delta.steps: expected int, got 1.0",
+        id="float-ledger-delta-steps",
+    ),
+    pytest.param(
+        lambda r: r["tenants"][0]["snapshot"]["window"].update(count=True),
+        "tenants[0].snapshot.window.count: expected int, got True",
+        id="bool-window-count",
+    ),
+    pytest.param(
+        lambda r: r["machines"][0].update(now="5"),
+        "machines[0].now: expected float, got '5'",
+        id="string-machine-now",
+    ),
+    pytest.param(
+        lambda r: r["machines"][1].update(alive=1),
+        "machines[1].alive: expected bool, got 1",
+        id="int-machine-alive",
+    ),
+    pytest.param(
+        lambda r: r["machines"][0].update(index=0.0),
+        "machines[0].index: expected int, got 0.0",
+        id="float-machine-index",
     ),
 ]
 
@@ -816,9 +983,23 @@ class TestReaderErrors:
         copy = corrupt_record(path, tmp_path, corrupt)
         with pytest.raises(JournalDecodeError) as excinfo:
             read_journal(str(copy))
-        message = str(excinfo.value)
-        assert "corrupt.ndjson:3" in message
-        assert expected in message
+        assert str(excinfo.value) == (
+            f"{copy}:3 (barrier record): {expected}"
+        )
+
+    def test_decode_errors_name_the_field_path(self, recorded, tmp_path):
+        """The format every decode error follows: ``path:line (record
+        kind): field path: what was expected, got what``."""
+        path, _ = recorded
+        copy = corrupt_record(
+            path, tmp_path, lambda r: r["actions"][0]["caps"].__setitem__(1, "a")
+        )
+        with pytest.raises(JournalDecodeError) as excinfo:
+            read_journal(str(copy))
+        assert str(excinfo.value) == (
+            f"{copy}:3 (barrier record): actions[0].caps[1]: expected float, "
+            "got 'a'"
+        )
 
     def test_replay_of_a_wrong_typed_journal_exits_2(
         self, recorded, tmp_path, capsys
@@ -828,7 +1009,7 @@ class TestReaderErrors:
         assert main(["replay", "--journal", str(copy)]) == 2
         err = capsys.readouterr().err
         assert "corrupt.ndjson:3" in err
-        assert "must be a list" in err
+        assert "tenants: expected a list, got 5" in err
 
     @pytest.mark.parametrize("resume", [False, True], ids=["replay", "resume"])
     @pytest.mark.parametrize("corrupt, expected", MALFORMED_HEADERS)
@@ -856,7 +1037,7 @@ class TestReaderErrors:
         assert main(["replay", "--journal", str(copy), "--resume"]) == 2
         err = capsys.readouterr().err
         assert "corrupt.ndjson:3" in err
-        assert "field 'completions_delta' must be a list, got 3" in err
+        assert "tenants[0].completions_delta: expected a list, got 3" in err
         # Plain replay vouches for the actions and the result only.
         replayed = replay(str(copy))
         assert replayed.bills == live.bills
@@ -873,6 +1054,180 @@ class TestReaderErrors:
         partial.write_text("\n".join(lines) + "\n")
         with pytest.raises(JournalError, match="resume"):
             replay(str(partial))
+
+
+def scalar_paths(value, path=()):
+    """The path of every scalar in a decoded JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from scalar_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from scalar_paths(item, path + (index,))
+    else:
+        yield path
+
+
+def set_at(value, path, replacement):
+    """Replace the item at ``path`` inside ``value``."""
+    for step in path[:-1]:
+        value = value[step]
+    value[path[-1]] = replacement
+
+
+def is_number(value):
+    """A JSON number: a float field's value wherever the encoder writes
+    the field's value as it is, which may be an int."""
+    return type(value) in (int, float)
+
+
+# The wire type of each named scalar in a barrier line, written out
+# independently of the codec.
+WIRE_TYPES = {
+    **dict.fromkeys(
+        (
+            "index",
+            "machine_index",
+            "dest_machine_index",
+            "source_machine_index",
+            "offered",
+            "rejected",
+            "completed_total",
+            "next_request",
+            "steps",
+            "count",
+            "beats_in_quantum",
+            "attempt",
+        ),
+        lambda value: type(value) is int,
+    ),
+    **dict.fromkeys(
+        ("warm", "finished", "alive"), lambda value: type(value) is bool
+    ),
+    **dict.fromkeys(
+        ("tenant", "kind", "outcome"), lambda value: type(value) is str
+    ),
+    **dict.fromkeys(
+        (
+            "time",
+            "cost_seconds",
+            "energy_joules",
+            "busy_seconds",
+            "now",
+            "frequency_ghz",
+            "idle_energy_joules",
+            "mean_power",
+            "window_sum",
+            "quantum_start",
+            "taken_at",
+            "target_watts",
+            "budget_watts",
+        ),
+        is_number,
+    ),
+    **dict.fromkeys(
+        ("plan_speedup", "last_timestamp", "applied_watts"),
+        lambda value: value is None or is_number(value),
+    ),
+    "mode": lambda value: value is None or type(value) is str,
+    # Every action type has its own fields: no other value fits.
+    "type": lambda value: False,
+    # Null while the tenant is cold; an object needs every field.
+    "snapshot": lambda value: value is None,
+}
+
+
+def wire_type_accepts(path, value):
+    """Whether ``value`` has the wire type of the barrier-line scalar
+    at ``path``."""
+    keys = tuple("*" if isinstance(step, int) else step for step in path)
+    if "controller_state" in keys:
+        return not isinstance(value, dict)
+    if keys == ("kind",):
+        return value == "barrier"
+    if keys == ("caps",):  # null before the first SetCaps
+        return value is None or value == []
+    if keys == ("budget_watts",):  # null on an uncapped run
+        return value is None or is_number(value)
+    if keys[-4:-1] == ("actions", "*", "caps"):  # written through float()
+        return type(value) is float
+    if keys[-3:-1] == ("pending", "*"):  # (index, arrival) pairs
+        return type(value) is int if path[-1] == 0 else is_number(value)
+    if keys[-1] == "*":  # caps, completions and heartbeat intervals
+        return is_number(value)
+    return WIRE_TYPES[keys[-1]](value)
+
+
+WRONG_VALUES = ("x", True, None, 7, 1.5, [], {})
+
+CHECKPOINT_KEYS = ("tenants", "machines")
+"""A barrier line's checkpoint entries, which plain replay skips."""
+
+
+class TestWrongTypedScalars:
+    """One scalar of one barrier line replaced by a value of the wrong
+    type: every reader refuses it as a ``JournalDecodeError`` naming
+    ``path:line``, except that plain replay decodes no checkpoint and
+    reproduces the bills past a bad one."""
+
+    @pytest.fixture(scope="class")
+    def chaos_journal(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("chaos") / "chaos.ndjson"
+        argv = ["datacenter", "--scale", "tiny", "--journal", str(path)]
+        assert main(argv + ["--chaos", "1"]) == 0
+        return path
+
+    @staticmethod
+    def corrupt(journal, data, directory):
+        """Write a copy of ``journal`` with one barrier scalar replaced;
+        return it, its ``path:line`` and the replaced scalar's path."""
+        lines = journal.read_text().splitlines()
+        number = data.draw(st.integers(2, len(lines) - 1), label="line")
+        record = json.loads(lines[number - 1])
+        assert record["kind"] == "barrier"
+        # As many draws outside the tenant and machine checkpoints as
+        # inside them, where most of a line's scalars are.
+        paths = list(scalar_paths(record))
+        inside = [path for path in paths if path[0] in CHECKPOINT_KEYS]
+        outside = [path for path in paths if path[0] not in CHECKPOINT_KEYS]
+        region = data.draw(st.sampled_from([inside, outside]), label="region")
+        path = data.draw(st.sampled_from(region), label="path")
+        value = data.draw(st.sampled_from(WRONG_VALUES), label="value")
+        assume(not wire_type_accepts(path, value))
+        set_at(record, path, value)
+        lines[number - 1] = canonical_json(record)
+        copy = directory / "corrupt.ndjson"
+        copy.write_text("\n".join(lines) + "\n")
+        return copy, f"{copy}:{number}", path
+
+    def assert_refused(self, read, copy, where):
+        with pytest.raises(JournalDecodeError) as excinfo:
+            read(str(copy))
+        assert re.match(re.escape(where) + "[: ]", str(excinfo.value))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_read_and_resume_refuse_it(
+        self, chaos_journal, tmp_path_factory, data
+    ):
+        directory = tmp_path_factory.mktemp("wrong-typed")
+        copy, where, _ = self.corrupt(chaos_journal, data, directory)
+        self.assert_refused(read_journal, copy, where)
+        self.assert_refused(resume, copy, where)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_replay_refuses_it_outside_the_checkpoints(
+        self, chaos_journal, tmp_path_factory, data
+    ):
+        directory = tmp_path_factory.mktemp("wrong-typed")
+        copy, where, path = self.corrupt(chaos_journal, data, directory)
+        if path[0] not in CHECKPOINT_KEYS:
+            self.assert_refused(replay, copy, where)
+            return
+        recorded = json.loads(chaos_journal.read_text().splitlines()[-1])
+        replayed = result_payload(replay(str(copy)))
+        assert replayed["bills"] == recorded["payload"]["bills"]
 
 
 class TestJournalCli:
